@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import BudgetExceededError, ParameterError
@@ -42,7 +43,7 @@ DEFAULT_BUDGET = 10**8
 
 # Known minimal vertex counts of (3, g)-cages; everything else falls back
 # to the Moore lower bound, which then only certifies "possibly loose".
-EXACT_CAGE_SIZES = {(3, 5): 10, (3, 6): 14, (3, 7): 24, (3, 8): 30}
+EXACT_CAGE_SIZES = MappingProxyType({(3, 5): 10, (3, 6): 14, (3, 7): 24, (3, 8): 30})
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ def file_size(code: FrCode, k: int, budget: int | None = None) -> int:
 
     Refuses (never approximates) when the subset count exceeds the budget;
     the refusal depends only on the call arguments, never on what happens
-    to sit in the memo cache.
+    to sit in the code's memo of earlier results.
     """
     if not 1 <= k <= code.n:
         raise ParameterError(f"need 1 <= k <= {code.n}, got k={k}")
@@ -285,13 +286,10 @@ def file_size(code: FrCode, k: int, budget: int | None = None) -> int:
     if total > budget:
         raise BudgetExceededError(f"file-size scan over C({code.n},{k}) node subsets",
                                   total, budget)
-    cached = _MIN_UNION_RESULTS.get((code, k))
-    if cached is not None:
-        return cached
-    return _min_union(code, k)
-
-
-_MIN_UNION_RESULTS: dict[tuple[FrCode, int], int] = {}
+    memo = code._file_sizes
+    if k not in memo:
+        memo[k] = _min_union(code, k)
+    return memo[k]
 
 
 def _greedy_union(masks: tuple[int, ...], k: int, start: int) -> int:
@@ -355,7 +353,6 @@ def _min_union(code: FrCode, k: int) -> int:
             return False
 
         descend(0, 0, 0, 0)
-    _MIN_UNION_RESULTS[(code, k)] = best
     return best
 
 

@@ -1,9 +1,10 @@
 """Command-line front end tying construction, analysis, storage simulation,
 and batch certification into reproducible runs.
 
-Exit status contract: 0 all checks pass; 1 domain refusal (bad parameters,
-enumeration budget, unreadable input, failed certification); 2 internal
-cross-check mismatch between enumeration and the closed forms.
+Exit status contract: 0 all checks pass; 1 domain refusal (bad parameters
+or command line, enumeration budget, unreadable input, failed
+certification); 2 internal cross-check mismatch between enumeration and the
+closed forms.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analyze, batch, construct, dress, incidence
 from .errors import FrepkitError
@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("store", help="encode and persist a file as a DRESS system")
@@ -123,13 +122,7 @@ def _cmd_construct(args) -> int:
 def _cmd_analyze(args) -> int:
     code = incidence.load(args.code)
     budget = args.budget if args.budget is not None else _default_budget()
-    k_max = args.k_max if args.k_max is not None else code.alpha
-    if args.jobs > 1:
-        # warms the per-(code, k) cache; results are identical for any job count
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(lambda k: analyze.file_size(code, k, budget=budget),
-                          range(1, k_max + 1)))
-    profile = analyze.capacity_profile(code, k_max=k_max, budget=budget)
+    profile = analyze.capacity_profile(code, k_max=args.k_max, budget=budget)
     sys.stdout.write(profile.to_json() if args.format == "json" else profile.to_text())
     problems = profile.cross_check()
     if problems:
@@ -164,8 +157,7 @@ def _cmd_reconstruct(args) -> int:
     nodes = _parse_nodes(args.nodes)
     recovered = dress.reconstruct(system, nodes)
     print("file:", " ".join(str(v) for v in recovered))
-    manifest = json.loads((system.root / dress.MANIFEST_NAME).read_text())
-    if dress.file_digest(recovered) != manifest["file_sha256"]:
+    if dress.file_digest(recovered) != system.file_sha256:
         raise FrepkitError("recovered file does not match the stored digest")
     print("digest: matches manifest")
     return EXIT_OK
@@ -238,7 +230,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a cross-check mismatch here
+        return EXIT_REFUSED if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
     except FrepkitError as exc:

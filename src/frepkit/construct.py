@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import analyze
-from .errors import ParameterError
+from .errors import FrepkitError, ParameterError
 from .galois import GF
 from .incidence import Design, Graph, TransversalDesign
 
@@ -57,7 +57,8 @@ class CageInfo:
 
 def _lcf(n: int, shifts: list[int], reps: int) -> list[tuple[int, int]]:
     """Expand LCF notation: a Hamiltonian n-cycle plus one chord per vertex."""
-    assert len(shifts) * reps == n
+    if len(shifts) * reps != n:
+        raise ParameterError(f"LCF shifts {shifts}^{reps} do not cover {n} vertices")
     edges = {(u, u % n + 1) for u in range(1, n + 1)}
     for i in range(n):
         j = (i + shifts[i % len(shifts)]) % n
@@ -98,10 +99,10 @@ def cage(name: str) -> Graph:
         raise ParameterError(f"unknown cage {name!r}; catalog holds: {known}")
     info, edges = _CATALOG[key]
     g = Graph(v=info.vertices, edges=edges)
-    degrees = g.degrees()
-    assert all(d == info.degree for d in degrees), f"{info.name}: degree data corrupt"
-    assert analyze.girth(g) == info.girth, f"{info.name}: girth data corrupt"
-    assert g.v == info.vertices
+    if any(d != info.degree for d in g.degrees()):
+        raise FrepkitError(f"{info.name}: degree data corrupt")
+    if analyze.girth(g) != info.girth:
+        raise FrepkitError(f"{info.name}: girth data corrupt")
     return g
 
 
@@ -132,7 +133,8 @@ def transversal_design(ell: int, h: int) -> TransversalDesign:
     groups = [tuple(range(i * h + 1, (i + 1) * h + 1)) for i in range(ell)]
     design = TransversalDesign(points=ell * h, blocks=blocks, groups=groups)
     violated = design.check_axioms()
-    assert violated is None, f"TD({ell}, {h}) construction broke axiom: {violated}"
+    if violated is not None:
+        raise FrepkitError(f"TD({ell}, {h}) construction broke axiom: {violated}")
     return design
 
 

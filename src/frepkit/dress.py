@@ -49,6 +49,8 @@ class StoredSystem:
     m_size: int
     node_contents: dict[int, dict[int, int]]
     root: Path
+    file_sha256: str
+    checksums: dict[str, str]  # node file name -> SHA-256 of its bytes
     seed: int | None = None
 
     def node_path(self, i: int) -> Path:
@@ -75,6 +77,11 @@ def _sha256(path: Path) -> str:
 
 def file_digest(symbols) -> str:
     return hashlib.sha256(" ".join(str(v) for v in symbols).encode("ascii")).hexdigest()
+
+
+def _mds_block(theta: int) -> dict:
+    """The manifest's outer-code block: systematic at points 0..theta-1."""
+    return {"systematic": True, "eval_points": list(range(theta))}
 
 
 def _node_text(i: int, contents: dict[int, int], alpha: int) -> str:
@@ -118,7 +125,7 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
         "code": {"n": code.n, "theta": code.theta, "alpha": code.alpha,
                  "rho": code.rho, "node_sets": [list(s) for s in code.node_sets]},
         "field": field.spec(),
-        "mds": {"systematic": mds.systematic, "eval_points": list(mds.eval_points)},
+        "mds": _mds_block(code.theta),
         "k": k,
         "M": m_size,
         "file_sha256": file_digest(file_symbols),
@@ -128,7 +135,8 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                                       encoding="ascii", newline="\n")
     return StoredSystem(code=code, field=field, mds=mds, k=k, m_size=m_size,
-                        node_contents=contents, root=root, seed=seed)
+                        node_contents=contents, root=root,
+                        file_sha256=manifest["file_sha256"], checksums=checksums, seed=seed)
 
 
 def _parse_node_file(path: Path) -> tuple[int, dict[int, int]]:
@@ -150,17 +158,19 @@ def load_system(root, verify: bool = True) -> StoredSystem:
     c = manifest["code"]
     code = FrCode(n=c["n"], theta=c["theta"], alpha=c["alpha"], rho=c["rho"],
                   node_sets=c["node_sets"])
+    if manifest.get("mds") != _mds_block(code.theta):
+        raise CorruptionError(f"{root / MANIFEST_NAME}: outer code {manifest.get('mds')!r} "
+                              f"is not systematic at points 0..theta-1")
     field = GF.from_spec(manifest["field"])
-    mds = MdsCode(field=field, length=code.theta, dimension=manifest["M"],
-                  systematic=manifest["mds"]["systematic"],
-                  eval_points=tuple(manifest["mds"]["eval_points"]))
+    mds = MdsCode(field=field, length=code.theta, dimension=manifest["M"])
+    checksums = manifest["checksums"]
     contents = {}
     for i in range(1, code.n + 1):
         path = root / f"node_{i}.dat"
         if not path.exists():
             continue  # a failed node; repairable while replicas survive
         if verify:
-            expected = manifest["checksums"][path.name]
+            expected = checksums[path.name]
             actual = _sha256(path)
             if actual != expected:
                 raise CorruptionError(
@@ -171,6 +181,7 @@ def load_system(root, verify: bool = True) -> StoredSystem:
         contents[i] = node_map
     return StoredSystem(code=code, field=field, mds=mds, k=manifest["k"],
                         m_size=manifest["M"], node_contents=contents, root=root,
+                        file_sha256=manifest["file_sha256"], checksums=checksums,
                         seed=manifest.get("seed"))
 
 
@@ -181,11 +192,11 @@ def verify_integrity(root) -> None:
 
 def reconstruct(system: StoredSystem, nodes) -> list[int]:
     """Recover the stored file from exactly k node files."""
+    nodes = list(nodes)
     chosen = sorted(set(nodes))
-    if len(chosen) != system.k or len(chosen) != len(list(nodes)):
+    if len(chosen) != system.k or len(chosen) != len(nodes):
         raise ParameterError(
-            f"reconstruction needs exactly k = {system.k} distinct nodes, "
-            f"got {list(nodes)}")
+            f"reconstruction needs exactly k = {system.k} distinct nodes, got {nodes}")
     coords = []
     covered = set()
     for i in chosen:
@@ -264,8 +275,7 @@ def execute_repair(system: StoredSystem, plan: RepairPlan) -> StoredSystem:
         lines.append(_donor_line(donor_path, symbol))
     path = system.node_path(plan.failed)
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    manifest = json.loads((system.root / MANIFEST_NAME).read_text(encoding="ascii"))
-    expected = manifest["checksums"][path.name]
+    expected = system.checksums[path.name]
     actual = _sha256(path)
     if actual != expected:
         raise CorruptionError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import CorruptionError, ParameterError
+from .errors import CorruptionError, FrepkitError, ParameterError
 
 __all__ = ["GF", "MdsCode", "default_field_for", "FIELD_CHARACTERISTICS"]
 
@@ -294,34 +294,24 @@ def default_field_for(theta: int) -> GF:
 
 @dataclass(frozen=True)
 class MdsCode:
-    """A (length, dimension) MDS code by polynomial evaluation over a field.
+    """A systematic (length, dimension) MDS code by polynomial evaluation.
 
-    Evaluation points default to the field elements 0..length-1.  With
-    systematic=True the codeword carries the message verbatim in its first
-    dimension coordinates (the encoding polynomial interpolates the message
-    there); otherwise the message supplies the polynomial coefficients.
+    Position p is evaluated at the field element p.  The encoding
+    polynomial interpolates the message at positions 0..dimension-1, so the
+    codeword carries the message verbatim in its first dimension coordinates.
     """
 
     field: GF
     length: int
     dimension: int
-    systematic: bool = True
-    eval_points: tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.eval_points is None:
-            object.__setattr__(self, "eval_points", tuple(range(self.length)))
         if not 1 <= self.dimension <= self.length:
             raise ParameterError(
                 f"need 1 <= dimension <= length, got ({self.dimension}, {self.length})")
         if self.length > self.field.q:
             raise ParameterError(
                 f"length {self.length} exceeds field order {self.field.q}")
-        points = self.eval_points
-        if len(points) != self.length or len(set(points)) != self.length:
-            raise ParameterError("evaluation points must be length distinct elements")
-        for x in points:
-            self.field._check(x)
 
     def _poly_eval(self, coeffs: Sequence[int], x: int) -> int:
         f = self.field
@@ -364,13 +354,10 @@ class MdsCode:
             raise ParameterError(
                 f"message length {len(message)} differs from dimension {self.dimension}")
         self.field._check(*message)
-        if self.systematic:
-            coeffs = self._interpolate(self.eval_points[: self.dimension], message)
-        else:
-            coeffs = list(message)
-        codeword = [self._poly_eval(coeffs, x) for x in self.eval_points]
-        if self.systematic:
-            assert codeword[: self.dimension] == list(message)
+        coeffs = self._interpolate(range(self.dimension), message)
+        codeword = [self._poly_eval(coeffs, x) for x in range(self.length)]
+        if codeword[: self.dimension] != list(message):
+            raise FrepkitError("encoded codeword lost its systematic message prefix")
         return codeword
 
     def decode(self, coords: Iterable[tuple[int, int]]) -> list[int]:
@@ -396,12 +383,9 @@ class MdsCode:
                 f"insufficient coordinates: got {len(seen)}, need {self.dimension}")
         positions = sorted(seen)
         base = positions[: self.dimension]
-        coeffs = self._interpolate([self.eval_points[p] for p in base],
-                                   [seen[p] for p in base])
+        coeffs = self._interpolate(base, [seen[p] for p in base])
         for p in positions[self.dimension:]:
-            if self._poly_eval(coeffs, self.eval_points[p]) != seen[p]:
+            if self._poly_eval(coeffs, p) != seen[p]:
                 raise CorruptionError(
                     f"coordinate at position {p} is inconsistent with the others")
-        if self.systematic:
-            return [self._poly_eval(coeffs, x) for x in self.eval_points[: self.dimension]]
-        return coeffs
+        return [self._poly_eval(coeffs, x) for x in range(self.dimension)]

@@ -138,6 +138,11 @@ class FrCode:
         return tuple(tuple(h) for h in holders)
 
     @cached_property
+    def _file_sizes(self) -> dict[int, int]:
+        """Exact file size M(k) by k, filled in by analyze.file_size."""
+        return {}
+
+    @cached_property
     def max_pairwise_intersection(self) -> int:
         masks = self.symbol_masks
         best = 0

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
+from .errors import FrepkitError
+
 __all__ = ["maximum_matching", "hall_witness"]
 
 
@@ -58,5 +60,6 @@ def hall_witness(neighbors: Sequence[Sequence[Hashable]],
                 frontier.append(owner)
     witness = sorted(zone)
     neighborhood = sorted(reached_right)
-    assert len(neighborhood) < len(witness), "witness extraction from a non-deficient matching"
+    if len(neighborhood) >= len(witness):
+        raise FrepkitError("witness extraction from a non-deficient matching")
     return witness, neighborhood

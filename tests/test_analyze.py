@@ -249,6 +249,20 @@ class TestFileSize:
         with pytest.raises(BudgetExceededError):
             file_size(code, 15, budget=1000)
 
+    def test_equal_but_distinct_codes_agree(self):
+        a = from_design(transversal_design(3, 4))
+        b = from_design(transversal_design(3, 4))
+        assert a == b and a is not b
+        assert [file_size(a, k) for k in range(1, 5)] == [4, 7, 9, 11]
+        assert [file_size(b, k) for k in range(1, 5)] == [4, 7, 9, 11]
+
+    def test_budget_refusal_after_a_warm_call(self):
+        code = from_design(transversal_design(3, 4))
+        assert file_size(code, 4) == 11
+        with pytest.raises(BudgetExceededError):
+            file_size(code, 4, budget=math.comb(12, 4) - 1)
+        assert file_size(code, 4, budget=math.comb(12, 4)) == 11
+
 
 class TestPaperRelations:
     def test_lemma1_isoperimetric_equivalence(self):

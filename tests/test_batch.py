@@ -7,6 +7,7 @@ from frepkit import (
     BatchPlan,
     BudgetExceededError,
     FrbDefinitionError,
+    FrepkitError,
     FrCode,
     NoPlan,
     ParameterError,
@@ -38,6 +39,10 @@ class TestMatching:
         witness, neighborhood = hall_witness(neighbors, match)
         assert set(witness) == {0, 1}
         assert neighborhood == [1]
+
+    def test_witness_from_non_deficient_matching_raises(self):
+        with pytest.raises(FrepkitError, match="non-deficient"):
+            hall_witness([[0]], [None])
 
     def test_deterministic(self):
         neighbors = [[2, 1], [1, 3], [3, 2], [2]]

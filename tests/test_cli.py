@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -99,11 +101,22 @@ class TestAnalyze:
         doc = json.loads(out)
         assert [row["M"] for row in doc["rows"]] == [3, 5, 7, 9, 10, 12]
 
-    def test_jobs_flag_changes_nothing(self, capsys, td34_frc):
-        _, solo, _ = run(capsys, "analyze", str(td34_frc), "--format", "json")
-        _, parallel, _ = run(capsys, "analyze", str(td34_frc), "--format", "json",
-                             "--jobs", "4")
-        assert solo == parallel
+    def test_removed_jobs_flag_is_a_usage_error_exit_1(self, capsys, td34_frc):
+        status, out, err = run(capsys, "analyze", str(td34_frc), "--jobs", "2")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("usage: frepkit")
+        assert "unrecognized arguments: --jobs 2" in err
+
+    def test_missing_subcommand_exits_1(self, capsys):
+        status, _, err = run(capsys)
+        assert status == 1
+        assert "usage: frepkit" in err
+
+    def test_help_exits_0(self, capsys):
+        status, out, _ = run(capsys, "analyze", "--help")
+        assert status == 0
+        assert "usage: frepkit analyze" in out
 
     def test_lying_rho_header_exits_2(self, capsys, tmp_path, k33_frc):
         lying = tmp_path / "lying.frc"
@@ -260,3 +273,32 @@ class TestBatchCommands:
         assert [row["M"] for row in doc["rows"]] == [4, 7, 9, 11]
         assert doc["frb"]["tuple"] == "3-(12, 11, 4, 4, 11)"
         assert doc["frb"]["properties"]["every_t_batch_retrievable"] is True
+
+
+SYSTEM_V1 = Path(__file__).parent / "data" / "td34_k4_seed0"
+
+
+class TestStoredFormat:
+    def test_store_rewrites_checked_in_store(self, capsys, td34_frc, tmp_path):
+        root = tmp_path / "sysroot"
+        status, _, _ = run(capsys, "store", "--code", str(td34_frc), "--k", "4",
+                           "--root", str(root), "--seed", "0")
+        assert status == 0
+        for path in SYSTEM_V1.iterdir():
+            assert (root / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("mds", [
+        {"systematic": False, "eval_points": list(range(16))},
+        {"systematic": True, "eval_points": [1, 0] + list(range(2, 16))},
+    ], ids=["non-systematic", "permuted-points"])
+    def test_reconstruct_refuses_foreign_outer_code(self, capsys, tmp_path, mds):
+        root = tmp_path / "sysroot"
+        shutil.copytree(SYSTEM_V1, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["mds"] = mds
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        status, out, err = run(capsys, "reconstruct", "--root", str(root),
+                               "--nodes", "1,2,3,4")
+        assert status == 1
+        assert out == ""
+        assert "outer code" in err

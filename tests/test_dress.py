@@ -1,6 +1,8 @@
 import json
 import random
+import shutil
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from frepkit import (
     turan,
     verify_integrity,
 )
+from frepkit.dress import file_digest
 
 
 def random_file(m_size, q, seed):
@@ -109,6 +112,11 @@ class TestReconstruct:
             reconstruct(system, [1, 2, 3, 4, 5])
         with pytest.raises(ParameterError):
             reconstruct(system, [1, 1, 2, 3])
+
+    def test_nodes_may_be_a_generator(self, td34_system):
+        system, file_symbols = td34_system
+        assert reconstruct(system, iter([1, 5, 9, 12])) == file_symbols
+        assert reconstruct(system, (i for i in (3, 6, 9, 12))) == file_symbols
 
     def test_reload_from_disk(self, td34_system):
         system, file_symbols = td34_system
@@ -279,3 +287,56 @@ class TestRoundTripSweep:
         code = FrCode(1, 1, 1, 1, [(1,)])
         system = store(code, 1, [1], tmp_path / "sys")
         assert reconstruct(system, [1]) == [1]
+
+
+# A frepkit-system/1 store of TD(3,4) at k = 4, written by `frepkit store
+# --seed 0` while MdsCode still took systematic/eval_points options.
+SYSTEM_V1 = Path(__file__).parent / "data" / "td34_k4_seed0"
+
+
+class TestStoredFormat:
+    def test_checked_in_store_loads_and_reconstructs(self):
+        system = load_system(SYSTEM_V1)  # verifies every node checksum
+        assert system.k == 4 and system.m_size == 11 and system.seed == 0
+        manifest = json.loads((SYSTEM_V1 / "manifest.json").read_text())
+        assert system.file_sha256 == manifest["file_sha256"]
+        assert system.checksums == manifest["checksums"]
+        recovered = reconstruct(system, [1, 2, 3, 4])
+        assert file_digest(recovered) == system.file_sha256
+        for nodes in combinations(range(1, 13), 4):
+            assert reconstruct(system, nodes) == recovered
+
+    def test_store_rewrites_checked_in_store_byte_for_byte(self, tmp_path):
+        old = load_system(SYSTEM_V1)
+        recovered = reconstruct(old, [1, 2, 3, 4])
+        new = store(old.code, 4, recovered, tmp_path / "sys", seed=0)
+        assert new.file_sha256 == old.file_sha256
+        assert new.checksums == old.checksums
+        for path in SYSTEM_V1.iterdir():
+            assert (new.root / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("mds", [
+        {"systematic": False, "eval_points": list(range(16))},
+        {"systematic": True, "eval_points": [1, 0] + list(range(2, 16))},
+        {"systematic": True, "eval_points": list(range(1, 17))},
+        None,
+    ], ids=["non-systematic", "permuted-points", "shifted-points", "missing"])
+    def test_foreign_outer_code_is_refused(self, tmp_path, mds):
+        root = tmp_path / "sys"
+        shutil.copytree(SYSTEM_V1, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        if mds is None:
+            del manifest["mds"]
+        else:
+            manifest["mds"] = mds
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptionError, match="outer code"):
+            load_system(root, verify=False)
+
+    def test_repair_checks_against_the_loaded_manifest(self, td34_system):
+        system, _ = td34_system
+        original = system.node_path(7).read_bytes()
+        system.node_path(7).unlink()
+        (system.root / "manifest.json").unlink()  # repair no longer rereads it
+        execute_repair(system, plan_repair(system, 7))
+        assert system.node_path(7).read_bytes() == original

@@ -192,10 +192,3 @@ class TestMds:
         code = MdsCode(field=GF(8), length=8, dimension=3)
         with pytest.raises(ParameterError):
             code.encode([1, 2])
-
-    def test_non_systematic_coefficients(self):
-        field = GF(16)
-        code = MdsCode(field=field, length=9, dimension=3, systematic=False)
-        message = [7, 0, 2]
-        cw = code.encode(message)
-        assert code.decode((p, cw[p]) for p in (2, 5, 8)) == message
