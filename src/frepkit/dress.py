@@ -4,15 +4,17 @@ by uncoded transfer.
 
 On disk a stored system is a directory holding manifest.json plus one
 node_<i>.dat per node.  A node file starts with "i alpha" and then lists
-"j value" lines in ascending symbol order; repairs copy those lines
-verbatim from donors, so the repair path never performs field arithmetic
-and restored files are byte-identical.
+"j value" lines in ascending symbol order.  Repairs copy symbol values
+from donors without field arithmetic and write the file only once its bytes
+match the manifest checksum.  Every write goes to a temporary name and is
+renamed into place, so readers never see a partly written file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,10 +73,6 @@ class RepairPlan:
         return len(self.transfers)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def file_digest(symbols) -> str:
     return hashlib.sha256(" ".join(str(v) for v in symbols).encode("ascii")).hexdigest()
 
@@ -88,6 +86,13 @@ def _node_text(i: int, contents: dict[int, int], alpha: int) -> str:
     lines = [f"{i} {alpha}"]
     lines.extend(f"{j} {contents[j]}" for j in sorted(contents))
     return "\n".join(lines) + "\n"
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace path by data in one rename; a crash leaves the old file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
@@ -116,10 +121,9 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
                 for i in range(1, code.n + 1)}
     checksums = {}
     for i in range(1, code.n + 1):
-        path = root / f"node_{i}.dat"
-        path.write_text(_node_text(i, contents[i], code.alpha),
-                        encoding="ascii", newline="\n")
-        checksums[f"node_{i}.dat"] = _sha256(path)
+        data = _node_text(i, contents[i], code.alpha).encode("ascii")
+        checksums[f"node_{i}.dat"] = hashlib.sha256(data).hexdigest()
+        _write_atomic(root / f"node_{i}.dat", data)
     manifest = {
         "schema": "frepkit-system/1",
         "code": {"n": code.n, "theta": code.theta, "alpha": code.alpha,
@@ -132,38 +136,47 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
         "seed": seed,
         "checksums": checksums,
     }
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                                      encoding="ascii", newline="\n")
+    _write_atomic(root / MANIFEST_NAME,
+                  (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("ascii"))
     return StoredSystem(code=code, field=field, mds=mds, k=k, m_size=m_size,
                         node_contents=contents, root=root,
                         file_sha256=manifest["file_sha256"], checksums=checksums, seed=seed)
 
 
 def _parse_node_file(path: Path) -> tuple[int, dict[int, int]]:
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines:
+    """The node id and {symbol: value} map of a node file."""
+    rows = []
+    for line_no, line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            a, b = map(int, line.split())
+        except ValueError:
+            raise CorruptionError(
+                f"{path}:{line_no}: expected two integers, got {line!r}") from None
+        rows.append((a, b))
+    if not rows:
         raise CorruptionError(f"{path}: empty node file")
-    node_id, _alpha = (int(x) for x in lines[0].split())
-    contents = {}
-    for line in lines[1:]:
-        j, v = (int(x) for x in line.split())
-        contents[j] = v
-    return node_id, contents
+    (node_id, _alpha), *rows = rows
+    return node_id, dict(rows)
 
 
 def load_system(root, verify: bool = True) -> StoredSystem:
     """Rebuild a StoredSystem from disk, optionally verifying checksums."""
     root = Path(root)
-    manifest = json.loads((root / MANIFEST_NAME).read_text(encoding="ascii"))
-    c = manifest["code"]
-    code = FrCode(n=c["n"], theta=c["theta"], alpha=c["alpha"], rho=c["rho"],
-                  node_sets=c["node_sets"])
+    manifest_path = root / MANIFEST_NAME
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+        c = manifest["code"]
+        code = FrCode(n=c["n"], theta=c["theta"], alpha=c["alpha"], rho=c["rho"],
+                      node_sets=c["node_sets"])
+        field = GF.from_spec(manifest["field"])
+        mds = MdsCode(field=field, length=code.theta, dimension=manifest["M"])
+        k, file_sha256, listed = manifest["k"], manifest["file_sha256"], manifest["checksums"]
+        checksums = {f"node_{i}.dat": listed[f"node_{i}.dat"] for i in range(1, code.n + 1)}
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CorruptionError(f"{manifest_path}: unreadable manifest ({exc!r})") from None
     if manifest.get("mds") != _mds_block(code.theta):
-        raise CorruptionError(f"{root / MANIFEST_NAME}: outer code {manifest.get('mds')!r} "
+        raise CorruptionError(f"{manifest_path}: outer code {manifest.get('mds')!r} "
                               f"is not systematic at points 0..theta-1")
-    field = GF.from_spec(manifest["field"])
-    mds = MdsCode(field=field, length=code.theta, dimension=manifest["M"])
-    checksums = manifest["checksums"]
     contents = {}
     for i in range(1, code.n + 1):
         path = root / f"node_{i}.dat"
@@ -171,7 +184,7 @@ def load_system(root, verify: bool = True) -> StoredSystem:
             continue  # a failed node; repairable while replicas survive
         if verify:
             expected = checksums[path.name]
-            actual = _sha256(path)
+            actual = hashlib.sha256(path.read_bytes()).hexdigest()
             if actual != expected:
                 raise CorruptionError(
                     f"{path} checksum mismatch: manifest {expected}, file {actual}")
@@ -179,10 +192,9 @@ def load_system(root, verify: bool = True) -> StoredSystem:
         if node_id != i:
             raise CorruptionError(f"{path} claims node id {node_id}")
         contents[i] = node_map
-    return StoredSystem(code=code, field=field, mds=mds, k=manifest["k"],
-                        m_size=manifest["M"], node_contents=contents, root=root,
-                        file_sha256=manifest["file_sha256"], checksums=checksums,
-                        seed=manifest.get("seed"))
+    return StoredSystem(code=code, field=field, mds=mds, k=k, m_size=mds.dimension,
+                        node_contents=contents, root=root, file_sha256=file_sha256,
+                        checksums=checksums, seed=manifest.get("seed"))
 
 
 def verify_integrity(root) -> None:
@@ -256,31 +268,24 @@ def plan_repair(system: StoredSystem, failed: int, policy: str = "lowest",
                       d=len(per_donor), beta=max(per_donor.values()))
 
 
-def _donor_line(path: Path, symbol: int) -> str:
-    """The verbatim 'j value' line for one symbol; repairs stay byte-copies."""
-    lines = path.read_text(encoding="ascii").splitlines()
-    for line in lines[1:]:  # line 0 is the "i alpha" header
-        if line.split(" ", 1)[0] == str(symbol):
-            return line
-    raise CorruptionError(f"{path} does not hold symbol {symbol}")
-
-
 def execute_repair(system: StoredSystem, plan: RepairPlan) -> StoredSystem:
-    """Rewrite the failed node's file from donor lines, copied byte for byte."""
-    lines = [f"{plan.failed} {system.code.alpha}"]
-    for symbol, donor in sorted(plan.transfers):
+    """Rebuild the failed node's file from donor values; write it only once
+    its bytes match the manifest checksum."""
+    contents = {}
+    for symbol, donor in plan.transfers:
         donor_path = system.node_path(donor)
         if not donor_path.exists():
             raise IrreparableError(f"donor file {donor_path} is unreadable")
-        lines.append(_donor_line(donor_path, symbol))
+        _, donor_map = _parse_node_file(donor_path)
+        if symbol not in donor_map:
+            raise CorruptionError(f"{donor_path} does not hold symbol {symbol}")
+        contents[symbol] = donor_map[symbol]
     path = system.node_path(plan.failed)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    expected = system.checksums[path.name]
-    actual = _sha256(path)
-    if actual != expected:
+    data = _node_text(plan.failed, contents, system.code.alpha).encode("ascii")
+    if hashlib.sha256(data).hexdigest() != system.checksums[path.name]:
         raise CorruptionError(
             f"repaired {path} does not match its manifest checksum; "
             f"a donor was corrupt or the plan was stale")
-    _, node_map = _parse_node_file(path)
-    system.node_contents[plan.failed] = node_map
+    _write_atomic(path, data)
+    system.node_contents[plan.failed] = contents
     return system

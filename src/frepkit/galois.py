@@ -5,7 +5,9 @@ most 2^16.  Elements are plain integers 0..q-1: for p = 2 the integer is
 the coefficient bitmask of the representing polynomial, otherwise its
 base-p digits are the coefficients.  Multiplication and inversion go
 through exp/log tables built once per field from a verified generator, so
-the chosen modulus only has to be irreducible, not primitive.
+the chosen modulus only has to be irreducible, not primitive.  The MDS codec
+evaluates its polynomial in barycentric Lagrange form and never builds the
+coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import CorruptionError, FrepkitError, ParameterError
+from .errors import CorruptionError, ParameterError
 
 __all__ = ["GF", "MdsCode", "default_field_for", "FIELD_CHARACTERISTICS"]
 
@@ -313,40 +315,34 @@ class MdsCode:
             raise ParameterError(
                 f"length {self.length} exceeds field order {self.field.q}")
 
-    def _poly_eval(self, coeffs: Sequence[int], x: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
+    def _lagrange(self, xs: Sequence[int], ys: Sequence[int],
+                  targets: Iterable[int]) -> list[int]:
+        """Values at targets of the degree < len(xs) polynomial through (xs, ys).
 
-    def _interpolate(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-        """Coefficients (ascending) of the unique degree < len(xs) polynomial
-        through the given points, via Lagrange synthesis."""
+        Barycentric form: with w_i = y_i / prod_{j != i}(x_i - x_j), the value
+        at t is prod_i(t - x_i) * sum_i w_i / (t - x_i); a t in xs gets its y.
+        """
         f = self.field
-        k = len(xs)
-        # master(x) = prod (x - x_j), ascending coefficients
-        master = [1]
-        for xj in xs:
-            nxt = [0] * (len(master) + 1)
-            neg = f.neg(xj)
-            for i, c in enumerate(master):
-                nxt[i + 1] = f.add(nxt[i + 1], c)
-                nxt[i] = f.add(nxt[i], f.mul(c, neg))
-            master = nxt
-        coeffs = [0] * k
-        for i, (xi, yi) in enumerate(zip(xs, ys)):
-            # synthetic division of master by (x - xi)
-            basis = [0] * k
-            carry = master[k]
-            for d in range(k - 1, -1, -1):
-                basis[d] = carry
-                carry = f.add(master[d], f.mul(carry, xi))
-            denom = self._poly_eval(basis, xi)
-            scale = f.div(yi, denom)
-            for d in range(k):
-                coeffs[d] = f.add(coeffs[d], f.mul(basis[d], scale))
-        return coeffs
+        known = dict(zip(xs, ys))
+        weights = []
+        for xi, yi in zip(xs, ys):
+            denom = 1
+            for xj in xs:
+                if xj != xi:
+                    denom = f.mul(denom, f.sub(xi, xj))
+            weights.append(f.div(yi, denom))
+        values = []
+        for t in targets:
+            if t in known:
+                values.append(known[t])
+                continue
+            scale, total = 1, 0
+            for xi, w in zip(xs, weights):
+                diff = f.sub(t, xi)
+                scale = f.mul(scale, diff)
+                total = f.add(total, f.div(w, diff))
+            values.append(f.mul(scale, total))
+        return values
 
     def encode(self, message: Sequence[int]) -> list[int]:
         """Map dimension message symbols to length codeword symbols."""
@@ -354,11 +350,7 @@ class MdsCode:
             raise ParameterError(
                 f"message length {len(message)} differs from dimension {self.dimension}")
         self.field._check(*message)
-        coeffs = self._interpolate(range(self.dimension), message)
-        codeword = [self._poly_eval(coeffs, x) for x in range(self.length)]
-        if codeword[: self.dimension] != list(message):
-            raise FrepkitError("encoded codeword lost its systematic message prefix")
-        return codeword
+        return self._lagrange(range(self.dimension), message, range(self.length))
 
     def decode(self, coords: Iterable[tuple[int, int]]) -> list[int]:
         """Recover the message from (position, value) pairs, 0-based positions.
@@ -382,10 +374,11 @@ class MdsCode:
             raise ParameterError(
                 f"insufficient coordinates: got {len(seen)}, need {self.dimension}")
         positions = sorted(seen)
-        base = positions[: self.dimension]
-        coeffs = self._interpolate(base, [seen[p] for p in base])
-        for p in positions[self.dimension:]:
-            if self._poly_eval(coeffs, p) != seen[p]:
+        base, extra = positions[: self.dimension], positions[self.dimension:]
+        values = self._lagrange(base, [seen[p] for p in base],
+                                [*range(self.dimension), *extra])
+        for p, value in zip(extra, values[self.dimension:]):
+            if value != seen[p]:
                 raise CorruptionError(
                     f"coordinate at position {p} is inconsistent with the others")
-        return [self._poly_eval(coeffs, x) for x in range(self.dimension)]
+        return values[: self.dimension]

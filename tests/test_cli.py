@@ -1,9 +1,11 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from frepkit import verify_integrity
 from frepkit.cli import main
 
 
@@ -287,6 +289,17 @@ class TestStoredFormat:
         for path in SYSTEM_V1.iterdir():
             assert (root / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_store_over_gf25_matches_pinned_manifest(self, capsys, td34_frc, tmp_path):
+        # the manifest lists every node file's SHA-256, so its digest pins
+        # the whole store as the coefficient-form encoder wrote it
+        root = tmp_path / "sysroot"
+        status, _, _ = run(capsys, "store", "--code", str(td34_frc), "--k", "4",
+                           "--root", str(root), "--seed", "0", "--field-q", "25")
+        assert status == 0
+        assert hashlib.sha256((root / "manifest.json").read_bytes()).hexdigest() == (
+            "231f821193a972bb9a573c0a7a9c57f23723c6d56d326a39647eda6bb0192de3")
+        verify_integrity(root)
+
     @pytest.mark.parametrize("mds", [
         {"systematic": False, "eval_points": list(range(16))},
         {"systematic": True, "eval_points": [1, 0] + list(range(2, 16))},
@@ -302,3 +315,27 @@ class TestStoredFormat:
         assert status == 1
         assert out == ""
         assert "outer code" in err
+
+
+class TestCorruptStore:
+    @pytest.mark.parametrize("name,data", [
+        ("node_2.dat", b"2 4\n1 one\n"),
+        ("node_2.dat", b"\xff\n"),
+        ("manifest.json", b'{"schema": "frepkit-sys'),
+        ("manifest.json", b'{"schema": "frepkit-system/1"}'),
+        ("manifest.json", b'{"code": 7}'),
+    ], ids=["node-non-integer", "node-non-ascii", "manifest-truncated",
+            "manifest-missing-key", "manifest-wrong-type"])
+    @pytest.mark.parametrize("command", [
+        ["reconstruct", "--nodes", "1,2,3,4"],
+        ["repair", "--failed", "1"],
+    ], ids=["reconstruct", "repair"])
+    def test_exits_1_with_error_message(self, capsys, tmp_path, name, data, command):
+        root = tmp_path / "sysroot"
+        shutil.copytree(SYSTEM_V1, root)
+        (root / name).write_bytes(data)
+        (root / "node_1.dat").unlink()  # a failed repair must not bring it back
+        status, _, err = run(capsys, command[0], "--root", str(root), *command[1:])
+        assert status == 1
+        assert err.startswith("error: ") and name in err
+        assert not (root / "node_1.dat").exists()

@@ -40,6 +40,13 @@ def td34_system(tmp_path):
     return system, file_symbols
 
 
+EXPECTED_NAMES = {"manifest.json"} | {f"node_{i}.dat" for i in range(1, 13)}
+
+
+def stored_names(root):
+    return {path.name for path in root.iterdir()}
+
+
 class TestStore:
     def test_td34_layout(self, td34_system, tmp_path):
         system, _ = td34_system
@@ -250,6 +257,83 @@ class TestExecuteRepair:
         system.node_path(1).unlink()
         with pytest.raises(CorruptionError):
             execute_repair(system, plan)
+        # the checksum is checked before anything is written
+        assert not system.node_path(1).exists()
+        assert stored_names(system.root) == EXPECTED_NAMES - {"node_1.dat"}
+
+    def test_no_temp_file_left_after_store_or_repair(self, td34_system):
+        system, _ = td34_system
+        assert stored_names(system.root) == EXPECTED_NAMES
+        system.node_path(6).unlink()
+        execute_repair(system, plan_repair(system, 6))
+        assert stored_names(system.root) == EXPECTED_NAMES
+
+
+# Damaged node files, each with where its error must point: a non-integer
+# field, a wrong field count, a bad header, non-ASCII bytes, no lines at all.
+GARBLED_NODE_FILES = {
+    "non-integer": (b"5 4\n2 x\n", "node_5.dat:2"),
+    "three-fields": (b"5 4\n2 3\n6 7 8\n", "node_5.dat:3"),
+    "bad-header": (b"five\n2 3\n", "node_5.dat:1"),
+    "non-ascii": (b"5 4\n2 \xff\n", "node_5.dat:2"),
+    "empty": (b"", "node_5.dat: empty"),
+}
+
+
+class TestCorruptNodeFile:
+    @pytest.mark.parametrize("data,where", GARBLED_NODE_FILES.values(),
+                             ids=GARBLED_NODE_FILES.keys())
+    def test_every_reader_raises_corruption_naming_the_line(self, td34_system, data, where):
+        system, _ = td34_system
+        system.node_path(5).write_bytes(data)
+        with pytest.raises(CorruptionError, match=where):
+            reconstruct(system, [5, 6, 7, 8])
+        with pytest.raises(CorruptionError, match=where):
+            load_system(system.root, verify=False)
+        # node 1 holds symbols 1..4; node 5 donates symbol 1 under "lowest"
+        system.node_path(1).unlink()
+        plan = plan_repair(system, 1, policy="lowest")
+        assert (1, 5) in plan.transfers
+        with pytest.raises(CorruptionError, match=where):
+            execute_repair(system, plan)
+        assert not system.node_path(1).exists()
+
+    def test_donor_without_the_symbol(self, td34_system):
+        system, _ = td34_system
+        system.node_path(5).write_bytes(b"5 4\n")
+        system.node_path(1).unlink()
+        with pytest.raises(CorruptionError, match="does not hold symbol 1"):
+            execute_repair(system, plan_repair(system, 1, policy="lowest"))
+
+
+# Edits of the manifest text: broken JSON, a missing key, a wrong type.
+CORRUPT_MANIFESTS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "empty": lambda text: "",
+    "non-ascii": lambda text: text.replace('"schema"', '"sch\u00e9ma"'),
+    "not-an-object": lambda text: "[1, 2, 3]",
+    "missing-code": lambda text: text.replace('"code"', '"kode"'),
+    "missing-checksums": lambda text: text.replace('"checksums"', '"checksum"'),
+    "missing-file-digest": lambda text: text.replace('"file_sha256"', '"file_sha"'),
+    "missing-node-checksum": lambda text: text.replace('"node_12.dat"', '"node_13.dat"'),
+    "code-is-a-list": lambda text: text.replace('"code": {', '"code": [12], "x": {'),
+    "n-is-a-string": lambda text: text.replace('"n": 12', '"n": "12"'),
+    "field-is-a-number": lambda text: text.replace('"field": {', '"field": 16, "x": {'),
+    "checksums-is-a-list": lambda text: text.replace('"checksums": {', '"checksums": [], "x": {'),
+}
+
+
+class TestCorruptManifest:
+    @pytest.mark.parametrize("edit", CORRUPT_MANIFESTS.values(), ids=CORRUPT_MANIFESTS.keys())
+    def test_load_raises_corruption(self, td34_system, edit):
+        system, _ = td34_system
+        path = system.root / "manifest.json"
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_bytes(edit(text).encode("utf-8"))
+        for verify in (True, False):
+            with pytest.raises(CorruptionError, match="manifest"):
+                load_system(system.root, verify=verify)
 
 
 class TestIntegrity:

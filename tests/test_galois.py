@@ -144,6 +144,39 @@ class TestMds:
             for subset in combinations(range(7), 3):
                 assert code.decode((p, cw[p]) for p in subset) == message
 
+    @pytest.mark.parametrize("q,length,dimension", [(7, 7, 3), (9, 9, 4)])
+    def test_every_subset_decodes_odd_characteristic(self, q, length, dimension):
+        # subtraction is not addition here, unlike every GF(2^m) case above
+        code = MdsCode(field=GF(q), length=length, dimension=dimension)
+        rng = random.Random(q)
+        for _ in range(5):
+            message = [rng.randrange(q) for _ in range(dimension)]
+            cw = code.encode(message)
+            for subset in combinations(range(length), dimension):
+                assert code.decode((p, cw[p]) for p in subset) == message
+                extra = next(p for p in range(length) if p not in subset)
+                tampered = [(p, cw[p]) for p in subset] + [(extra, (cw[extra] + 1) % q)]
+                with pytest.raises(CorruptionError, match="inconsistent"):
+                    code.decode(tampered)
+
+    # Codewords written by the coefficient-form encoder (master polynomial,
+    # synthetic division, Horner) that the barycentric evaluator replaced.
+    @pytest.mark.parametrize("q,length,message,codeword", [
+        (9, 9, [5, 0, 7, 2], [5, 0, 7, 2, 6, 4, 8, 3, 1]),
+        (9, 9, [1, 1, 4, 8], [1, 1, 4, 8, 3, 4, 2, 4, 0]),
+        (9, 9, [0, 0, 0, 1], [0, 0, 0, 1, 1, 1, 2, 2, 2]),
+        (25, 12, [1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 14, 17, 10, 2, 18, 14, 2]),
+        (25, 12, [24, 3, 17, 9, 11], [24, 3, 17, 9, 11, 19, 4, 4, 2, 10, 17, 4]),
+        (49, 16, [0, 0, 0, 0, 0, 0, 1],
+         [0, 0, 0, 0, 0, 0, 1, 37, 14, 46, 2, 12, 40, 18, 2, 37]),
+        (49, 16, [48, 1, 20, 33, 7, 12, 40],
+         [48, 1, 20, 33, 7, 12, 40, 29, 30, 20, 23, 3, 4, 45, 5, 32]),
+    ])
+    def test_golden_codewords_odd_characteristic(self, q, length, message, codeword):
+        code = MdsCode(field=GF(q), length=length, dimension=len(message))
+        assert code.encode(message) == codeword
+        assert code.decode(enumerate(codeword)) == message
+
     def test_full_codeword_decodes_like_any_subset(self):
         field = GF(16)
         code = MdsCode(field=field, length=9, dimension=7)
