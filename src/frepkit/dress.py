@@ -4,10 +4,14 @@ by uncoded transfer.
 
 On disk a stored system is a directory holding manifest.json plus one
 node_<i>.dat per node.  A node file starts with "i alpha" and then lists
-"j value" lines in ascending symbol order.  Repairs copy symbol values
-from donors without field arithmetic and write the file only once its bytes
-match the manifest checksum.  Every write goes to a temporary name and is
-renamed into place, so readers never see a partly written file.
+"j value" lines in ascending symbol order.  load_system reads only the
+manifest.  An operation reads just the node files it uses (reconstruct its
+k nodes, a repair its donors) and checks each against the manifest's SHA-256
+before using a value; reconstruct also checks the decoded file against the
+manifest's file digest.  Repairs copy symbol values from donors without
+field arithmetic and write the file only once its bytes match the manifest
+checksum.  Every write goes to a temporary name and is renamed into place,
+so readers never see a partly written file.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ class StoredSystem:
     mds: MdsCode
     k: int
     m_size: int
-    node_contents: dict[int, dict[int, int]]
     root: Path
     file_sha256: str
     checksums: dict[str, str]  # node file name -> SHA-256 of its bytes
@@ -96,18 +99,18 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
-          seed: int | None = None) -> StoredSystem:
+          seed: int | None = None, budget: int | None = None) -> StoredSystem:
     """Encode file_symbols and persist the system under root.
 
-    The file must have exactly M = file_size(code, k) symbols and k must
-    stay within the reconstruction range k <= alpha.
+    The file must have exactly M = file_size(code, k, budget) symbols and k
+    must stay within the reconstruction range k <= alpha.
     """
     report = validate(code)
     if not report.valid:
         raise ParameterError("refusing to store on an invalid FR code; run validate()")
     if k > code.alpha:
         raise ParameterError(f"k = {k} exceeds alpha = {code.alpha}")
-    m_size = file_size(code, k)
+    m_size = file_size(code, k, budget=budget)
     file_symbols = list(file_symbols)
     if len(file_symbols) != m_size:
         raise ParameterError(
@@ -138,29 +141,12 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     }
     _write_atomic(root / MANIFEST_NAME,
                   (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("ascii"))
-    return StoredSystem(code=code, field=field, mds=mds, k=k, m_size=m_size,
-                        node_contents=contents, root=root,
+    return StoredSystem(code=code, field=field, mds=mds, k=k, m_size=m_size, root=root,
                         file_sha256=manifest["file_sha256"], checksums=checksums, seed=seed)
 
 
-def _parse_node_file(path: Path) -> tuple[int, dict[int, int]]:
-    """The node id and {symbol: value} map of a node file."""
-    rows = []
-    for line_no, line in enumerate(path.read_bytes().splitlines(), start=1):
-        try:
-            a, b = map(int, line.split())
-        except ValueError:
-            raise CorruptionError(
-                f"{path}:{line_no}: expected two integers, got {line!r}") from None
-        rows.append((a, b))
-    if not rows:
-        raise CorruptionError(f"{path}: empty node file")
-    (node_id, _alpha), *rows = rows
-    return node_id, dict(rows)
-
-
-def load_system(root, verify: bool = True) -> StoredSystem:
-    """Rebuild a StoredSystem from disk, optionally verifying checksums."""
+def load_system(root) -> StoredSystem:
+    """Rebuild a StoredSystem from its manifest; node files are read on use."""
     root = Path(root)
     manifest_path = root / MANIFEST_NAME
     try:
@@ -172,38 +158,54 @@ def load_system(root, verify: bool = True) -> StoredSystem:
         mds = MdsCode(field=field, length=code.theta, dimension=manifest["M"])
         k, file_sha256, listed = manifest["k"], manifest["file_sha256"], manifest["checksums"]
         checksums = {f"node_{i}.dat": listed[f"node_{i}.dat"] for i in range(1, code.n + 1)}
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CorruptionError(f"{manifest_path}: unreadable manifest ({exc!r})") from None
     if manifest.get("mds") != _mds_block(code.theta):
         raise CorruptionError(f"{manifest_path}: outer code {manifest.get('mds')!r} "
                               f"is not systematic at points 0..theta-1")
-    contents = {}
-    for i in range(1, code.n + 1):
-        path = root / f"node_{i}.dat"
-        if not path.exists():
-            continue  # a failed node; repairable while replicas survive
-        if verify:
-            expected = checksums[path.name]
-            actual = hashlib.sha256(path.read_bytes()).hexdigest()
-            if actual != expected:
-                raise CorruptionError(
-                    f"{path} checksum mismatch: manifest {expected}, file {actual}")
-        node_id, node_map = _parse_node_file(path)
-        if node_id != i:
-            raise CorruptionError(f"{path} claims node id {node_id}")
-        contents[i] = node_map
     return StoredSystem(code=code, field=field, mds=mds, k=k, m_size=mds.dimension,
-                        node_contents=contents, root=root, file_sha256=file_sha256,
-                        checksums=checksums, seed=manifest.get("seed"))
+                        root=root, file_sha256=file_sha256, checksums=checksums,
+                        seed=manifest.get("seed"))
+
+
+def _read_node(system: StoredSystem, i: int) -> dict[int, int] | None:
+    """Node i's {symbol: value} map, or None when its file is missing; the
+    one node-file reader, which parses and hashes the bytes it read."""
+    path = system.node_path(i)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    rows = []
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        try:
+            a, b = map(int, line.split())
+        except ValueError:
+            raise CorruptionError(
+                f"{path}:{line_no}: expected two integers, got {line!r}") from None
+        rows.append((a, b))
+    if not rows:
+        raise CorruptionError(f"{path}: empty node file")
+    (node_id, _alpha), *rows = rows
+    if node_id != i:
+        raise CorruptionError(f"{path} claims node id {node_id}")
+    expected, actual = system.checksums[path.name], hashlib.sha256(data).hexdigest()
+    if actual != expected:
+        raise CorruptionError(f"{path} checksum mismatch: manifest {expected}, file {actual}")
+    return dict(rows)
 
 
 def verify_integrity(root) -> None:
-    """Raise CorruptionError on any node file that disagrees with the manifest."""
-    load_system(root, verify=True)
+    """Raise CorruptionError on a manifest or a present node file that is
+    corrupt; missing node files are failed nodes and are skipped."""
+    system = load_system(root)
+    for i in range(1, system.code.n + 1):
+        _read_node(system, i)
 
 
 def reconstruct(system: StoredSystem, nodes) -> list[int]:
-    """Recover the stored file from exactly k node files."""
+    """Recover the stored file from exactly k node files and check it
+    against the manifest's file digest."""
     nodes = list(nodes)
     chosen = sorted(set(nodes))
     if len(chosen) != system.k or len(chosen) != len(nodes):
@@ -214,10 +216,9 @@ def reconstruct(system: StoredSystem, nodes) -> list[int]:
     for i in chosen:
         if not 1 <= i <= system.code.n:
             raise ParameterError(f"node id {i} out of range 1..{system.code.n}")
-        path = system.node_path(i)
-        if not path.exists():
-            raise FrepkitError(f"node file {path} is missing; repair it first")
-        _, node_map = _parse_node_file(path)
+        node_map = _read_node(system, i)
+        if node_map is None:
+            raise FrepkitError(f"node file {system.node_path(i)} is missing; repair it first")
         for j, v in node_map.items():
             coords.append((j - 1, v))
             covered.add(j)
@@ -225,7 +226,10 @@ def reconstruct(system: StoredSystem, nodes) -> list[int]:
         raise FrepkitError(
             f"nodes {chosen} jointly hold {len(covered)} coordinates, fewer than "
             f"M = {system.m_size}: the stored system violates its own contract")
-    return system.mds.decode(coords)
+    recovered = system.mds.decode(coords)
+    if file_digest(recovered) != system.file_sha256:
+        raise CorruptionError("recovered file does not match the stored digest")
+    return recovered
 
 
 def plan_repair(system: StoredSystem, failed: int, policy: str = "lowest",
@@ -271,15 +275,15 @@ def plan_repair(system: StoredSystem, failed: int, policy: str = "lowest",
 def execute_repair(system: StoredSystem, plan: RepairPlan) -> StoredSystem:
     """Rebuild the failed node's file from donor values; write it only once
     its bytes match the manifest checksum."""
-    contents = {}
+    donor_maps, contents = {}, {}
     for symbol, donor in plan.transfers:
-        donor_path = system.node_path(donor)
-        if not donor_path.exists():
-            raise IrreparableError(f"donor file {donor_path} is unreadable")
-        _, donor_map = _parse_node_file(donor_path)
-        if symbol not in donor_map:
-            raise CorruptionError(f"{donor_path} does not hold symbol {symbol}")
-        contents[symbol] = donor_map[symbol]
+        if donor not in donor_maps:
+            donor_maps[donor] = _read_node(system, donor)
+        if donor_maps[donor] is None:
+            raise IrreparableError(f"donor file {system.node_path(donor)} is unreadable")
+        if symbol not in donor_maps[donor]:
+            raise CorruptionError(f"{system.node_path(donor)} does not hold symbol {symbol}")
+        contents[symbol] = donor_maps[donor][symbol]
     path = system.node_path(plan.failed)
     data = _node_text(plan.failed, contents, system.code.alpha).encode("ascii")
     if hashlib.sha256(data).hexdigest() != system.checksums[path.name]:
@@ -287,5 +291,4 @@ def execute_repair(system: StoredSystem, plan: RepairPlan) -> StoredSystem:
             f"repaired {path} does not match its manifest checksum; "
             f"a donor was corrupt or the plan was stale")
     _write_atomic(path, data)
-    system.node_contents[plan.failed] = contents
     return system

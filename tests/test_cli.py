@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from frepkit import verify_integrity
+from frepkit import load_system, plan_repair, verify_integrity
 from frepkit.cli import main
 
 
@@ -317,7 +317,15 @@ class TestStoredFormat:
         assert "outer code" in err
 
 
+def copy_store(tmp_path):
+    root = tmp_path / "sysroot"
+    shutil.copytree(SYSTEM_V1, root)
+    return root
+
+
 class TestCorruptStore:
+    # node 2 holds symbols 5..8; reconstruct from nodes 1..4 reads it, and
+    # so does the repair of node 5, which takes symbol 6 from it
     @pytest.mark.parametrize("name,data", [
         ("node_2.dat", b"2 4\n1 one\n"),
         ("node_2.dat", b"\xff\n"),
@@ -328,14 +336,101 @@ class TestCorruptStore:
             "manifest-missing-key", "manifest-wrong-type"])
     @pytest.mark.parametrize("command", [
         ["reconstruct", "--nodes", "1,2,3,4"],
-        ["repair", "--failed", "1"],
+        ["repair", "--failed", "5"],
     ], ids=["reconstruct", "repair"])
     def test_exits_1_with_error_message(self, capsys, tmp_path, name, data, command):
-        root = tmp_path / "sysroot"
-        shutil.copytree(SYSTEM_V1, root)
+        root = copy_store(tmp_path)
+        assert (6, 2) in plan_repair(load_system(root), 5).transfers
         (root / name).write_bytes(data)
-        (root / "node_1.dat").unlink()  # a failed repair must not bring it back
+        (root / "node_5.dat").unlink()  # a failed repair must not bring it back
         status, _, err = run(capsys, command[0], "--root", str(root), *command[1:])
         assert status == 1
         assert err.startswith("error: ") and name in err
-        assert not (root / "node_1.dat").exists()
+        assert not (root / "node_5.dat").exists()
+
+    def test_garbled_node_outside_the_command_is_not_read(self, capsys, tmp_path):
+        root = copy_store(tmp_path)
+        original = (root / "node_1.dat").read_bytes()
+        (root / "node_3.dat").write_bytes(b"\xff garbled")
+        status, out, _ = run(capsys, "reconstruct", "--root", str(root),
+                             "--nodes", "1,2,5,10")
+        assert status == 0
+        assert "digest: matches manifest" in out
+        (root / "node_1.dat").unlink()  # its donors are nodes 5..8
+        status, out, _ = run(capsys, "repair", "--root", str(root), "--failed", "1")
+        assert status == 0
+        assert (root / "node_1.dat").read_bytes() == original
+
+    def test_tampered_single_replica_prints_no_file(self, capsys, tmp_path):
+        # nodes 1, 2, 5, 10 cover exactly M = 11 symbols; only node 1 holds symbol 2
+        root = copy_store(tmp_path)
+        path = root / "node_1.dat"
+        lines = path.read_text().splitlines()
+        j, v = lines[2].split()
+        lines[2] = f"{j} {(int(v) + 1) % 16}"
+        path.write_text("\n".join(lines) + "\n")
+        status, out, err = run(capsys, "reconstruct", "--root", str(root),
+                               "--nodes", "1,2,5,10")
+        assert status == 1
+        assert out == ""
+        assert "node_1.dat checksum mismatch" in err
+
+    def test_edited_file_digest_prints_no_file(self, capsys, tmp_path):
+        root = copy_store(tmp_path)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["file_sha256"] = "0" * 64
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        status, out, err = run(capsys, "reconstruct", "--root", str(root),
+                               "--nodes", "1,2,3,4")
+        assert status == 1
+        assert out == ""
+        assert "does not match the stored digest" in err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv,budget,source", [
+        (["analyze", "{frc}"], "abc", "FREPKIT_BUDGET: 'abc'"),
+        (["reconstruct", "--root", "{root}", "--nodes", "1,x"], None, "--nodes: 'x'"),
+        (["repair", "--root", "{root}", "--failed", "1", "--dead", "y"], None, "--dead: 'y'"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{file}"],
+         None, "payload.txt: '3x'"),
+    ], ids=["budget-env", "nodes", "dead", "store-file"])
+    def test_exits_1_naming_the_value(self, capsys, tmp_path, monkeypatch, td34_frc,
+                                      argv, budget, source):
+        if budget is not None:
+            monkeypatch.setenv("FREPKIT_BUDGET", budget)
+        payload = tmp_path / "payload.txt"
+        payload.write_text("1 2 3x 4\n")
+        paths = {"frc": td34_frc, "root": copy_store(tmp_path), "new": tmp_path / "new",
+                 "file": payload}
+        status, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and source in err
+        assert not (tmp_path / "new").exists()
+
+
+class TestStoreBudget:
+    def test_budget_lets_store_run_where_analyze_does(self, capsys, tmp_path, monkeypatch):
+        pg7 = tmp_path / "pg7.frc"
+        run(capsys, "construct", "plane", "--q", "7", "--out", str(pg7))
+        args = ["store", "--code", str(pg7), "--k", "8", "--root", str(tmp_path / "sys")]
+        status, _, err = run(capsys, *args)
+        assert status == 1  # C(57, 8) subsets exceed the default budget
+        assert "budget" in err
+        monkeypatch.setenv("FREPKIT_BUDGET", "1000000000000")
+        status, _, _ = run(capsys, "analyze", str(pg7), "--k-max", "8")
+        assert status == 0
+        status, out, _ = run(capsys, *args)
+        assert status == 0
+        assert "57 node files of 8 symbols" in out
+        verify_integrity(tmp_path / "sys")
+
+    def test_budget_of_1_refuses_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                    td34_frc):
+        monkeypatch.setenv("FREPKIT_BUDGET", "1")
+        status, _, err = run(capsys, "store", "--code", str(td34_frc), "--k", "4",
+                             "--root", str(tmp_path / "sys"))
+        assert status == 1
+        assert "budget" in err
+        assert not (tmp_path / "sys").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import shutil
@@ -8,6 +9,7 @@ import pytest
 
 from frepkit import (
     GF,
+    BudgetExceededError,
     CorruptionError,
     FrCode,
     IrreparableError,
@@ -71,7 +73,9 @@ class TestStore:
         code = from_graph(turan(3, 3))
         system = store(code, 2, [1, 2, 3], tmp_path / "sys")
         for i in range(1, 4):
-            assert len(system.node_contents[i]) == 2
+            header, *rows = system.node_path(i).read_text().splitlines()
+            assert header == f"{i} 2"
+            assert len(rows) == 2
 
     def test_wrong_file_length_rejected(self, tmp_path):
         code = from_graph(turan(3, 3))
@@ -87,6 +91,14 @@ class TestStore:
         bad = FrCode(2, 3, 2, 2, [(1, 2), (2, 3)])
         with pytest.raises(ParameterError, match="invalid"):
             store(bad, 1, [0, 0], tmp_path / "sys")
+
+    def test_budget_refuses_before_anything_is_written(self, tmp_path):
+        code = from_design(transversal_design(3, 4))
+        with pytest.raises(BudgetExceededError):
+            store(code, 4, random_file(11, 16, seed=42), tmp_path / "sys", budget=3)
+        assert not (tmp_path / "sys").exists()
+        system = store(code, 4, random_file(11, 16, seed=42), tmp_path / "sys", budget=10**6)
+        assert system.m_size == 11
 
     def test_store_is_byte_deterministic(self, tmp_path):
         code = from_design(transversal_design(3, 4))
@@ -137,11 +149,40 @@ class TestReconstruct:
         with pytest.raises(Exception, match="missing"):
             reconstruct(system, [1, 2, 3, 4])
 
+    def test_tampered_single_replica_is_refused(self, td34_system):
+        # nodes 1, 2, 5, 10 cover exactly M = 11 symbols and only node 1
+        # holds symbol 2, so decoding alone cannot see the change
+        system, _ = td34_system
+        path = system.node_path(1)
+        lines = path.read_text().splitlines()
+        j, v = lines[2].split()
+        assert j == "2"
+        lines[2] = f"2 {(int(v) + 1) % 16}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptionError, match="node_1.dat checksum mismatch"):
+            reconstruct(system, [1, 2, 5, 10])
+
+    def test_edited_file_digest_is_refused(self, td34_system):
+        system, _ = td34_system
+        path = system.root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["file_sha256"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptionError, match="stored digest"):
+            reconstruct(load_system(system.root), [1, 2, 3, 4])
+
+    def test_only_the_chosen_nodes_are_read(self, td34_system):
+        system, file_symbols = td34_system
+        system.node_path(3).write_bytes(b"\xff garbled")
+        reloaded = load_system(system.root)
+        assert reconstruct(reloaded, [1, 2, 5, 10]) == file_symbols
+
     def test_every_coordinate_covered_rho_times(self, td34_system):
         system, _ = td34_system
         coverage = {j: [] for j in range(1, 17)}
-        for contents in system.node_contents.values():
-            for j, value in contents.items():
+        for i in range(1, 13):
+            for line in system.node_path(i).read_text().splitlines()[1:]:
+                j, value = map(int, line.split())
                 coverage[j].append(value)
         for j, values in coverage.items():
             assert len(values) == 3  # rho replicas
@@ -261,6 +302,25 @@ class TestExecuteRepair:
         assert not system.node_path(1).exists()
         assert stored_names(system.root) == EXPECTED_NAMES - {"node_1.dat"}
 
+    def test_rendered_file_is_checked_before_writing(self, td34_system):
+        # intact donors, but the manifest lists another checksum for node 1
+        system, _ = td34_system
+        system.node_path(1).unlink()
+        system.checksums["node_1.dat"] = "0" * 64
+        with pytest.raises(CorruptionError, match="repaired .*node_1.dat does not match"):
+            execute_repair(system, plan_repair(system, 1))
+        assert stored_names(system.root) == EXPECTED_NAMES - {"node_1.dat"}
+
+    def test_garbled_node_outside_the_plan_is_not_read(self, td34_system):
+        system, _ = td34_system
+        original = system.node_path(1).read_bytes()
+        system.node_path(3).write_bytes(b"\xff garbled")
+        system.node_path(1).unlink()
+        plan = plan_repair(system, 1, policy="lowest")
+        assert all(donor != 3 for _, donor in plan.transfers)
+        execute_repair(load_system(system.root), plan)
+        assert system.node_path(1).read_bytes() == original
+
     def test_no_temp_file_left_after_store_or_repair(self, td34_system):
         system, _ = td34_system
         assert stored_names(system.root) == EXPECTED_NAMES
@@ -289,7 +349,7 @@ class TestCorruptNodeFile:
         with pytest.raises(CorruptionError, match=where):
             reconstruct(system, [5, 6, 7, 8])
         with pytest.raises(CorruptionError, match=where):
-            load_system(system.root, verify=False)
+            verify_integrity(system.root)
         # node 1 holds symbols 1..4; node 5 donates symbol 1 under "lowest"
         system.node_path(1).unlink()
         plan = plan_repair(system, 1, policy="lowest")
@@ -299,8 +359,10 @@ class TestCorruptNodeFile:
         assert not system.node_path(1).exists()
 
     def test_donor_without_the_symbol(self, td34_system):
+        # the file matches its checksum, so only the symbol lookup can object
         system, _ = td34_system
         system.node_path(5).write_bytes(b"5 4\n")
+        system.checksums["node_5.dat"] = hashlib.sha256(b"5 4\n").hexdigest()
         system.node_path(1).unlink()
         with pytest.raises(CorruptionError, match="does not hold symbol 1"):
             execute_repair(system, plan_repair(system, 1, policy="lowest"))
@@ -331,9 +393,8 @@ class TestCorruptManifest:
         text = path.read_text()
         assert edit(text) != text
         path.write_bytes(edit(text).encode("utf-8"))
-        for verify in (True, False):
-            with pytest.raises(CorruptionError, match="manifest"):
-                load_system(system.root, verify=verify)
+        with pytest.raises(CorruptionError, match="manifest"):
+            load_system(system.root)
 
 
 class TestIntegrity:
@@ -380,7 +441,8 @@ SYSTEM_V1 = Path(__file__).parent / "data" / "td34_k4_seed0"
 
 class TestStoredFormat:
     def test_checked_in_store_loads_and_reconstructs(self):
-        system = load_system(SYSTEM_V1)  # verifies every node checksum
+        verify_integrity(SYSTEM_V1)
+        system = load_system(SYSTEM_V1)
         assert system.k == 4 and system.m_size == 11 and system.seed == 0
         manifest = json.loads((SYSTEM_V1 / "manifest.json").read_text())
         assert system.file_sha256 == manifest["file_sha256"]
@@ -415,7 +477,7 @@ class TestStoredFormat:
             manifest["mds"] = mds
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CorruptionError, match="outer code"):
-            load_system(root, verify=False)
+            load_system(root)
 
     def test_repair_checks_against_the_loaded_manifest(self, td34_system):
         system, _ = td34_system

@@ -1,0 +1,112 @@
+"""Seeded fault injection into a stored DRESS system.
+
+Each case damages one file of a TD(3,4) store: one byte flipped, the file
+truncated, or the file deleted.  Then the readers run on the damaged store.
+Each must give exactly the undamaged result or raise a FrepkitError: no
+other exception, and never a wrong file.  A failed repair leaves neither the
+node file nor a temporary file behind.  Seeds are fixed; every run checks
+the same cases.  The readers are chosen to touch the damaged node file:
+the reconstruction includes it and the failed node shares a symbol with it.
+"""
+
+import random
+import shutil
+
+import pytest
+
+from frepkit import (
+    FrepkitError,
+    execute_repair,
+    from_design,
+    load_system,
+    plan_repair,
+    reconstruct,
+    store,
+    transversal_design,
+    verify_integrity,
+)
+from frepkit.cli import main
+
+CODE = from_design(transversal_design(3, 4))
+DAMAGE = ["flip", "truncate", "delete"]
+SEEDS_PER_CASE = 4
+REFUSED = "refused"
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    rng = random.Random(4)
+    file_symbols = [rng.randrange(16) for _ in range(11)]
+    root = tmp_path_factory.mktemp("pristine") / "sys"
+    store(CODE, 4, file_symbols, root)
+    return root, file_symbols
+
+
+def damage(path, how, rng):
+    if how == "delete":
+        path.unlink()
+        return
+    data = bytearray(path.read_bytes())
+    if how == "flip":
+        data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+    else:
+        del data[rng.randrange(len(data)):]
+    path.write_bytes(bytes(data))
+
+
+def outcome(call):
+    try:
+        return call()
+    except FrepkitError:
+        return REFUSED
+
+
+def shares_a_symbol(a, b):
+    return not set(CODE.node_sets[a - 1]).isdisjoint(CODE.node_sets[b - 1])
+
+
+@pytest.mark.parametrize("how", DAMAGE)
+@pytest.mark.parametrize("node", [None, *range(1, 13)],
+                         ids=["manifest", *(f"node{i}" for i in range(1, 13))])
+def test_damaged_store_gives_the_original_or_refuses(pristine, tmp_path, capsys, node, how):
+    source, file_symbols = pristine
+    name = "manifest.json" if node is None else f"node_{node}.dat"
+    others = [i for i in range(1, 13) if i != node]
+    for seed in range(SEEDS_PER_CASE):
+        rng = random.Random(f"{name} {how} {seed}")
+        root = tmp_path / str(seed)
+        shutil.copytree(source, root)
+        damage(root / name, how, rng)
+        if node is None:
+            readers = sorted(rng.sample(others, 4))
+            failed = rng.choice(others)
+        else:
+            readers = sorted([node, *rng.sample(others, 3)])
+            failed = rng.choice([i for i in others if shares_a_symbol(i, node)])
+
+        got = outcome(lambda: reconstruct(load_system(root), readers))
+        assert got in (file_symbols, REFUSED), (seed, readers)
+        assert outcome(lambda: verify_integrity(root)) in (None, REFUSED), seed
+
+        status = main(["reconstruct", "--root", str(root),
+                       "--nodes", ",".join(map(str, readers))])
+        out = capsys.readouterr().out
+        if status == 0:
+            assert out.splitlines()[0] == "file: " + " ".join(map(str, file_symbols))
+        else:
+            assert status == 1 and "file:" not in out, (seed, readers, out)
+
+        repaired = root / f"node_{failed}.dat"
+        repaired.unlink()
+        policy = rng.choice(["lowest", "spread"])
+
+        def repair():
+            system = load_system(root)
+            execute_repair(system, plan_repair(system, failed, policy=policy))
+            return repaired.read_bytes()
+
+        got = outcome(repair)
+        assert got in ((source / repaired.name).read_bytes(), REFUSED), (seed, failed)
+        if got == REFUSED:
+            assert not repaired.exists(), (seed, failed)
+        assert not list(root.glob("*.tmp")), seed
