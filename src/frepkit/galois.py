@@ -5,15 +5,28 @@ most 2^16.  Elements are plain integers 0..q-1: for p = 2 the integer is
 the coefficient bitmask of the representing polynomial, otherwise its
 base-p digits are the coefficients.  Multiplication and inversion go
 through exp/log tables built once per field from a verified generator, so
-the chosen modulus only has to be irreducible, not primitive.  The MDS codec
-evaluates its polynomial in barycentric Lagrange form and never builds the
-coefficients.
+the chosen modulus only has to be irreducible, not primitive.  Addition in an
+odd-characteristic extension field goes through a Zech-logarithm table,
+log(1 + g^n), built with them.
+
+The MDS codec evaluates its polynomial in Lagrange form and never builds the
+coefficients.  One kernel turns an erasure pattern (the sorted known
+positions) into recovery rows: the Lagrange coefficients, as discrete logs,
+of each missing message position and each redundant known position, so that
+applying a row is table lookups and a field sum.  Each MdsCode keeps the rows
+of the last 64 patterns it computed in a per-instance memo, so a pattern
+that repeats is computed once; encode uses the rows of the full pattern.
+The kernel does no range checks: encode and decode check every position and
+value once at entry, and decode checks every redundant coordinate against
+its row, on a memo hit as on a miss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import dataclasses
+from collections import OrderedDict
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import CorruptionError, ParameterError
@@ -22,6 +35,7 @@ __all__ = ["GF", "MdsCode", "default_field_for", "FIELD_CHARACTERISTICS"]
 
 FIELD_CHARACTERISTICS = (2, 3, 5, 7)
 MAX_ORDER = 1 << 16
+_MEMO_CAP = 64  # erasure patterns whose recovery rows one MdsCode keeps
 
 # Irreducible (in fact primitive) polynomials over GF(2), degree -> bitmask.
 _BINARY_MODULI = {
@@ -192,6 +206,12 @@ class GF:
             log[exp[i]] = i
         self._exp = exp
         self._log = log
+        if self.p != 2 and self.m > 1:
+            # Zech logarithms: zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.
+            # Adding 1 only changes the constant digit of an element.
+            p = self.p
+            self._zech = [log[s] if (s := e - e % p + (e + 1) % p) else -1
+                          for e in exp[:order]]
 
     # -- field operations --------------------------------------------------
 
@@ -206,8 +226,17 @@ class GF:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        return self._undigits([(x + y) % self.p
-                               for x, y in zip(self._digits(a), self._digits(b))])
+        return self._zech_add(a, b)
+
+    def _zech_add(self, a: int, b: int) -> int:
+        """Unchecked a + b for p odd and m > 1: g^x + g^y = g^(x + zech[y - x])."""
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         self._check(a)
@@ -215,7 +244,8 @@ class GF:
             return a
         if self.m == 1:
             return (-a) % self.p
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        # -1 = g^((q-1)/2) for odd q
+        return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -259,6 +289,32 @@ class GF:
     def elements(self) -> range:
         return range(self.q)
 
+    # -- unchecked log-domain helpers for the MDS kernel -------------------
+
+    def _log_diffs(self, t: int, xs: Iterable[int]) -> list[int]:
+        """[log(t - x) for x in xs]; t must differ from every x."""
+        log = self._log
+        if self.p == 2:
+            return [log[t ^ x] for x in xs]
+        if self.m == 1:
+            p = self.p
+            return [log[(t - x) % p] for x in xs]
+        # t - x = t + (-x) by Zech logarithms, with log(-x) = log(x) + (q-1)/2
+        order, zech = self.q - 1, self._zech
+        half, lt = order // 2, log[t]
+        return [lt if x == 0
+                else (log[x] + half) % order if t == 0
+                else (lt + zech[(log[x] + half - lt) % order]) % order
+                for x in xs]
+
+    def _sum(self, values: list[int]) -> int:
+        """Unchecked sum of field elements."""
+        if self.p == 2:
+            return reduce(xor, values, 0)
+        if self.m == 1:
+            return sum(values) % self.p
+        return reduce(self._zech_add, values, 0)
+
     # -- identity ----------------------------------------------------------
 
     def spec(self) -> dict:
@@ -294,7 +350,7 @@ def default_field_for(theta: int) -> GF:
     return _cached_field(1 << m)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class MdsCode:
     """A systematic (length, dimension) MDS code by polynomial evaluation.
 
@@ -306,6 +362,9 @@ class MdsCode:
     field: GF
     length: int
     dimension: int
+    # sorted known positions -> recovery rows (see _rows), oldest evicted first
+    _memo: OrderedDict = dataclasses.field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.dimension <= self.length:
@@ -315,34 +374,39 @@ class MdsCode:
             raise ParameterError(
                 f"length {self.length} exceeds field order {self.field.q}")
 
-    def _lagrange(self, xs: Sequence[int], ys: Sequence[int],
-                  targets: Iterable[int]) -> list[int]:
-        """Values at targets of the degree < len(xs) polynomial through (xs, ys).
+    def _rows(self, positions: tuple[int, ...]) -> list[tuple[int, list[int]]]:
+        """Recovery rows for the sorted known positions, memoised per pattern.
 
-        Barycentric form: with w_i = y_i / prod_{j != i}(x_i - x_j), the value
-        at t is prod_i(t - x_i) * sum_i w_i / (t - x_i); a t in xs gets its y.
+        The first dimension positions are the interpolation base x_i.  The
+        targets are the missing positions in 0..dimension-1, then every known
+        position past the base.  The row of a target t holds the Lagrange
+        coefficients c_i(t) as discrete logs,
+        log c_i(t) = sum_j log(t - x_j) + log w_i - log(t - x_i) with
+        log w_i = -sum_{j != i} log(x_i - x_j), so that value(t) = sum_i c_i y_i.
         """
-        f = self.field
-        known = dict(zip(xs, ys))
-        weights = []
-        for xi, yi in zip(xs, ys):
-            denom = 1
-            for xj in xs:
-                if xj != xi:
-                    denom = f.mul(denom, f.sub(xi, xj))
-            weights.append(f.div(yi, denom))
-        values = []
-        for t in targets:
-            if t in known:
-                values.append(known[t])
-                continue
-            scale, total = 1, 0
-            for xi, w in zip(xs, weights):
-                diff = f.sub(t, xi)
-                scale = f.mul(scale, diff)
-                total = f.add(total, f.div(w, diff))
-            values.append(f.mul(scale, total))
-        return values
+        rows = self._memo.get(positions)
+        if rows is not None:
+            return rows
+        f, dim = self.field, self.dimension
+        order = f.q - 1
+        base = positions[:dim]
+        log_w = [-sum(f._log_diffs(x, base[:i] + base[i + 1:])) % order
+                 for i, x in enumerate(base)]
+        known = set(base)
+        rows = []
+        for t in [*(t for t in range(dim) if t not in known), *positions[dim:]]:
+            diffs = f._log_diffs(t, base)
+            total = sum(diffs)
+            rows.append((t, [(total + w - d) % order for w, d in zip(log_w, diffs)]))
+        if len(self._memo) >= _MEMO_CAP:
+            self._memo.popitem(last=False)
+        self._memo[positions] = rows
+        return rows
+
+    def _apply(self, row: list[int], log_ys: list[int | None]) -> int:
+        """sum_i c_i y_i for a row of log c_i; log_ys holds None for y_i = 0."""
+        exp = self.field._exp
+        return self.field._sum([exp[c + ly] for c, ly in zip(row, log_ys) if ly is not None])
 
     def encode(self, message: Sequence[int]) -> list[int]:
         """Map dimension message symbols to length codeword symbols."""
@@ -350,7 +414,11 @@ class MdsCode:
             raise ParameterError(
                 f"message length {len(message)} differs from dimension {self.dimension}")
         self.field._check(*message)
-        return self._lagrange(range(self.dimension), message, range(self.length))
+        log = self.field._log
+        log_ys = [log[y] if y else None for y in message]
+        # the full pattern's targets are exactly the positions past the message
+        rows = self._rows(tuple(range(self.length)))
+        return [*message, *(self._apply(row, log_ys) for _, row in rows)]
 
     def decode(self, coords: Iterable[tuple[int, int]]) -> list[int]:
         """Recover the message from (position, value) pairs, 0-based positions.
@@ -359,11 +427,13 @@ class MdsCode:
         required, and any redundant coordinates must be consistent with the
         interpolated polynomial.
         """
+        q = self.field.q
         seen: dict[int, int] = {}
         for pos, value in coords:
             if not 0 <= pos < self.length:
                 raise ParameterError(f"coordinate position {pos} out of range")
-            self.field._check(value)
+            if not 0 <= value < q:
+                raise ParameterError(f"{value} is not an element of GF({q})")
             if pos in seen:
                 if seen[pos] != value:
                     raise CorruptionError(
@@ -373,12 +443,15 @@ class MdsCode:
         if len(seen) < self.dimension:
             raise ParameterError(
                 f"insufficient coordinates: got {len(seen)}, need {self.dimension}")
-        positions = sorted(seen)
-        base, extra = positions[: self.dimension], positions[self.dimension:]
-        values = self._lagrange(base, [seen[p] for p in base],
-                                [*range(self.dimension), *extra])
-        for p, value in zip(extra, values[self.dimension:]):
-            if value != seen[p]:
+        positions = tuple(sorted(seen))
+        log = self.field._log
+        log_ys = [log[y] if (y := seen[p]) else None for p in positions[: self.dimension]]
+        message = [seen.get(t) for t in range(self.dimension)]
+        for t, row in self._rows(positions):
+            value = self._apply(row, log_ys)
+            if t < self.dimension:
+                message[t] = value
+            elif value != seen[t]:
                 raise CorruptionError(
-                    f"coordinate at position {p} is inconsistent with the others")
-        return values[: self.dimension]
+                    f"coordinate at position {t} is inconsistent with the others")
+        return message

@@ -1,9 +1,10 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here deliberately avoid the package's bitmask/branch-and-bound
-machinery: plain itertools over Python sets, and networkx where a mature
-second opinion exists.  Expected values frozen in the tests were computed
-with these.
+machinery and its log-domain codec kernel: plain itertools over Python sets,
+networkx where a mature second opinion exists, and the Lagrange basis through
+the checked GF methods for the MDS codec.  Expected values frozen in the
+tests were computed with these.
 """
 
 from itertools import combinations
@@ -11,7 +12,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from frepkit import FrCode, Graph, TransversalDesign
+from frepkit import GF, FrCode, Graph, TransversalDesign
 
 
 def brute_min_union(code: FrCode, k: int) -> int:
@@ -43,6 +44,36 @@ def brute_hall_ok(code: FrCode, symbols) -> bool:
             if len(neighborhood) < len(sub):
                 return False
     return True
+
+
+def lagrange_values(field: GF, xs, ys, targets) -> list[int]:
+    """Reference codec arithmetic: the values at targets of the polynomial of
+    degree < len(xs) through (xs, ys), summed term by term in the Lagrange
+    basis with the checked public GF methods only."""
+    xs, ys = list(xs), list(ys)
+    values = []
+    for t in targets:
+        total = 0
+        for i, (xi, yi) in enumerate(zip(xs, ys)):
+            term = yi
+            for j, xj in enumerate(xs):
+                if j != i:
+                    term = field.mul(term, field.div(field.sub(t, xj), field.sub(xi, xj)))
+            total = field.add(total, term)
+        values.append(total)
+    return values
+
+
+def reference_decode(field: GF, dimension: int, coords) -> tuple[list[int], bool]:
+    """Reference erasure decode: the message interpolated through the first
+    dimension distinct positions, and whether every other coordinate agrees."""
+    known = dict(coords)
+    positions = sorted(known)
+    xs, rest = positions[:dimension], positions[dimension:]
+    ys = [known[x] for x in xs]
+    message = lagrange_values(field, xs, ys, range(dimension))
+    consistent = lagrange_values(field, xs, ys, rest) == [known[x] for x in rest]
+    return message, consistent
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -394,7 +394,9 @@ class TestInputErrors:
         (["repair", "--root", "{root}", "--failed", "1", "--dead", "y"], None, "--dead: 'y'"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{file}"],
          None, "payload.txt: '3x'"),
-    ], ids=["budget-env", "nodes", "dead", "store-file"])
+        (["batch", "{frc}", "--t", "0"], None, "--t: 0"),
+        (["batch", "{frc}", "--t", "-1"], None, "--t: -1"),
+    ], ids=["budget-env", "nodes", "dead", "store-file", "batch-t-0", "batch-t-negative"])
     def test_exits_1_naming_the_value(self, capsys, tmp_path, monkeypatch, td34_frc,
                                       argv, budget, source):
         if budget is not None:

@@ -3,7 +3,9 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import lagrange_values, reference_decode
 from frepkit import GF, CorruptionError, MdsCode, ParameterError, default_field_for
+from frepkit.galois import _MEMO_CAP
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9]
 LARGER_FIELDS = [16, 25, 27, 32, 49, 64, 81, 128, 256]
@@ -225,3 +227,87 @@ class TestMds:
         code = MdsCode(field=GF(8), length=8, dimension=3)
         with pytest.raises(ParameterError):
             code.encode([1, 2])
+
+
+class TestMdsAgainstOracle:
+    @pytest.mark.parametrize("q,length,dimension", [
+        (7, 7, 1), (7, 7, 7), (7, 6, 3), (9, 9, 4), (9, 8, 1), (16, 16, 16),
+        (16, 12, 5), (25, 20, 9), (25, 25, 1), (49, 30, 12), (49, 12, 12), (64, 40, 20),
+    ])
+    def test_encode_and_decode_match_reference(self, q, length, dimension):
+        field = GF(q)
+        code = MdsCode(field=field, length=length, dimension=dimension)
+        rng = random.Random(q * 10000 + length * 100 + dimension)
+        for _ in range(2):
+            message = [rng.randrange(q) for _ in range(dimension)]
+            cw = code.encode(message)
+            assert cw == lagrange_values(field, range(dimension), message, range(length))
+            for _ in range(3):
+                positions = rng.sample(range(length), rng.randint(dimension, length))
+                coords = [(p, cw[p]) for p in positions]
+                assert reference_decode(field, dimension, coords) == (message, True)
+                assert code.decode(coords) == message
+                if len(positions) > dimension:
+                    # any single change among redundant coordinates is detectable
+                    i = rng.randrange(len(coords))
+                    pos, value = coords[i]
+                    coords[i] = (pos, field.add(value, rng.randrange(1, q)))
+                    assert not reference_decode(field, dimension, coords)[1]
+                    with pytest.raises(CorruptionError, match="inconsistent"):
+                        code.decode(coords)
+
+
+class TestRecoveryMemo:
+    def test_memo_hit_still_checks_redundant_coordinates(self):
+        code = MdsCode(field=GF(16), length=12, dimension=5)
+        cw = code.encode([3, 1, 4, 1, 5])
+        coords = [(p, cw[p]) for p in (0, 2, 3, 6, 7, 9, 11)]
+        assert code.decode(coords) == [3, 1, 4, 1, 5]
+        assert tuple(sorted(p for p, _ in coords)) in code._memo
+        coords[-1] = (11, cw[11] ^ 1)
+        with pytest.raises(CorruptionError, match="inconsistent"):
+            code.decode(coords)
+
+    def test_memo_is_capped_and_evicted_patterns_decode_again(self):
+        code = MdsCode(field=GF(64), length=40, dimension=6)
+        rng = random.Random(5)
+        message = [rng.randrange(64) for _ in range(6)]
+        cw = code.encode(message)
+        patterns = []
+        while len(patterns) < _MEMO_CAP + 10:
+            pattern = sorted(rng.sample(range(40), 8))
+            if pattern not in patterns:
+                patterns.append(pattern)
+        for pattern in patterns:
+            assert code.decode((p, cw[p]) for p in pattern) == message
+            assert len(code._memo) <= _MEMO_CAP
+        assert tuple(patterns[0]) not in code._memo
+        assert code.decode((p, cw[p]) for p in patterns[0]) == message
+        assert len(code._memo) == _MEMO_CAP
+
+    def test_memo_stays_out_of_equality_hash_and_repr(self):
+        a = MdsCode(field=GF(16), length=9, dimension=7)
+        b = MdsCode(field=GF(16), length=9, dimension=7)
+        a.decode(enumerate(a.encode([1, 2, 3, 4, 5, 6, 7])))
+        assert a._memo and not b._memo
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_memo" not in repr(a)
+
+
+def _digitwise(field: GF, a: int, b: int, sign: int = 1) -> int:
+    """a + sign * b by base-p digits, the coefficients an element stands for."""
+    p, value, scale = field.p, 0, 1
+    for _ in range(field.m):
+        value += (a % p + sign * (b % p)) % p * scale
+        a, b, scale = a // p, b // p, scale * p
+    return value
+
+
+class TestOddExtensionAddition:
+    @pytest.mark.parametrize("q", [9, 25, 27, 49, 81])
+    def test_add_and_neg_exhaustively_against_digits(self, q):
+        f = GF(q)
+        for a in range(q):
+            assert f.neg(a) == _digitwise(f, 0, a, sign=-1)
+            for b in range(q):
+                assert f.add(a, b) == _digitwise(f, a, b)
