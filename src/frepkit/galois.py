@@ -217,8 +217,8 @@ class GF:
 
     def _check(self, *elements: int) -> None:
         for a in elements:
-            if not 0 <= a < self.q:
-                raise ParameterError(f"{a} is not an element of GF({self.q})")
+            if not isinstance(a, int) or not 0 <= a < self.q:
+                raise ParameterError(f"{a!r} is not an element of GF({self.q})")
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
@@ -267,6 +267,8 @@ class GF:
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
+        if not isinstance(e, int):
+            raise ParameterError(f"exponent {e!r} is not an integer")
         if a == 0:
             if e == 0:
                 return 1
@@ -430,10 +432,10 @@ class MdsCode:
         q = self.field.q
         seen: dict[int, int] = {}
         for pos, value in coords:
-            if not 0 <= pos < self.length:
-                raise ParameterError(f"coordinate position {pos} out of range")
-            if not 0 <= value < q:
-                raise ParameterError(f"{value} is not an element of GF({q})")
+            if not isinstance(pos, int) or not 0 <= pos < self.length:
+                raise ParameterError(f"coordinate position {pos!r} out of range")
+            if not isinstance(value, int) or not 0 <= value < q:
+                raise ParameterError(f"{value!r} is not an element of GF({q})")
             if pos in seen:
                 if seen[pos] != value:
                     raise CorruptionError(

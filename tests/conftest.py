@@ -7,12 +7,15 @@ the checked GF methods for the MDS codec.  Expected values frozen in the
 tests were computed with these.
 """
 
+import math
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from frepkit import GF, FrCode, Graph, TransversalDesign
+from frepkit import GF, BudgetExceededError, FrCode, Graph, TransversalDesign
+from frepkit.analyze import DEFAULT_BUDGET
+from frepkit.batch import BatchTResult
 
 
 def brute_min_union(code: FrCode, k: int) -> int:
@@ -30,6 +33,36 @@ def brute_max_edges(g: Graph, k: int) -> int:
         count = sum(1 for u, w in g.edges if u in members and w in members)
         best = max(best, count)
     return best
+
+
+def brute_batch_t_detail(code: FrCode, budget: int | None = None) -> BatchTResult:
+    """Reference batch parameter: the plain node-side scan over every
+    combinations(range(n), size) by increasing size, rescanning all theta
+    symbols per subset, under the nominal subset-count budget."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    holders = code.nodes_of_symbol
+    nbr_masks = [sum(1 << (i - 1) for i in h) for h in holders]
+    min_rho = min((len(h) for h in holders), default=0)
+    if min_rho == 0:
+        unstored = next(j for j, h in enumerate(holders, start=1) if not h)
+        return BatchTResult(t=0, witness=(unstored,), witness_nodes=())
+    spent = 0
+    for size in range(min_rho, min(code.n, code.theta - 1) + 1):
+        spent += math.comb(code.n, size)
+        if spent > budget:
+            raise BudgetExceededError(
+                f"deficiency search over node subsets of size <= {size}", spent, budget)
+        for nodes in combinations(range(code.n), size):
+            t_mask = 0
+            for i in nodes:
+                t_mask |= 1 << i
+            interior = [j for j in range(1, code.theta + 1)
+                        if nbr_masks[j - 1] & ~t_mask == 0]
+            if len(interior) > size:
+                witness = tuple(interior[: size + 1])
+                return BatchTResult(t=size, witness=witness,
+                                    witness_nodes=tuple(i + 1 for i in nodes))
+    return BatchTResult(t=code.theta, witness=None, witness_nodes=None)
 
 
 def brute_hall_ok(code: FrCode, symbols) -> bool:

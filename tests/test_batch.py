@@ -1,7 +1,9 @@
+import math
+import random
 from itertools import combinations
 
 import pytest
-from conftest import brute_hall_ok
+from conftest import brute_batch_t_detail, brute_hall_ok
 
 from frepkit import (
     BatchPlan,
@@ -22,6 +24,7 @@ from frepkit import (
     transversal_design,
     turan,
 )
+from frepkit import batch
 from frepkit.construct import cage
 from frepkit.matching import hall_witness, maximum_matching
 
@@ -210,6 +213,149 @@ class TestTheorem5:
         ]
         for code, predicted in cases:
             assert batch_t(code) >= predicted
+
+
+ORACLE_CATALOG = {
+    "k33": lambda: from_graph(turan(6, 2)),
+    "turan-3-3": lambda: from_graph(turan(3, 3)),
+    "turan-6-3": lambda: from_graph(turan(6, 3)),
+    "turan-8-2": lambda: from_graph(turan(8, 2)),
+    "turan-9-3": lambda: from_graph(turan(9, 3)),
+    "petersen": lambda: from_graph(cage("petersen")),
+    "heawood": lambda: from_graph(cage("heawood")),
+    "td33": lambda: from_design(transversal_design(3, 3)),
+    "td34": lambda: from_design(transversal_design(3, 4)),
+    "td35": lambda: from_design(transversal_design(3, 5)),
+    "pg2": lambda: from_design(projective_plane(2)),
+    "pg3": lambda: from_design(projective_plane(3)),
+}
+
+
+def _relabel_symbols(code, seed):
+    perm = list(range(1, code.theta + 1))
+    random.Random(seed).shuffle(perm)
+    return FrCode(code.n, code.theta, code.alpha, code.rho,
+                  [[perm[j - 1] for j in s] for s in code.node_sets])
+
+
+def _relabel_nodes(code, seed):
+    order = list(range(code.n))
+    random.Random(seed).shuffle(order)
+    return FrCode(code.n, code.theta, code.alpha, code.rho,
+                  [code.node_sets[i] for i in order])
+
+
+def _random_irregular_code(rng):
+    """n <= 14 nodes; symbols stored 0 to 4 times, mostly twice."""
+    n = rng.randrange(2, 15)
+    theta = rng.randrange(2, 2 * n + 3)
+    node_sets = [[] for _ in range(n)]
+    for j in range(1, theta + 1):
+        rho = rng.choices([0, 1, 2, 3, 4], weights=[1, 6, 30, 10, 3])[0]
+        for i in rng.sample(range(n), min(rho, n)):
+            node_sets[i].append(j)
+    return FrCode(n, theta, 1, 1, node_sets)
+
+
+def _assert_matches_oracle(code):
+    detail = batch_t_detail(code)
+    assert detail.t == brute_batch_t_detail(code).t, code.node_sets
+    if detail.witness is None:
+        assert detail.t == code.theta and detail.witness_nodes is None
+        return
+    assert len(detail.witness) == detail.t + 1
+    assert len(detail.witness_nodes) == detail.t
+    holders = {i for j in detail.witness for i in code.nodes_of_symbol[j - 1]}
+    assert holders <= set(detail.witness_nodes)
+    assert isinstance(retrieval_plan(code, detail.witness), NoPlan)
+
+
+class TestBatchTAgainstOracle:
+    """The connected-set search against the plain combinations scan."""
+
+    @pytest.mark.parametrize("relabel", ["none", "symbols", "nodes"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CATALOG))
+    def test_catalog(self, name, relabel):
+        code = ORACLE_CATALOG[name]()
+        if relabel == "symbols":
+            code = _relabel_symbols(code, seed=len(name))
+        elif relabel == "nodes":
+            code = _relabel_nodes(code, seed=len(name))
+        _assert_matches_oracle(code)
+
+    def test_random_irregular_codes(self):
+        rng = random.Random(606)
+        t_seen = set()
+        for _ in range(300):
+            code = _random_irregular_code(rng)
+            _assert_matches_oracle(code)
+            t_seen.add(batch_t(code))
+        # the sweep reaches unstored symbols (t = 0) and deep searches alike
+        assert {0, 1, 2, 8} <= t_seen
+
+    def test_witnesses_are_pinned(self):
+        # the search order is fixed, so the witness is too
+        k33 = batch_t_detail(from_graph(turan(6, 2)))
+        assert (k33.witness, k33.witness_nodes) == ((1, 2, 4, 5, 7, 8), (1, 2, 3, 4, 5))
+        petersen = batch_t_detail(from_graph(cage("petersen")))
+        assert (petersen.witness, petersen.witness_nodes) == (
+            (1, 2, 3, 4, 6, 7, 8, 11), (1, 2, 3, 4, 5, 6, 8))
+
+
+def _nominal(code, t):
+    rho = min(len(h) for h in code.nodes_of_symbol)
+    return sum(math.comb(code.n, s) for s in range(rho, t + 1))
+
+
+class TestBudgetContract:
+    """Refusal depends on the nominal subset count only, as in the scan."""
+
+    @pytest.mark.parametrize("make,t", [
+        (lambda: from_design(transversal_design(3, 4)), 11),
+        (lambda: from_graph(cage("petersen")), 7),
+        (lambda: from_graph(turan(6, 2)), 5),
+    ], ids=["td34", "petersen", "k33"])
+    def test_exact_budget_runs_one_less_refuses(self, make, t):
+        code = make()
+        budget = _nominal(code, t)
+        assert batch_t_detail(code, budget=budget).t == t
+        with pytest.raises(BudgetExceededError) as refused:
+            batch_t_detail(code, budget=budget - 1)
+        with pytest.raises(BudgetExceededError) as reference:
+            brute_batch_t_detail(code, budget=budget - 1)
+        assert str(refused.value) == str(reference.value)
+        assert f"subsets of size <= {t} needs {budget} " in str(refused.value)
+
+    def test_plane_refuses_below_nominal_although_bound_proves_theta(self):
+        code = from_design(projective_plane(3))
+        budget = _nominal(code, code.theta - 1)
+        assert batch_t_detail(code, budget=budget).t == code.theta
+        with pytest.raises(BudgetExceededError) as refused:
+            batch_t_detail(code, budget=budget - 1)
+        with pytest.raises(BudgetExceededError) as reference:
+            brute_batch_t_detail(code, budget=budget - 1)
+        assert str(refused.value) == str(reference.value)
+
+
+class TestTheorem5InReach:
+    """Codes the subset scan was too slow for."""
+
+    def test_mcgee(self):
+        assert batch_t(from_graph(cage("mcgee"))) == 10 == theorem5_predicted_t("girth", g=7)
+
+    def test_tutte_coxeter(self):
+        code = from_graph(cage("tuttecoxeter"))
+        detail = batch_t_detail(code, budget=_nominal(code, 11))
+        assert detail.t == 11 == theorem5_predicted_t("girth", g=8)
+        assert isinstance(retrieval_plan(code, detail.witness), NoPlan)
+
+    def test_pg24_decided_by_the_counting_bound(self):
+        code = from_design(projective_plane(4))
+        high = min(code.n, code.theta - 1)
+        # no size is open, so the search visits no subset
+        assert batch._smallest_open_size(code, code.rho, high) > high
+        detail = batch_t_detail(code)
+        assert (detail.t, detail.witness) == (code.theta, None) == (21, None)
 
 
 def _edge_endpoints(code):

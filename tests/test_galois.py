@@ -229,6 +229,34 @@ class TestMds:
             code.encode([1, 2])
 
 
+class TestNonIntegerElementsRejected:
+    """Non-integers are refused by name at every entry point, not with a raw
+    TypeError from a table lookup."""
+
+    def test_field_operation(self):
+        with pytest.raises(ParameterError, match=r"^1\.5 is not an element of GF\(16\)$"):
+            GF(16).mul(1.5, 2)
+
+    def test_power_exponent(self):
+        with pytest.raises(ParameterError, match=r"^exponent 1\.5 is not an integer$"):
+            GF(16).pow(2, 1.5)
+
+    def test_encode(self):
+        code = MdsCode(field=GF(16), length=5, dimension=3)
+        with pytest.raises(ParameterError, match=r"^1\.5 is not an element of GF\(16\)$"):
+            code.encode([1.5, 2, 3])
+
+    def test_decode_value(self):
+        code = MdsCode(field=GF(16), length=5, dimension=3)
+        with pytest.raises(ParameterError, match=r"^1\.5 is not an element of GF\(16\)$"):
+            code.decode([(0, 1.5), (1, 2), (2, 3)])
+
+    def test_decode_position(self):
+        code = MdsCode(field=GF(16), length=5, dimension=3)
+        with pytest.raises(ParameterError, match=r"^coordinate position 1\.0 out of range$"):
+            code.decode([(1.0, 1), (0, 2), (2, 3)])
+
+
 class TestMdsAgainstOracle:
     @pytest.mark.parametrize("q,length,dimension", [
         (7, 7, 1), (7, 7, 7), (7, 6, 3), (9, 9, 4), (9, 8, 1), (16, 16, 16),
