@@ -62,9 +62,7 @@ from .incidence import (
     from_design,
     from_graph,
     load,
-    load_graph,
     save,
-    save_graph,
     validate,
 )
 

@@ -5,6 +5,14 @@ M(k); every closed form is a cross-check against it, never a substitute.
 The enumerator is a branch-and-bound that visits the same subset space as
 a plain scan but prunes branches whose best reachable union already
 matches the incumbent, which is a pure constant-factor saving.
+
+Budget rule, shared by every exact search here and in `batch`: a search
+counts the search nodes it opens, in its fixed order, and raises
+BudgetExceededError as soon as the count passes the budget (DEFAULT_BUDGET
+unless given).  A node is one call of the min-union or induced-edge
+recursion, or one frontier candidate tried by the deficiency search.  The
+polynomial set-up (greedy incumbent, floors, counting bound) is not
+charged, so a code that set-up settles runs at any budget.
 """
 
 from __future__ import annotations
@@ -39,11 +47,20 @@ __all__ = [
     "CapacityProfile",
 ]
 
-DEFAULT_BUDGET = 10**8
+DEFAULT_BUDGET = 10**7  # search nodes, about 1-2 us each in CPython
 
 # Known minimal vertex counts of (3, g)-cages; everything else falls back
 # to the Moore lower bound, which then only certifies "possibly loose".
 EXACT_CAGE_SIZES = MappingProxyType({(3, 5): 10, (3, 6): 14, (3, 7): 24, (3, 8): 30})
+
+
+def _budget(budget: int | None) -> int:
+    """The budget in search nodes: DEFAULT_BUDGET when None."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if budget < 0:
+        raise ParameterError(f"budget must be non-negative, got {budget}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +256,19 @@ def max_induced_edges(g: Graph, k: int, budget: int | None = None) -> int:
     """Maximum edge count over all induced k-vertex subgraphs, exhaustively."""
     if not 1 <= k <= g.v:
         raise ParameterError(f"need 1 <= k <= {g.v}, got k={k}")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    total = math.comb(g.v, k)
-    if total > budget:
-        raise BudgetExceededError(f"induced-subgraph scan over C({g.v},{k}) subsets",
-                                  total, budget)
+    budget = _budget(budget)
     adj = g.adjacency_masks
     n = g.v
     dmax = max(g.degrees())
     best = 0
+    nodes = 0
 
     def extend(start: int, depth: int, chosen_mask: int, count: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"induced-subgraph search over {k}-subsets of {n} vertices", budget)
         remaining = k - depth
         if remaining == 0:
             if count > best:
@@ -275,21 +293,25 @@ def max_induced_edges(g: Graph, k: int, budget: int | None = None) -> int:
 def file_size(code: FrCode, k: int, budget: int | None = None) -> int:
     """Exact file size: min over all C(n, k) node subsets of the union size.
 
-    Refuses (never approximates) when the subset count exceeds the budget;
-    the refusal depends only on the call arguments, never on what happens
-    to sit in the code's memo of earlier results.
+    Refuses (never approximates) when the branch-and-bound opens more than
+    `budget` search nodes; a code whose greedy incumbent meets the floor
+    opens none.  The code's memo keeps M(k) with the node count of its
+    search, so a memo hit refuses exactly where a fresh search would.
     """
     if not 1 <= k <= code.n:
         raise ParameterError(f"need 1 <= k <= {code.n}, got k={k}")
-    total = math.comb(code.n, k)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if total > budget:
-        raise BudgetExceededError(f"file-size scan over C({code.n},{k}) node subsets",
-                                  total, budget)
+    budget = _budget(budget)
     memo = code._file_sizes
     if k not in memo:
-        memo[k] = _min_union(code, k)
-    return memo[k]
+        memo[k] = _min_union(code, k, budget)
+    m_size, nodes = memo[k]
+    if nodes > budget:
+        raise BudgetExceededError(_file_size_what(code, k), budget)
+    return m_size
+
+
+def _file_size_what(code: FrCode, k: int) -> str:
+    return f"file-size search over {k}-subsets of {code.n} nodes"
 
 
 def _greedy_union(masks: tuple[int, ...], k: int, start: int) -> int:
@@ -310,7 +332,8 @@ def _greedy_union(masks: tuple[int, ...], k: int, start: int) -> int:
     return union.bit_count()
 
 
-def _min_union(code: FrCode, k: int) -> int:
+def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
+    """(M(k), search nodes opened); raises once the count passes budget."""
     masks = code.symbol_masks
     n = code.n
     sizes = [m.bit_count() for m in masks]
@@ -334,11 +357,15 @@ def _min_union(code: FrCode, k: int) -> int:
     floor = max(floor, tail[0])
 
     best = min(_greedy_union(masks, k, start) for start in range(n))
+    nodes = 0
     if best > floor:
 
         def descend(start: int, depth: int, union: int, usize: int) -> bool:
             """Returns True once the floor is reached and search can stop."""
-            nonlocal best
+            nonlocal best, nodes
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(_file_size_what(code, k), budget)
             if depth == k:
                 if usize < best:
                     best = usize
@@ -353,7 +380,7 @@ def _min_union(code: FrCode, k: int) -> int:
             return False
 
         descend(0, 0, 0, 0)
-    return best
+    return best, nodes
 
 
 # ---------------------------------------------------------------------------

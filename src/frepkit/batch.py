@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analyze import DEFAULT_BUDGET, file_size
+from .analyze import _budget, file_size
 from .errors import BudgetExceededError, FrbDefinitionError, ParameterError
 from .galois import GF
 from .incidence import FrCode, validate
@@ -122,41 +122,31 @@ def batch_t_detail(code: FrCode, budget: int | None = None) -> BatchTResult:
     slots) at most s*alpha_max/rho_min.  Only sizes where both exceed s can
     be deficient; for a projective plane none can, and t = theta unsearched.
 
-    The budget contract is the nominal one: the search runs up to the
-    largest size whose subset count sum_{s >= rho_min} C(n, s) fits the
-    budget, and refuses when that stops short of min(n, theta - 1) without
-    a deficient set found.
+    The search refuses (never approximates) once it has tried more than
+    `budget` frontier candidates; the counting bound is not charged, so a
+    projective plane runs at any budget.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
+    budget = _budget(budget)
     holders = code.nodes_of_symbol
     min_rho = min((len(h) for h in holders), default=0)
     if min_rho == 0:
         unstored = next(j for j, h in enumerate(holders, start=1) if not h)
         return BatchTResult(t=0, witness=(unstored,), witness_nodes=())
     high = min(code.n, code.theta - 1)
-    cap, spent = min_rho - 1, 0
-    for size in range(min_rho, high + 1):
-        spent += math.comb(code.n, size)
-        if spent > budget:
-            break
-        cap = size
     holder_masks = [sum(1 << (i - 1) for i in h) for h in holders]
     found = _smallest_deficient(code, holder_masks,
-                                _smallest_open_size(code, min_rho, cap), cap)
+                                _smallest_open_size(code, min_rho, high), high, budget)
     if found is not None:
         chosen, size = found
         interior = [j for j, mask in enumerate(holder_masks, start=1) if not mask & ~chosen]
         return BatchTResult(t=size, witness=tuple(interior[: size + 1]),
                             witness_nodes=tuple(i + 1 for i in range(code.n) if chosen >> i & 1))
-    if cap < high:
-        raise BudgetExceededError(
-            f"deficiency search over node subsets of size <= {cap + 1}", spent, budget)
     return BatchTResult(t=code.theta, witness=None, witness_nodes=None)
 
 
-def _smallest_open_size(code: FrCode, min_rho: int, cap: int) -> int:
-    """Smallest size in [min_rho, cap] the counting bound leaves open, else
-    cap + 1.
+def _smallest_open_size(code: FrCode, min_rho: int, high: int) -> int:
+    """Smallest size in [min_rho, high] the counting bound leaves open, else
+    high + 1.
 
     Both bounds outgrow s once they exceed it, so the open sizes run from
     here up.  Taking floors is sound: an interior is a whole number.
@@ -165,15 +155,15 @@ def _smallest_open_size(code: FrCode, min_rho: int, cap: int) -> int:
     lam = code.max_pairwise_intersection
     alpha_max = max(mask.bit_count() for mask in code.symbol_masks)
     pairs = math.comb(min_rho, 2)
-    for s in range(min_rho, cap + 1):
+    for s in range(min_rho, high + 1):
         if s * alpha_max // min_rho > s and (
                 min_rho < 2 or lam * math.comb(s, 2) // pairs > s):
             return s
-    return cap + 1
+    return high + 1
 
 
 def _smallest_deficient(code: FrCode, holder_masks: list[int], smallest: int,
-                        limit: int) -> tuple[int, int] | None:
+                        limit: int, budget: int) -> tuple[int, int] | None:
     """Node mask and size of a smallest deficient set of size in
     [smallest, limit], or None.
 
@@ -184,7 +174,8 @@ def _smallest_deficient(code: FrCode, holder_masks: list[int], smallest: int,
     (reach).  Adding node v adds to the interior those of v's symbols whose
     holder masks now lie inside the set, an O(alpha) step.  A deficient
     set of size s lowers the limit to s - 1 and is not grown; a frame that
-    cannot reach `smallest` is cut.
+    cannot reach `smallest` is cut.  Each frontier candidate tried is one
+    search node of the budget.
     """
     n = code.n
     node_symbols: list[list[int]] = [[] for _ in range(n)]
@@ -194,6 +185,7 @@ def _smallest_deficient(code: FrCode, holder_masks: list[int], smallest: int,
             node_symbols[i - 1].append(mask)
             adjacency[i - 1] |= mask
     best = None
+    nodes = 0
     cand, forb, interior, reach, added = ([0] * (limit + 1) for _ in range(5))
     for root in range(n - smallest + 1):
         if limit < smallest:
@@ -213,6 +205,10 @@ def _smallest_deficient(code: FrCode, holder_masks: list[int], smallest: int,
                 chosen ^= added[depth]
                 depth -= 1
                 continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"deficiency search over connected sets of {n} nodes", budget)
             low = c & -c
             cand[depth] = c ^ low
             f = forb[depth]

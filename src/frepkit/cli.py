@@ -189,6 +189,8 @@ def _cmd_batch(args) -> int:
     if args.t is not None and args.t < 1:
         raise ParameterError(f"--t: {args.t} is not a positive subset size")
     code = incidence.load(args.code)
+    if args.t is not None and args.t > code.theta:
+        raise ParameterError(f"--t: {args.t} exceeds the code's theta = {code.theta} symbols")
     budget = args.budget if args.budget is not None else _default_budget()
     detail = batch.batch_t_detail(code, budget=budget)
     if args.max_t:

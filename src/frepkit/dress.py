@@ -158,7 +158,8 @@ def load_system(root) -> StoredSystem:
         mds = MdsCode(field=field, length=code.theta, dimension=manifest["M"])
         k, file_sha256, listed = manifest["k"], manifest["file_sha256"], manifest["checksums"]
         checksums = {f"node_{i}.dat": listed[f"node_{i}.dat"] for i in range(1, code.n + 1)}
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            ParameterError) as exc:
         raise CorruptionError(f"{manifest_path}: unreadable manifest ({exc!r})") from None
     if manifest.get("mds") != _mds_block(code.theta):
         raise CorruptionError(f"{manifest_path}: outer code {manifest.get('mds')!r} "

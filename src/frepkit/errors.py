@@ -10,17 +10,17 @@ class ParameterError(FrepkitError, ValueError):
 
 
 class BudgetExceededError(FrepkitError):
-    """An exhaustive enumeration would exceed the configured budget.
+    """An exact search opened more search nodes than the budget allows.
 
-    Raised instead of ever returning an approximate answer.
+    Raised instead of ever returning an approximate answer.  The search
+    order is fixed, so whether a call refuses depends only on its arguments.
     """
 
-    def __init__(self, what: str, required: int, budget: int):
+    def __init__(self, what: str, budget: int):
         self.what = what
-        self.required = required
         self.budget = budget
         super().__init__(
-            f"{what} needs {required} enumeration steps, budget is {budget}; "
+            f"{what} needs more than {budget} search nodes; "
             f"raise the budget to run this exactly"
         )
 

@@ -277,17 +277,6 @@ class GF:
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        order = self.q - 1
-        for f in _prime_factors(order):
-            while order % f == 0 and self.pow(a, order // f) == 1:
-                order //= f
-        return order
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -369,6 +358,9 @@ class MdsCode:
         default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, value in (("length", self.length), ("dimension", self.dimension)):
+            if not isinstance(value, int):
+                raise ParameterError(f"{name} {value!r} is not an integer")
         if not 1 <= self.dimension <= self.length:
             raise ParameterError(
                 f"need 1 <= dimension <= length, got ({self.dimension}, {self.length})")

@@ -30,8 +30,6 @@ __all__ = [
     "from_design",
     "save",
     "load",
-    "save_graph",
-    "load_graph",
 ]
 
 
@@ -138,8 +136,8 @@ class FrCode:
         return tuple(tuple(h) for h in holders)
 
     @cached_property
-    def _file_sizes(self) -> dict[int, int]:
-        """Exact file size M(k) by k, filled in by analyze.file_size."""
+    def _file_sizes(self) -> dict[int, tuple[int, int]]:
+        """(M(k), search nodes opened) by k, filled in by analyze.file_size."""
         return {}
 
     @cached_property
@@ -331,7 +329,7 @@ def from_design(d: Design) -> FrCode:
 
 
 # ---------------------------------------------------------------------------
-# Interchange formats (.frc code files and edge-list graph files)
+# Interchange format (.frc code files)
 
 def save(code: FrCode, path) -> None:
     """Write the .frc text form: header plus one ascending symbol line per node."""
@@ -375,39 +373,3 @@ def load(path) -> FrCode:
                 raise FormatError(path, line_no, f"symbol index {j} out of range 1..{theta}")
         node_sets.append(symbols)
     return FrCode(n=n, theta=theta, alpha=alpha, rho=rho, node_sets=node_sets)
-
-
-def save_graph(g: Graph, path) -> None:
-    """Write the edge-list text form: 'GRAPH v e' then one 'u w' line per edge."""
-    lines = [f"GRAPH {g.v} {g.e}"]
-    lines.extend(f"{u} {w}" for u, w in g.edges)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-
-
-def load_graph(path) -> Graph:
-    raw = Path(path).read_text(encoding="ascii").split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
-    if not raw:
-        raise FormatError(path, 1, "empty file")
-    header = raw[0].split()
-    if len(header) != 3 or header[0] != "GRAPH":
-        raise FormatError(path, 1, "header must be 'GRAPH v e'")
-    v, e = _int_fields(path, 1, raw[0].removeprefix("GRAPH"), "header")
-    if v < 1 or e < 0:
-        raise FormatError(path, 1, "header parameters out of range")
-    if len(raw) - 1 != e:
-        raise FormatError(path, len(raw), f"expected {e} edge lines, found {len(raw) - 1}")
-    edges = []
-    for line_no, line in enumerate(raw[1:], start=2):
-        pair = _int_fields(path, line_no, line, "edge line")
-        if len(pair) != 2:
-            raise FormatError(path, line_no, "edge line must hold exactly two vertex ids")
-        u, w = pair
-        if not (1 <= u < w <= v):
-            raise FormatError(path, line_no, f"edge ({u}, {w}) must satisfy 1 <= u < w <= {v}")
-        edges.append((u, w))
-    try:
-        return Graph(v=v, edges=edges)
-    except ParameterError as exc:
-        raise FormatError(path, 1, str(exc)) from None

@@ -7,14 +7,12 @@ the checked GF methods for the MDS codec.  Expected values frozen in the
 tests were computed with these.
 """
 
-import math
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
 from frepkit import GF, BudgetExceededError, FrCode, Graph, TransversalDesign
-from frepkit.analyze import DEFAULT_BUDGET
 from frepkit.batch import BatchTResult
 
 
@@ -35,23 +33,17 @@ def brute_max_edges(g: Graph, k: int) -> int:
     return best
 
 
-def brute_batch_t_detail(code: FrCode, budget: int | None = None) -> BatchTResult:
+def brute_batch_t_detail(code: FrCode) -> BatchTResult:
     """Reference batch parameter: the plain node-side scan over every
     combinations(range(n), size) by increasing size, rescanning all theta
-    symbols per subset, under the nominal subset-count budget."""
-    budget = DEFAULT_BUDGET if budget is None else budget
+    symbols per subset."""
     holders = code.nodes_of_symbol
     nbr_masks = [sum(1 << (i - 1) for i in h) for h in holders]
     min_rho = min((len(h) for h in holders), default=0)
     if min_rho == 0:
         unstored = next(j for j, h in enumerate(holders, start=1) if not h)
         return BatchTResult(t=0, witness=(unstored,), witness_nodes=())
-    spent = 0
     for size in range(min_rho, min(code.n, code.theta - 1) + 1):
-        spent += math.comb(code.n, size)
-        if spent > budget:
-            raise BudgetExceededError(
-                f"deficiency search over node subsets of size <= {size}", spent, budget)
         for nodes in combinations(range(code.n), size):
             t_mask = 0
             for i in nodes:
@@ -63,6 +55,31 @@ def brute_batch_t_detail(code: FrCode, budget: int | None = None) -> BatchTResul
                 return BatchTResult(t=size, witness=witness,
                                     witness_nodes=tuple(i + 1 for i in nodes))
     return BatchTResult(t=code.theta, witness=None, witness_nodes=None)
+
+
+def smallest_admitted_budget(run) -> int:
+    """Smallest budget at which run(budget) is not refused, by doubling and
+    bisection: a search refuses exactly when it opens more nodes than the
+    budget, so refusal is monotone in the budget."""
+
+    def refused(budget):
+        try:
+            run(budget)
+        except BudgetExceededError:
+            return True
+        return False
+
+    high = 1
+    while refused(high):
+        high *= 2
+    low = -1
+    while high - low > 1:
+        mid = (low + high) // 2
+        if refused(mid):
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 def brute_hall_ok(code: FrCode, symbols) -> bool:

@@ -3,7 +3,7 @@ import math
 
 import networkx as nx
 import pytest
-from conftest import brute_max_edges, brute_min_union, to_networkx
+from conftest import brute_max_edges, brute_min_union, smallest_admitted_budget, to_networkx
 
 from frepkit import (
     BudgetExceededError,
@@ -207,6 +207,17 @@ class TestMaxInducedEdges:
         with pytest.raises(BudgetExceededError):
             max_induced_edges(cage("petersen"), 5, budget=10)
 
+    def test_refuses_exactly_below_the_nodes_it_opens(self):
+        for g in (cage("petersen"), turan(6, 2)):
+            for k in range(1, g.v + 1):
+                b = smallest_admitted_budget(lambda budget: max_induced_edges(g, k, budget))
+                assert b >= 1  # the root call is a search node
+                with pytest.raises(BudgetExceededError, match=f"more than {b - 1} search"):
+                    max_induced_edges(g, k, budget=b - 1)
+                expected = brute_max_edges(g, k)
+                assert max_induced_edges(g, k, budget=b) == expected
+                assert max_induced_edges(g, k, budget=b + 1) == expected
+
 
 SMALL_CODES = (
     [from_graph(g) for g in SMALL_GRAPHS]
@@ -257,11 +268,31 @@ class TestFileSize:
         assert [file_size(b, k) for k in range(1, 5)] == [4, 7, 9, 11]
 
     def test_budget_refusal_after_a_warm_call(self):
-        code = from_design(transversal_design(3, 4))
-        assert file_size(code, 4) == 11
-        with pytest.raises(BudgetExceededError):
-            file_size(code, 4, budget=math.comb(12, 4) - 1)
-        assert file_size(code, 4, budget=math.comb(12, 4)) == 11
+        # refusal depends only on (code, k, budget): a memo hit refuses
+        # exactly where a fresh code object's search does
+        makers = [lambda: from_design(transversal_design(3, 4)),
+                  lambda: from_graph(cage("petersen")),
+                  lambda: from_graph(turan(6, 2))]
+        searched = 0
+        for make in makers:
+            for k in range(1, make().n + 1):
+                b = smallest_admitted_budget(lambda budget: file_size(make(), k, budget))
+                expected = brute_min_union(make(), k)
+                assert file_size(make(), k, budget=b) == expected
+                assert file_size(make(), k, budget=b + 1) == expected
+                warm = make()
+                assert file_size(warm, k) == expected
+                assert file_size(warm, k, budget=b) == expected
+                if b == 0:
+                    continue  # the greedy incumbent met the floor: no search
+                searched += 1
+                with pytest.raises(BudgetExceededError) as fresh:
+                    file_size(make(), k, budget=b - 1)
+                with pytest.raises(BudgetExceededError) as memo_hit:
+                    file_size(warm, k, budget=b - 1)
+                assert str(memo_hit.value) == str(fresh.value)
+                assert f"more than {b - 1} search nodes" in str(fresh.value)
+        assert searched >= 10
 
 
 class TestPaperRelations:

@@ -1,9 +1,8 @@
-import math
 import random
 from itertools import combinations
 
 import pytest
-from conftest import brute_batch_t_detail, brute_hall_ok
+from conftest import brute_batch_t_detail, brute_hall_ok, smallest_admitted_budget
 
 from frepkit import (
     BatchPlan,
@@ -15,9 +14,11 @@ from frepkit import (
     ParameterError,
     batch_t,
     batch_t_detail,
+    file_size,
     frb_certify,
     from_design,
     from_graph,
+    max_induced_edges,
     projective_plane,
     retrieval_plan,
     theorem5_predicted_t,
@@ -302,13 +303,9 @@ class TestBatchTAgainstOracle:
             (1, 2, 3, 4, 6, 7, 8, 11), (1, 2, 3, 4, 5, 6, 8))
 
 
-def _nominal(code, t):
-    rho = min(len(h) for h in code.nodes_of_symbol)
-    return sum(math.comb(code.n, s) for s in range(rho, t + 1))
-
-
 class TestBudgetContract:
-    """Refusal depends on the nominal subset count only, as in the scan."""
+    """Refusal depends on the frontier candidates the search tries, in its
+    fixed order; the counting bound is not charged."""
 
     @pytest.mark.parametrize("make,t", [
         (lambda: from_design(transversal_design(3, 4)), 11),
@@ -316,25 +313,29 @@ class TestBudgetContract:
         (lambda: from_graph(turan(6, 2)), 5),
     ], ids=["td34", "petersen", "k33"])
     def test_exact_budget_runs_one_less_refuses(self, make, t):
-        code = make()
-        budget = _nominal(code, t)
-        assert batch_t_detail(code, budget=budget).t == t
+        b = smallest_admitted_budget(lambda budget: batch_t_detail(make(), budget))
+        assert b >= 1
+        assert brute_batch_t_detail(make()).t == t
+        assert batch_t_detail(make(), budget=b).t == batch_t_detail(make(), budget=b + 1).t == t
         with pytest.raises(BudgetExceededError) as refused:
-            batch_t_detail(code, budget=budget - 1)
-        with pytest.raises(BudgetExceededError) as reference:
-            brute_batch_t_detail(code, budget=budget - 1)
-        assert str(refused.value) == str(reference.value)
-        assert f"subsets of size <= {t} needs {budget} " in str(refused.value)
+            batch_t_detail(make(), budget=b - 1)
+        assert str(refused.value) == (
+            f"deficiency search over connected sets of {make().n} nodes needs more "
+            f"than {b - 1} search nodes; raise the budget to run this exactly")
 
-    def test_plane_refuses_below_nominal_although_bound_proves_theta(self):
-        code = from_design(projective_plane(3))
-        budget = _nominal(code, code.theta - 1)
-        assert batch_t_detail(code, budget=budget).t == code.theta
-        with pytest.raises(BudgetExceededError) as refused:
-            batch_t_detail(code, budget=budget - 1)
-        with pytest.raises(BudgetExceededError) as reference:
-            brute_batch_t_detail(code, budget=budget - 1)
-        assert str(refused.value) == str(reference.value)
+    def test_plane_runs_at_budget_zero(self):
+        # the counting bound leaves no size open, so nothing is searched
+        for q in (3, 5):
+            code = from_design(projective_plane(q))
+            assert batch_t_detail(code, budget=0).t == code.theta
+
+    def test_negative_budget_is_a_parameter_error(self):
+        code = from_graph(turan(6, 2))
+        for call in (lambda: batch_t_detail(code, budget=-1),
+                     lambda: file_size(code, 3, budget=-1),
+                     lambda: max_induced_edges(turan(6, 2), 3, budget=-1)):
+            with pytest.raises(ParameterError, match="budget must be non-negative"):
+                call()
 
 
 class TestTheorem5InReach:
@@ -345,7 +346,7 @@ class TestTheorem5InReach:
 
     def test_tutte_coxeter(self):
         code = from_graph(cage("tuttecoxeter"))
-        detail = batch_t_detail(code, budget=_nominal(code, 11))
+        detail = batch_t_detail(code)
         assert detail.t == 11 == theorem5_predicted_t("girth", g=8)
         assert isinstance(retrieval_plan(code, detail.witness), NoPlan)
 

@@ -250,6 +250,15 @@ class TestBatchCommands:
         assert status == 0
         assert "certified" in out
 
+    @pytest.mark.parametrize("q,t", [(2, 8), (3, 14)], ids=["pg2", "pg3"])
+    def test_t_above_theta_is_refused(self, capsys, tmp_path, q, t):
+        path = tmp_path / "plane.frc"
+        run(capsys, "construct", "plane", "--q", str(q), "--out", str(path))
+        status, out, err = run(capsys, "batch", str(path), "--t", str(t))
+        assert status == 1
+        assert out == ""
+        assert err == f"error: --t: {t} exceeds the code's theta = {t - 1} symbols\n"
+
     def test_failed_certification_exits_1(self, capsys, k33_frc):
         status, out, _ = run(capsys, "batch", str(k33_frc), "--t", "6")
         assert status == 1
@@ -413,17 +422,15 @@ class TestInputErrors:
 
 
 class TestStoreBudget:
-    def test_budget_lets_store_run_where_analyze_does(self, capsys, tmp_path, monkeypatch):
+    def test_budget_lets_store_run_where_analyze_does(self, capsys, tmp_path):
+        # PG(2,7): the greedy incumbent meets the floor, so neither command
+        # searches and both run at the default budget, C(57, 8) notwithstanding
         pg7 = tmp_path / "pg7.frc"
         run(capsys, "construct", "plane", "--q", "7", "--out", str(pg7))
-        args = ["store", "--code", str(pg7), "--k", "8", "--root", str(tmp_path / "sys")]
-        status, _, err = run(capsys, *args)
-        assert status == 1  # C(57, 8) subsets exceed the default budget
-        assert "budget" in err
-        monkeypatch.setenv("FREPKIT_BUDGET", "1000000000000")
-        status, _, _ = run(capsys, "analyze", str(pg7), "--k-max", "8")
+        status, _, _ = run(capsys, "analyze", str(pg7))
         assert status == 0
-        status, out, _ = run(capsys, *args)
+        status, out, _ = run(capsys, "store", "--code", str(pg7), "--k", "8",
+                             "--root", str(tmp_path / "sys"))
         assert status == 0
         assert "57 node files of 8 symbols" in out
         verify_integrity(tmp_path / "sys")

@@ -9,12 +9,15 @@ the same cases.  The readers are chosen to touch the damaged node file:
 the reconstruction includes it and the failed node shares a symbol with it.
 """
 
+import json
 import random
 import shutil
+from pathlib import Path
 
 import pytest
 
 from frepkit import (
+    CorruptionError,
     FrepkitError,
     execute_repair,
     from_design,
@@ -110,3 +113,17 @@ def test_damaged_store_gives_the_original_or_refuses(pristine, tmp_path, capsys,
         if got == REFUSED:
             assert not repaired.exists(), (seed, failed)
         assert not list(root.glob("*.tmp")), seed
+
+
+def test_non_integer_file_size_in_manifest_is_corruption(tmp_path, capsys):
+    root = tmp_path / "sys"
+    shutil.copytree(Path(__file__).parent / "data" / "td34_k4_seed0", root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["M"] = 11.0
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorruptionError, match="dimension 11.0 is not an integer"):
+        load_system(root)
+    assert main(["reconstruct", "--root", str(root), "--nodes", "1,2,3,4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "unreadable manifest" in captured.err

@@ -10,9 +10,18 @@ import random
 from itertools import combinations
 
 import networkx as nx
-from conftest import brute_max_edges, brute_min_union
+from conftest import brute_batch_t_detail, brute_max_edges, brute_min_union
 
-from frepkit import FrCode, Graph, batch_t_detail, file_size, girth, has_k_clique, max_induced_edges
+from frepkit import (
+    BudgetExceededError,
+    FrCode,
+    Graph,
+    batch_t_detail,
+    file_size,
+    girth,
+    has_k_clique,
+    max_induced_edges,
+)
 from frepkit.batch import BatchPlan, retrieval_plan
 from frepkit.matching import maximum_matching
 
@@ -42,6 +51,35 @@ def test_file_size_matches_brute_on_random_codes():
         code = FrCode(n, theta, alpha, 1, node_sets)
         for k in range(1, n + 1):
             assert file_size(code, k) == brute_min_union(code, k), (node_sets, k)
+
+
+def test_any_admitted_budget_gives_the_exact_answer_on_random_codes():
+    # a budget only decides whether a search runs, never what it returns
+    rng = random.Random(505)
+    outcomes = {"admitted": 0, "refused": 0}
+
+    def check(call, reference):
+        try:
+            got = call()
+        except BudgetExceededError:
+            outcomes["refused"] += 1
+            return
+        outcomes["admitted"] += 1
+        assert got == reference()
+
+    for trial in range(60):
+        n = rng.randrange(2, 10)
+        theta = rng.randrange(2, 12)
+        alpha = rng.randrange(1, theta + 1)
+        node_sets = [rng.sample(range(1, theta + 1), alpha) for _ in range(n)]
+        code = FrCode(n, theta, alpha, 1, node_sets)
+        budget = rng.choice([0, 1, 3, 10, 30, 100, 1000])
+        for k in range(1, n + 1):
+            check(lambda: file_size(code, k, budget=budget),
+                  lambda: brute_min_union(code, k))
+        check(lambda: batch_t_detail(code, budget=budget).t,
+              lambda: brute_batch_t_detail(code).t)
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_max_induced_edges_matches_brute_on_random_graphs():

@@ -9,9 +9,7 @@ from frepkit import (
     from_design,
     from_graph,
     load,
-    load_graph,
     save,
-    save_graph,
     transversal_design,
     turan,
     validate,
@@ -203,25 +201,3 @@ class TestSaveLoad:
         for code in [from_graph(turan(6, 2)), from_design(paper_td34), petersen_code()]:
             assert sum(len(s) for s in code.node_sets) == code.n * code.alpha
             assert code.n * code.alpha == code.rho * code.theta
-
-
-class TestGraphIO:
-    def test_round_trip(self, tmp_path):
-        g = turan(6, 2)
-        path = tmp_path / "k33.graph"
-        save_graph(g, path)
-        assert path.read_text().splitlines()[0] == "GRAPH 6 9"
-        assert load_graph(path) == g
-
-    def test_edge_count_mismatch(self, tmp_path):
-        path = tmp_path / "bad.graph"
-        path.write_text("GRAPH 3 2\n1 2\n")
-        with pytest.raises(FormatError, match="expected 2 edge lines"):
-            load_graph(path)
-
-    def test_non_canonical_edge_rejected(self, tmp_path):
-        path = tmp_path / "bad.graph"
-        path.write_text("GRAPH 3 1\n2 1\n")
-        with pytest.raises(FormatError) as err:
-            load_graph(path)
-        assert err.value.line_no == 2
