@@ -2,9 +2,9 @@
 
 Exhaustive enumeration is the single source of truth for the file size
 M(k); every closed form is a cross-check against it, never a substitute.
-The enumerator is a branch-and-bound that visits the same subset space as
-a plain scan but prunes branches whose best reachable union already
-matches the incumbent, which is a pure constant-factor saving.
+The enumerator is a branch-and-bound over the same subset space as a plain
+scan; it prunes branches whose best reachable union already matches the
+incumbent, and branches that a proven automorphism covers.
 
 Budget rule, shared by every exact search here and in `batch`: a search
 counts the search nodes it opens, in its fixed order, and raises
@@ -13,6 +13,13 @@ unless given).  A node is one call of the min-union or induced-edge
 recursion, or one frontier candidate tried by the deficiency search.  The
 polynomial set-up (greedy incumbent, floors, counting bound) is not
 charged, so a code that set-up settles runs at any budget.
+
+Symmetry rule for M(k): the search skips node j's depth-0 branch when
+automorphisms, each checked against the incidence, map a smaller node to j.
+Their discovery runs only when the greedy incumbent misses the floor, and
+the search pays for it: between depth-0 branches it may do one unit of work
+per _NODES_PER_DISCOVERY_UNIT nodes opened.  It is not charged to the
+budget, and it depends only on (code, k), so a refusal does too.
 """
 
 from __future__ import annotations
@@ -333,20 +340,27 @@ def _greedy_union(masks: tuple[int, ...], k: int, start: int) -> int:
 
 
 def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
-    """(M(k), search nodes opened); raises once the count passes budget."""
+    """(M(k), search nodes opened); raises once the count passes budget.
+
+    Branch j of the depth-0 loop holds the k-sets whose smallest node is j;
+    it is skipped when verified automorphisms join j to a node a < j.
+    Lemma: some product pi of them maps a to j, and pi^-1 maps each set S of
+    branch j to a set of the same union size whose smallest node is below
+    j, so by induction on j, S has an equal set in a searched branch.  Any
+    subgroup keeps M(k) exact; proving fewer orbits only costs pruning.
+    """
     masks = code.symbol_masks
     n = code.n
     sizes = [m.bit_count() for m in masks]
     a_min = min(sizes)
+    holders = [0] * code.theta  # per symbol, the bitmask of nodes storing it
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            holders[low.bit_length() - 1] |= 1 << i
+            m ^= low
     # every symbol appears in at most r_max of the chosen sets
-    col = [0] * code.theta
-    for m in masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            col[low.bit_length() - 1] += 1
-            mm ^= low
-    r_max = max(col) if any(col) else 1
+    r_max = max(map(int.bit_count, holders))
     s_max = code.max_pairwise_intersection if n > 1 else 0
     # admissible bounds: the j-th set added overlaps the running union in at
     # most j*s_max symbols, and counting multiplicity caps the union from below
@@ -379,8 +393,160 @@ def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
                     return True
             return False
 
-        descend(0, 0, 0, 0)
+        orbit = list(range(n))  # union-find; each root is its class's smallest node
+        found = _automorphism_candidates(masks, holders, orbit)
+        # discovery first pays for its incidence graph (vertices and edges),
+        # then does one unit of work per _NODES_PER_DISCOVERY_UNIT nodes opened
+        spent, verified = n + code.theta + sum(sizes), None
+        for j in range(n - k + 1):
+            while spent * _NODES_PER_DISCOVERY_UNIT < nodes:
+                work, perm = found.send(verified)
+                spent += work
+                verified = perm is not None and _is_automorphism(holders, perm)
+                if verified:
+                    for v, w in enumerate(perm):
+                        a, b = _root(orbit, v), _root(orbit, w)
+                        orbit[max(a, b)] = min(a, b)
+            # a node that is not a root is joined to its smaller root
+            if orbit[j] != j or sizes[j] + tail[1] >= best:
+                continue
+            if descend(j + 1, 1, masks[j], sizes[j]):
+                break
     return best, nodes
+
+
+# ---------------------------------------------------------------------------
+# Verified symmetry for the file-size search
+
+# Search nodes that pay for one unit of discovery work.  A unit (a splitter,
+# count slice or cell fragment of a refinement) takes about two nodes' time.
+_NODES_PER_DISCOVERY_UNIT = 3
+
+
+def _bits(m: int) -> list[int]:
+    """The positions of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _root(orbit: list[int], v: int) -> int:
+    while orbit[v] != v:
+        v = orbit[v]
+    return v
+
+
+def _is_automorphism(holders: list[int], perm: list[int]) -> bool:
+    """True when the node permutation perm maps the multiset of holder sets,
+    one per symbol, onto itself: then some symbol permutation completes it
+    to an automorphism of the incidence, and every union size is kept."""
+    if sorted(perm) != list(range(len(perm))):
+        return False
+    images = [sum(1 << perm[i] for i in _bits(h)) for h in holders]
+    return sorted(images) == sorted(holders)
+
+
+def _automorphism_candidates(masks: tuple[int, ...], holders: list[int], orbit: list[int]):
+    """Yields (work, candidate node permutation or None) steps of
+    individualization and refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014) on the node/symbol incidence graph; the caller
+    sends back whether a candidate verified.  A partition is a pair of ordered
+    lists of node and symbol cell bitmasks.  The first path individualizes
+    the first node of the largest node cell until every node is a singleton.
+    Deepest level first, each other node of that level's cell outside the
+    path node's orbit takes its place, and the tree below is searched for a
+    leaf with the first path's traces.  At the end, work is infinite.
+    """
+    n = len(masks)
+    neighbours = (masks, holders)  # of a node, of a symbol
+
+    def refine(part, stack, ref=None):
+        """Splits cells by neighbour counts in each splitter until the nodes are
+        discrete or the stack is empty, or early once the trace leaves ref."""
+        work, trace = 0, []
+        while stack and len(part[0]) < n:
+            side, splitter = stack.pop()
+            slices: list[int] = []  # slices[b]: the vertices whose count has bit b set
+            for v in _bits(splitter):
+                carry = neighbours[side][v]
+                for b, sl in enumerate(slices):
+                    slices[b], carry = sl ^ carry, sl & carry
+                    if not carry:
+                        break
+                if carry:
+                    slices.append(carry)
+            touched = 0
+            for sl in slices:
+                touched |= sl
+            work += 1 + len(slices)
+            cells = []
+            for c in part[1 - side]:
+                if not c & touched or not c & (c - 1):
+                    cells.append(c)
+                    continue
+                frags = [(c, 0)]  # (cell, count), in ascending count order
+                for sl in reversed(slices):
+                    frags = [q for f, v in frags
+                             for q in ((f & ~sl, 2 * v), (f & sl, 2 * v + 1)) if q[0]]
+                if len(frags) > 1:
+                    sizes = [f.bit_count() for f, _ in frags]
+                    trace.append((side, len(cells), sizes, [v for _, v in frags]))
+                    if ref is not None and (len(trace) > len(ref)
+                                            or trace[-1] != ref[len(trace) - 1]):
+                        return work, trace
+                    work += len(frags)
+                    big = sizes.index(max(sizes))  # Hopcroft: all fragments but the largest
+                    stack.extend((1 - side, f) for i, (f, _) in enumerate(frags) if i != big)
+                cells.extend(f for f, _ in frags)
+            part[1 - side] = cells
+        return work, trace
+
+    def individualize(part, v, ref=None):
+        """A copy of part with node v split off in front of its cell, refined."""
+        nodes, bit = part[0][:], 1 << v
+        i = next(i for i, c in enumerate(nodes) if c & bit)
+        nodes[i:i + 1] = [bit, nodes[i] ^ bit]
+        part = [nodes, part[1]]
+        return part, *refine(part, [(0, bit)], ref)
+
+    def target(part):
+        """The index of the largest node cell, the first of equal ones; None at a leaf."""
+        sizes = [c.bit_count() for c in part[0]]
+        return sizes.index(max(sizes)) if max(sizes) > 1 else None
+
+    def leaf_search(part, level, z):
+        """Puts node z in place of the first path's node at level; returns
+        whether a leaf below gave a verified candidate."""
+        part, work, trace = individualize(part, z, traces[level])
+        yield work, None
+        if trace != traces[level]:
+            return False
+        c = target(part)
+        if c is None:
+            return (yield 0, [part[0][p].bit_length() - 1 for p in first_leaf])
+        for y in _bits(part[0][c]):
+            if (yield from leaf_search(part, level + 1, y)):
+                return True
+        return False
+
+    part = [[(1 << n) - 1], [(1 << len(holders)) - 1]]
+    yield refine(part, [(0, part[0][0]), (1, part[1][0])])[0], None
+    parts, traces = [], []
+    while (c := target(part)) is not None:
+        parts.append(part)
+        part, work, trace = individualize(part, _bits(part[0][c])[0])
+        traces.append(trace)
+        yield work, None
+    first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
+    for level in reversed(range(len(parts))):
+        x, *others = _bits(parts[level][0][target(parts[level])])
+        for z in others:
+            if _root(orbit, z) != _root(orbit, x):
+                yield from leaf_search(parts[level], level, z)
+    yield math.inf, None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ in the public data types; bit positions inside masks are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -124,7 +125,7 @@ class FrCode:
     @cached_property
     def symbol_masks(self) -> tuple[int, ...]:
         """Per-node bitmask of stored symbols; bit j-1 stands for symbol j."""
-        return tuple(sum(1 << (j - 1) for j in s) for s in self.node_sets)
+        return tuple(reduce(or_, (1 << (j - 1) for j in s), 0) for s in self.node_sets)
 
     @cached_property
     def nodes_of_symbol(self) -> tuple[tuple[int, ...], ...]:
@@ -137,7 +138,9 @@ class FrCode:
 
     @cached_property
     def _file_sizes(self) -> dict[int, tuple[int, int]]:
-        """(M(k), search nodes opened) by k, filled in by analyze.file_size."""
+        """(M(k), search nodes opened) by k, filled in by analyze.file_size.
+        The symmetry pruning it counts depends only on (code, k), so a memo
+        hit refuses exactly where a fresh search would."""
         return {}
 
     @cached_property
@@ -368,8 +371,11 @@ def load(path) -> FrCode:
     node_sets = []
     for line_no, line in enumerate(raw[1:], start=2):
         symbols = _int_fields(path, line_no, line, "node line")
-        for j in symbols:
+        for i, j in enumerate(symbols):
             if not 1 <= j <= theta:
                 raise FormatError(path, line_no, f"symbol index {j} out of range 1..{theta}")
+            if i and j <= symbols[i - 1]:
+                raise FormatError(path, line_no,
+                                  f"symbol indices must ascend: {j} follows {symbols[i - 1]}")
         node_sets.append(symbols)
     return FrCode(n=n, theta=theta, alpha=alpha, rho=rho, node_sets=node_sets)

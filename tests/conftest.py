@@ -7,12 +7,13 @@ the checked GF methods for the MDS codec.  Expected values frozen in the
 tests were computed with these.
 """
 
+import math
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from frepkit import GF, BudgetExceededError, FrCode, Graph, TransversalDesign
+from frepkit import GF, BudgetExceededError, FrCode, Graph, TransversalDesign, analyze
 from frepkit.batch import BatchTResult
 
 
@@ -80,6 +81,54 @@ def smallest_admitted_budget(run) -> int:
         else:
             high = mid
     return high
+
+
+def automorphism_maps(code: FrCode, a: int, v: int) -> bool:
+    """Reference symmetry: whether some automorphism of the node/symbol
+    incidence maps node a to node v (0-based), by networkx's VF2++ on the
+    bipartite incidence graph with a and v marked.  Each vertex also carries
+    its distance from the marked node, which any such automorphism keeps;
+    that only speeds the matcher up."""
+
+    def marked(node):
+        G = nx.Graph()
+        G.add_nodes_from((("symbol", j) for j in range(1, code.theta + 1)), kind="symbol")
+        G.add_nodes_from((("node", i) for i in range(code.n)), kind="node")
+        G.add_edges_from((("node", i), ("symbol", j))
+                         for i, s in enumerate(code.node_sets) for j in s)
+        dist = nx.single_source_shortest_path_length(G, ("node", node))
+        for x, data in G.nodes(data=True):
+            data["label"] = (data["kind"], dist.get(x, -1))
+        return G
+
+    return nx.vf2pp_is_isomorphic(marked(a), marked(v), node_label="label")
+
+
+def proven_orbits(code: FrCode) -> list[list[int]]:
+    """The node orbits (0-based) that frepkit's symmetry discovery proves
+    when its work is not limited.  Every candidate must pass
+    analyze._is_automorphism before it joins two orbits, as in the search."""
+    holders = [sum(1 << (i - 1) for i in h) for h in code.nodes_of_symbol]
+    parent = list(range(code.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    found = analyze._automorphism_candidates(code.symbol_masks, holders, parent)
+    verified = None
+    while (step := found.send(verified))[0] != math.inf:
+        perm = step[1]
+        verified = perm is not None and analyze._is_automorphism(holders, perm)
+        if verified:
+            for v, w in enumerate(perm):
+                a, b = root(v), root(w)
+                parent[max(a, b)] = min(a, b)
+    orbits: dict[int, list[int]] = {}
+    for v in range(code.n):
+        orbits.setdefault(root(v), []).append(v)
+    return sorted(orbits.values())
 
 
 def brute_hall_ok(code: FrCode, symbols) -> bool:

@@ -3,13 +3,21 @@ import math
 
 import networkx as nx
 import pytest
-from conftest import brute_max_edges, brute_min_union, smallest_admitted_budget, to_networkx
+from conftest import (
+    automorphism_maps,
+    brute_max_edges,
+    brute_min_union,
+    proven_orbits,
+    smallest_admitted_budget,
+    to_networkx,
+)
 
 from frepkit import (
     BudgetExceededError,
     FrCode,
     Graph,
     ParameterError,
+    analyze,
     capacity_profile,
     file_size,
     fr_capacity_bound,
@@ -293,6 +301,73 @@ class TestFileSize:
                 assert str(memo_hit.value) == str(fresh.value)
                 assert f"more than {b - 1} search nodes" in str(fresh.value)
         assert searched >= 10
+
+
+class TestSymmetryPruning:
+    @pytest.mark.parametrize("code", [
+        from_graph(turan(6, 2)), from_graph(cage("petersen")), from_graph(cage("heawood")),
+        from_design(transversal_design(3, 4)), from_design(projective_plane(2)),
+    ], ids=["k33", "petersen", "heawood", "td34", "pg2"])
+    def test_every_proven_orbit_lies_in_one_true_orbit(self, code):
+        for orbit in proven_orbits(code):
+            assert all(automorphism_maps(code, orbit[0], v) for v in orbit[1:]), orbit
+
+    def test_the_oracle_tells_orbits_apart(self):
+        # nodes 0 and 1 of K_{1,2}'s code: the centre holds both symbols
+        code = FrCode(3, 2, 1, 2, [(1, 2), (1,), (2,)])
+        assert not automorphism_maps(code, 0, 1)
+        assert automorphism_maps(code, 1, 2)
+
+    @pytest.mark.parametrize("code,sizes", [
+        (from_graph(cage("petersen")), [10]),
+        (from_graph(cage("heawood")), [14]),
+        (from_graph(cage("tuttecoxeter")), [30]),
+        (from_design(transversal_design(7, 7)), [49]),
+        (from_graph(cage("mcgee")), [8, 16]),
+    ], ids=["petersen", "heawood", "tuttecoxeter", "td77", "mcgee"])
+    def test_discovery_proves_the_orbits(self, code, sizes):
+        assert sorted(map(len, proven_orbits(code))) == sizes
+
+    def test_a_non_automorphism_is_rejected(self, monkeypatch):
+        # discovery runs as soon as the search has opened a node, and
+        # proposes swapping two adjacent Petersen vertices
+        monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
+        verdicts = []
+
+        def transposition(masks, holders, orbit):
+            verdicts.append((yield 0, [1, 0] + list(range(2, len(masks)))))
+            yield math.inf, None
+
+        def nothing(masks, holders, orbit):
+            yield math.inf, None
+
+        opened = {}
+        for source in (transposition, nothing):
+            monkeypatch.setattr(analyze, "_automorphism_candidates", source)
+            code = from_graph(cage("petersen"))
+            assert file_size(code, 5) == brute_min_union(code, 5) == 10
+            opened[source] = code._file_sizes[5][1]
+        assert verdicts == [False]
+        assert opened[transposition] == opened[nothing]
+
+    def test_refusal_depends_only_on_code_k_and_budget(self):
+        # discovery pays off here: the search skips 24 of its 25 first nodes
+        def make():
+            return from_graph(cage("tuttecoxeter"))
+
+        b = smallest_admitted_budget(lambda budget: file_size(make(), 6, budget))
+        warm = make()
+        assert file_size(warm, 6, budget=b) == 13
+        assert warm._file_sizes[6] == (13, b) and b < 5000
+        with pytest.raises(BudgetExceededError) as fresh:
+            file_size(make(), 6, budget=b - 1)
+        with pytest.raises(BudgetExceededError) as memo_hit:
+            file_size(warm, 6, budget=b - 1)
+        assert str(memo_hit.value) == str(fresh.value)
+
+    def test_td77_k8_runs_at_a_million_nodes(self):
+        # the unpruned search opens 2,786,148 nodes; symmetry leaves 329,859
+        assert file_size(from_design(transversal_design(7, 7)), 8, budget=10**6) == 31
 
 
 class TestPaperRelations:

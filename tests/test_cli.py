@@ -140,6 +140,15 @@ class TestAnalyze:
         assert status == 1
         assert "budget" in err
 
+    def test_repeated_symbol_on_a_node_line_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "repeat.frc"
+        path.write_text("FRC 3 3 2 2\n1 1\n2 3\n1 3\n")
+        status, out, err = run(capsys, "analyze", str(path))
+        assert status == 1
+        assert out == ""
+        assert f"{path}:2: symbol indices must ascend: 1 follows 1" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         status, _, err = run(capsys, "analyze", str(tmp_path / "nope.frc"))
         assert status == 1

@@ -10,17 +10,25 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import pytest
 from conftest import brute_batch_t_detail, brute_max_edges, brute_min_union
 
 from frepkit import (
     BudgetExceededError,
     FrCode,
     Graph,
+    analyze,
     batch_t_detail,
+    cage,
     file_size,
+    from_design,
+    from_graph,
     girth,
     has_k_clique,
     max_induced_edges,
+    projective_plane,
+    transversal_design,
+    turan,
 )
 from frepkit.batch import BatchPlan, retrieval_plan
 from frepkit.matching import maximum_matching
@@ -51,6 +59,57 @@ def test_file_size_matches_brute_on_random_codes():
         code = FrCode(n, theta, alpha, 1, node_sets)
         for k in range(1, n + 1):
             assert file_size(code, k) == brute_min_union(code, k), (node_sets, k)
+
+
+def test_unlimited_symmetry_discovery_keeps_file_size_on_random_codes(monkeypatch):
+    # discovery runs to the end once the search opens a node; copied node
+    # sets give some codes automorphisms to prune with
+    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
+    rng = random.Random(606)
+    for trial in range(80):
+        n = rng.randrange(2, 10)
+        theta = rng.randrange(2, 12)
+        alpha = rng.randrange(1, theta + 1)
+        node_sets = [rng.sample(range(1, theta + 1), alpha) for _ in range(n)]
+        for _ in range(rng.randrange(n)):
+            node_sets[rng.randrange(n)] = list(rng.choice(node_sets))
+        code = FrCode(n, theta, alpha, 1, node_sets)
+        for k in range(1, n + 1):
+            assert file_size(code, k) == brute_min_union(code, k), (node_sets, k)
+
+
+def _relabelled(code, rng):
+    """A copy with nodes and symbols renumbered at random."""
+    nodes = list(range(code.n))
+    symbols = list(range(1, code.theta + 1))
+    rng.shuffle(nodes)
+    rng.shuffle(symbols)
+    sets = [None] * code.n
+    for i, s in enumerate(code.node_sets):
+        sets[nodes[i]] = [symbols[j - 1] for j in s]
+    return FrCode(code.n, code.theta, code.alpha, code.rho, sets)
+
+
+@pytest.mark.parametrize("nodes_per_unit", [analyze._NODES_PER_DISCOVERY_UNIT, 0],
+                         ids=["paid", "unlimited"])
+def test_file_size_is_unchanged_on_relabelled_catalog_codes(monkeypatch, nodes_per_unit):
+    # node relabelling moves the orbit representatives the search keeps;
+    # the large codes' values are the unpruned enumeration's
+    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", nodes_per_unit)
+    rng = random.Random(707)
+    small = [from_graph(turan(6, 2)), from_graph(cage("petersen")),
+             from_graph(cage("heawood")), from_design(transversal_design(3, 4)),
+             from_design(projective_plane(2)), from_design(projective_plane(3))]
+    cases = [(code, [brute_min_union(code, k) for k in range(1, code.n + 1)])
+             for code in small]
+    cases += [(from_graph(cage("tuttecoxeter")), [3, 5, 7, 9, 11, 13, 15]),
+              (from_graph(cage("mcgee")), [3, 5, 7, 9, 11, 13, 14])]
+    if nodes_per_unit:  # unlimited discovery on TD(5,7) takes about 0.1 s per k
+        cases.append((from_design(transversal_design(5, 7)), [7, 13, 18, 22, 25, 28]))
+    for base, expected in cases:
+        for _ in range(2):
+            code = _relabelled(base, rng)
+            assert [file_size(code, k) for k in range(1, len(expected) + 1)] == expected
 
 
 def test_any_admitted_budget_gives_the_exact_answer_on_random_codes():

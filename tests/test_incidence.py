@@ -191,6 +191,20 @@ class TestSaveLoad:
             load(path)
         assert err.value.line_no == 3
 
+    def test_repeated_or_descending_symbols_report_line(self, tmp_path):
+        # a repeated index would also corrupt the search's symbol masks
+        for line, message in (("1 1", "1 follows 1"), ("3 1", "1 follows 3")):
+            path = tmp_path / "bad.frc"
+            path.write_text(f"FRC 3 3 2 2\n1 2\n{line}\n2 3\n")
+            with pytest.raises(FormatError, match=message) as err:
+                load(path)
+            assert err.value.line_no == 3
+
+    def test_symbol_masks_ignore_a_repeated_symbol(self):
+        code = FrCode(3, 3, 2, 2, [(1, 1), (2, 3), (1, 3)])
+        assert code.symbol_masks == (0b001, 0b110, 0b101)
+        assert not validate(code).symbols_valid
+
     def test_wrong_line_count(self, tmp_path):
         path = tmp_path / "bad.frc"
         path.write_text("FRC 3 3 2 2\n1 2\n1 3\n")
