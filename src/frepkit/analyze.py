@@ -16,10 +16,11 @@ charged, so a code that set-up settles runs at any budget.
 
 Symmetry rule for M(k): the search skips node j's depth-0 branch when
 automorphisms, each checked against the incidence, map a smaller node to j.
-Their discovery runs only when the greedy incumbent misses the floor, and
-the search pays for it: between depth-0 branches it may do one unit of work
-per _NODES_PER_DISCOVERY_UNIT nodes opened.  It is not charged to the
-budget, and it depends only on (code, k), so a refusal does too.
+Discovery verifies and records these orbits itself; it runs only when the
+greedy incumbent misses the floor, and the search pays for it: between
+depth-0 branches it may do one unit of work per _NODES_PER_DISCOVERY_UNIT
+nodes opened.  It is not charged to the budget, and it depends only on
+(code, k), so a refusal does too.
 """
 
 from __future__ import annotations
@@ -322,20 +323,13 @@ def _file_size_what(code: FrCode, k: int) -> str:
 
 
 def _greedy_union(masks: tuple[int, ...], k: int, start: int) -> int:
-    union = masks[start]
-    chosen = {start}
+    """Union size of k nodes picked greedily from start, each the first of the
+    remaining nodes that adds the fewest symbols."""
+    rest = list(masks)
+    union = rest.pop(start)
     for _ in range(k - 1):
-        best_i = -1
-        best_size = None
-        for i, m in enumerate(masks):
-            if i in chosen:
-                continue
-            size = (union | m).bit_count()
-            if best_size is None or size < best_size:
-                best_size = size
-                best_i = i
-        chosen.add(best_i)
-        union |= masks[best_i]
+        sizes = [(union | m).bit_count() for m in rest]
+        union |= rest.pop(sizes.index(min(sizes)))
     return union.bit_count()
 
 
@@ -353,15 +347,9 @@ def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
     n = code.n
     sizes = [m.bit_count() for m in masks]
     a_min = min(sizes)
-    holders = [0] * code.theta  # per symbol, the bitmask of nodes storing it
-    for i, m in enumerate(masks):
-        while m:
-            low = m & -m
-            holders[low.bit_length() - 1] |= 1 << i
-            m ^= low
     # every symbol appears in at most r_max of the chosen sets
-    r_max = max(map(int.bit_count, holders))
-    s_max = code.max_pairwise_intersection if n > 1 else 0
+    r_max = max(map(int.bit_count, code.holder_masks))
+    s_max = code.max_pairwise_intersection
     # admissible bounds: the j-th set added overlaps the running union in at
     # most j*s_max symbols, and counting multiplicity caps the union from below
     floor = _ceil_div(k * a_min, min(max(r_max, 1), k))
@@ -394,19 +382,13 @@ def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
             return False
 
         orbit = list(range(n))  # union-find; each root is its class's smallest node
-        found = _automorphism_candidates(masks, holders, orbit)
+        discovery = _discover_orbits(masks, code.holder_masks, orbit)
         # discovery first pays for its incidence graph (vertices and edges),
         # then does one unit of work per _NODES_PER_DISCOVERY_UNIT nodes opened
-        spent, verified = n + code.theta + sum(sizes), None
+        spent = n + code.theta + sum(sizes)
         for j in range(n - k + 1):
             while spent * _NODES_PER_DISCOVERY_UNIT < nodes:
-                work, perm = found.send(verified)
-                spent += work
-                verified = perm is not None and _is_automorphism(holders, perm)
-                if verified:
-                    for v, w in enumerate(perm):
-                        a, b = _root(orbit, v), _root(orbit, w)
-                        orbit[max(a, b)] = min(a, b)
+                spent += next(discovery, math.inf)
             # a node that is not a root is joined to its smaller root
             if orbit[j] != j or sizes[j] + tail[1] >= best:
                 continue
@@ -439,7 +421,7 @@ def _root(orbit: list[int], v: int) -> int:
     return v
 
 
-def _is_automorphism(holders: list[int], perm: list[int]) -> bool:
+def _is_automorphism(holders: Sequence[int], perm: list[int]) -> bool:
     """True when the node permutation perm maps the multiset of holder sets,
     one per symbol, onto itself: then some symbol permutation completes it
     to an automorphism of the incidence, and every union size is kept."""
@@ -449,16 +431,17 @@ def _is_automorphism(holders: list[int], perm: list[int]) -> bool:
     return sorted(images) == sorted(holders)
 
 
-def _automorphism_candidates(masks: tuple[int, ...], holders: list[int], orbit: list[int]):
-    """Yields (work, candidate node permutation or None) steps of
-    individualization and refinement (McKay & Piperno, "Practical graph
-    isomorphism, II", 2014) on the node/symbol incidence graph; the caller
-    sends back whether a candidate verified.  A partition is a pair of ordered
-    lists of node and symbol cell bitmasks.  The first path individualizes
-    the first node of the largest node cell until every node is a singleton.
-    Deepest level first, each other node of that level's cell outside the
-    path node's orbit takes its place, and the tree below is searched for a
-    leaf with the first path's traces.  At the end, work is infinite.
+def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list[int]):
+    """Individualization and refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014) on the node/symbol incidence graph, yielding the
+    work units of each step.  It verifies and records its own orbits: a leaf
+    permutation that passes _is_automorphism joins its nodes' classes in the
+    union-find orbit.  A partition is a pair of ordered lists of node and
+    symbol cell bitmasks.  The first path individualizes the first node of
+    the largest node cell until every node is a singleton.  Deepest level
+    first, each other node of that level's cell outside the path node's orbit
+    takes its place, and the tree below is searched for a leaf with the first
+    path's traces.
     """
     n = len(masks)
     neighbours = (masks, holders)  # of a node, of a symbol
@@ -519,34 +502,39 @@ def _automorphism_candidates(masks: tuple[int, ...], holders: list[int], orbit: 
 
     def leaf_search(part, level, z):
         """Puts node z in place of the first path's node at level; returns
-        whether a leaf below gave a verified candidate."""
+        whether a leaf below gave a verified automorphism."""
         part, work, trace = individualize(part, z, traces[level])
-        yield work, None
+        yield work
         if trace != traces[level]:
             return False
         c = target(part)
         if c is None:
-            return (yield 0, [part[0][p].bit_length() - 1 for p in first_leaf])
+            perm = [part[0][p].bit_length() - 1 for p in first_leaf]
+            if not _is_automorphism(holders, perm):
+                return False
+            for v, w in enumerate(perm):
+                a, b = _root(orbit, v), _root(orbit, w)
+                orbit[max(a, b)] = min(a, b)
+            return True
         for y in _bits(part[0][c]):
             if (yield from leaf_search(part, level + 1, y)):
                 return True
         return False
 
     part = [[(1 << n) - 1], [(1 << len(holders)) - 1]]
-    yield refine(part, [(0, part[0][0]), (1, part[1][0])])[0], None
+    yield refine(part, [(0, part[0][0]), (1, part[1][0])])[0]
     parts, traces = [], []
     while (c := target(part)) is not None:
         parts.append(part)
         part, work, trace = individualize(part, _bits(part[0][c])[0])
         traces.append(trace)
-        yield work, None
+        yield work
     first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
     for level in reversed(range(len(parts))):
         x, *others = _bits(parts[level][0][target(parts[level])])
         for z in others:
             if _root(orbit, z) != _root(orbit, x):
                 yield from leaf_search(parts[level], level, z)
-    yield math.inf, None
 
 
 # ---------------------------------------------------------------------------

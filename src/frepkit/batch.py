@@ -133,12 +133,11 @@ def batch_t_detail(code: FrCode, budget: int | None = None) -> BatchTResult:
         unstored = next(j for j, h in enumerate(holders, start=1) if not h)
         return BatchTResult(t=0, witness=(unstored,), witness_nodes=())
     high = min(code.n, code.theta - 1)
-    holder_masks = [sum(1 << (i - 1) for i in h) for h in holders]
-    found = _smallest_deficient(code, holder_masks,
-                                _smallest_open_size(code, min_rho, high), high, budget)
+    found = _smallest_deficient(code, _smallest_open_size(code, min_rho, high), high, budget)
     if found is not None:
         chosen, size = found
-        interior = [j for j, mask in enumerate(holder_masks, start=1) if not mask & ~chosen]
+        interior = [j for j, mask in enumerate(code.holder_masks, start=1)
+                    if not mask & ~chosen]
         return BatchTResult(t=size, witness=tuple(interior[: size + 1]),
                             witness_nodes=tuple(i + 1 for i in range(code.n) if chosen >> i & 1))
     return BatchTResult(t=code.theta, witness=None, witness_nodes=None)
@@ -162,8 +161,8 @@ def _smallest_open_size(code: FrCode, min_rho: int, high: int) -> int:
     return high + 1
 
 
-def _smallest_deficient(code: FrCode, holder_masks: list[int], smallest: int,
-                        limit: int, budget: int) -> tuple[int, int] | None:
+def _smallest_deficient(code: FrCode, smallest: int, limit: int,
+                        budget: int) -> tuple[int, int] | None:
     """Node mask and size of a smallest deficient set of size in
     [smallest, limit], or None.
 
@@ -180,7 +179,7 @@ def _smallest_deficient(code: FrCode, holder_masks: list[int], smallest: int,
     n = code.n
     node_symbols: list[list[int]] = [[] for _ in range(n)]
     adjacency = [0] * n
-    for mask, holders in zip(holder_masks, code.nodes_of_symbol):
+    for mask, holders in zip(code.holder_masks, code.nodes_of_symbol):
         for i in holders:
             node_symbols[i - 1].append(mask)
             adjacency[i - 1] |= mask
@@ -315,18 +314,23 @@ def theorem5_predicted_t(family: str, **params) -> int:
     complete_bipartite(alpha > 2) -> 5; girth(g) -> 2g - floor(g/2) - 1;
     resolvable_td(alpha a prime power) -> alpha^2 - alpha - 1.
     """
+    def param(name: str) -> int:
+        if name not in params:
+            raise ParameterError(f"family {family!r} needs the parameter {name!r}")
+        return params[name]
+
     if family == "complete_bipartite":
-        alpha = params["alpha"]
+        alpha = param("alpha")
         if alpha <= 2:
             raise ParameterError(f"complete bipartite family needs alpha > 2, got {alpha}")
         return 5
     if family == "girth":
-        g = params["g"]
+        g = param("g")
         if g < 3:
             raise ParameterError(f"girth must be at least 3, got {g}")
         return 2 * g - g // 2 - 1
     if family == "resolvable_td":
-        alpha = params["alpha"]
+        alpha = param("alpha")
         GF(alpha)  # raises unless alpha is a supported prime power
         return alpha * alpha - alpha - 1
     raise ParameterError(f"unknown family {family!r}")

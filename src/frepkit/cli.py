@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_store(args) -> int:
     code = incidence.load(args.code)
-    field = GF(args.field_q) if args.field_q else None
+    field = GF(args.field_q) if args.field_q is not None else default_field_for(code.theta)
     budget = _default_budget()
     m_size = analyze.file_size(code, args.k, budget=budget)
     if args.file is not None:
@@ -153,9 +153,8 @@ def _cmd_store(args) -> int:
         seed = None
     else:
         seed = args.seed if args.seed is not None else 0
-        q = (field or default_field_for(code.theta)).q
         rng = random.Random(seed)
-        symbols = [rng.randrange(q) for _ in range(m_size)]
+        symbols = [rng.randrange(field.q) for _ in range(m_size)]
     system = dress.store(code, args.k, symbols, args.root, field=field, seed=seed,
                          budget=budget)
     print(f"stored {system.m_size} symbols over GF({system.field.q}) in "
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
     except FrepkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
 

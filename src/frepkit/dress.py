@@ -245,8 +245,9 @@ def plan_repair(system: StoredSystem, failed: int, policy: str = "lowest",
     """
     if policy not in REPAIR_POLICIES:
         raise ParameterError(f"unknown policy {policy!r}; choose from {REPAIR_POLICIES}")
-    if not 1 <= failed <= system.code.n:
-        raise ParameterError(f"node id {failed} out of range 1..{system.code.n}")
+    for i in (failed, *dead):
+        if not 1 <= i <= system.code.n:
+            raise ParameterError(f"node id {i} out of range 1..{system.code.n}")
     unavailable = {failed} | set(dead)
     lost = system.code.node_sets[failed - 1]
     candidates = []

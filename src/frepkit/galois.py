@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -84,6 +84,12 @@ def _prime_power(q: int) -> tuple[int, int]:
         f"field order {q} has characteristic outside {FIELD_CHARACTERISTICS}")
 
 
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int):
+        raise ParameterError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _prime_factors(n: int) -> list[int]:
     factors = []
     d = 2
@@ -111,10 +117,13 @@ class GF:
         if m == 1:
             self.modulus = None
         elif p == 2:
-            self.modulus = int(modulus) if modulus is not None else _BINARY_MODULI[m]
+            self.modulus = (_integer(modulus, "modulus") if modulus is not None
+                            else _BINARY_MODULI[m])
         else:
             if modulus is not None:
-                self.modulus = tuple(int(c) for c in modulus)
+                if not isinstance(modulus, (list, tuple)):
+                    raise ParameterError(f"modulus {modulus!r} is not a coefficient list")
+                self.modulus = tuple(_integer(c, "modulus coefficient") for c in modulus)
             elif (p, m) in _ODD_MODULI:
                 self.modulus = _ODD_MODULI[(p, m)]
             else:
@@ -328,17 +337,12 @@ class GF:
         return f"GF({self.q})"
 
 
-@lru_cache(maxsize=None)
-def _cached_field(q: int) -> GF:
-    return GF(q)
-
-
 def default_field_for(theta: int) -> GF:
     """Smallest GF(2^m) large enough to index theta codeword positions."""
     m = 1
     while (1 << m) < theta:
         m += 1
-    return _cached_field(1 << m)
+    return GF(1 << m)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -358,9 +362,8 @@ class MdsCode:
         default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, value in (("length", self.length), ("dimension", self.dimension)):
-            if not isinstance(value, int):
-                raise ParameterError(f"{name} {value!r} is not an integer")
+        _integer(self.length, "length")
+        _integer(self.dimension, "dimension")
         if not 1 <= self.dimension <= self.length:
             raise ParameterError(
                 f"need 1 <= dimension <= length, got ({self.dimension}, {self.length})")

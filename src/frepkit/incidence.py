@@ -137,6 +137,16 @@ class FrCode:
         return tuple(tuple(h) for h in holders)
 
     @cached_property
+    def holder_masks(self) -> tuple[int, ...]:
+        """Per-symbol bitmask of the nodes storing it, symbol j at index j-1;
+        bit i-1 stands for node i."""
+        masks = [0] * self.theta
+        for i, s in enumerate(self.node_sets):
+            for j in s:
+                masks[j - 1] |= 1 << i
+        return tuple(masks)
+
+    @cached_property
     def _file_sizes(self) -> dict[int, tuple[int, int]]:
         """(M(k), search nodes opened) by k, filled in by analyze.file_size.
         The symmetry pruning it counts depends only on (code, k), so a memo
@@ -278,7 +288,7 @@ def validate(code: FrCode) -> CodeReport:
         columns_uniform=columns_uniform,
         counting_consistent=counting_consistent,
         symbols_valid=symbols_valid,
-        max_intersection=code.max_pairwise_intersection if code.n > 1 else 0,
+        max_intersection=code.max_pairwise_intersection,
     )
 
 
@@ -355,7 +365,10 @@ def _int_fields(path, line_no: int, text: str, what: str) -> list[int]:
 def load(path) -> FrCode:
     """Parse a .frc file.  Structural problems raise FormatError with the
     line number; semantic problems (wrong weights) are left to validate()."""
-    raw = Path(path).read_text(encoding="ascii").split("\n")
+    raw = Path(path).read_text(encoding="ascii", errors="replace").split("\n")
+    for line_no, line in enumerate(raw, start=1):
+        if "\ufffd" in line:  # the decoder's stand-in for a non-ASCII byte
+            raise FormatError(path, line_no, "bytes outside ASCII")
     if raw and raw[-1] == "":
         raw.pop()
     if not raw:

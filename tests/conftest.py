@@ -7,7 +7,6 @@ the checked GF methods for the MDS codec.  Expected values frozen in the
 tests were computed with these.
 """
 
-import math
 from itertools import combinations
 
 import networkx as nx
@@ -106,28 +105,14 @@ def automorphism_maps(code: FrCode, a: int, v: int) -> bool:
 
 def proven_orbits(code: FrCode) -> list[list[int]]:
     """The node orbits (0-based) that frepkit's symmetry discovery proves
-    when its work is not limited.  Every candidate must pass
-    analyze._is_automorphism before it joins two orbits, as in the search."""
-    holders = [sum(1 << (i - 1) for i in h) for h in code.nodes_of_symbol]
+    when its work is not limited: discovery run to its end, which verifies
+    each candidate with analyze._is_automorphism before it joins two orbits."""
     parent = list(range(code.n))
-
-    def root(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    found = analyze._automorphism_candidates(code.symbol_masks, holders, parent)
-    verified = None
-    while (step := found.send(verified))[0] != math.inf:
-        perm = step[1]
-        verified = perm is not None and analyze._is_automorphism(holders, perm)
-        if verified:
-            for v, w in enumerate(perm):
-                a, b = root(v), root(w)
-                parent[max(a, b)] = min(a, b)
+    for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks, parent):
+        pass
     orbits: dict[int, list[int]] = {}
     for v in range(code.n):
-        orbits.setdefault(root(v), []).append(v)
+        orbits.setdefault(analyze._root(parent, v), []).append(v)
     return sorted(orbits.values())
 
 

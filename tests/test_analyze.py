@@ -328,27 +328,40 @@ class TestSymmetryPruning:
     def test_discovery_proves_the_orbits(self, code, sizes):
         assert sorted(map(len, proven_orbits(code))) == sizes
 
+    @pytest.mark.parametrize("code,k,expected", [
+        (from_graph(cage("tuttecoxeter")), 6, (13, 3990)),
+        (from_design(transversal_design(5, 7)), 6, (28, 3545)),
+        (from_design(transversal_design(5, 7)), 7, (30, 19782)),
+        (from_graph(cage("mcgee")), 9, (18, 57989)),
+    ], ids=["tuttecoxeter-k6", "td57-k6", "td57-k7", "mcgee-k9"])
+    def test_the_discovery_schedule_is_pinned(self, code, k, expected):
+        # (M(k), search nodes opened): the node count moves with any change
+        # to when discovery runs, what it charges, or which orbits it proves
+        file_size(code, k)
+        assert code._file_sizes[k] == expected
+
     def test_a_non_automorphism_is_rejected(self, monkeypatch):
-        # discovery runs as soon as the search has opened a node, and
-        # proposes swapping two adjacent Petersen vertices
+        code = from_graph(cage("petersen"))
+        # vertices 1 and 2 are adjacent: swapping them is not an automorphism
+        assert (1, 2) in cage("petersen").edges
+        assert not analyze._is_automorphism(code.holder_masks, [1, 0] + list(range(2, 10)))
+        # discovery runs as soon as the search has opened a node; with every
+        # candidate rejected, the search opens what it opens without discovery
         monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
-        verdicts = []
+        checked = []
 
-        def transposition(masks, holders, orbit):
-            verdicts.append((yield 0, [1, 0] + list(range(2, len(masks)))))
-            yield math.inf, None
+        def reject(holders, perm):
+            checked.append(perm)
+            return False
 
-        def nothing(masks, holders, orbit):
-            yield math.inf, None
-
-        opened = {}
-        for source in (transposition, nothing):
-            monkeypatch.setattr(analyze, "_automorphism_candidates", source)
-            code = from_graph(cage("petersen"))
-            assert file_size(code, 5) == brute_min_union(code, 5) == 10
-            opened[source] = code._file_sizes[5][1]
-        assert verdicts == [False]
-        assert opened[transposition] == opened[nothing]
+        monkeypatch.setattr(analyze, "_is_automorphism", reject)
+        rejecting = from_graph(cage("petersen"))
+        assert file_size(rejecting, 5) == brute_min_union(rejecting, 5) == 10
+        assert checked
+        monkeypatch.setattr(analyze, "_discover_orbits", lambda masks, holders, orbit: iter(()))
+        silent = from_graph(cage("petersen"))
+        assert file_size(silent, 5) == 10
+        assert rejecting._file_sizes[5][1] == silent._file_sizes[5][1]
 
     def test_refusal_depends_only_on_code_k_and_budget(self):
         # discovery pays off here: the search skips 24 of its 25 first nodes

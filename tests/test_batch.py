@@ -202,6 +202,9 @@ class TestTheorem5:
             theorem5_predicted_t("resolvable_td", alpha=6)
         with pytest.raises(ParameterError):
             theorem5_predicted_t("no_such_family")
+        for family in ("complete_bipartite", "girth", "resolvable_td"):
+            with pytest.raises(ParameterError, match="needs the parameter"):
+                theorem5_predicted_t(family)
 
     def test_exact_t_dominates_prediction_in_family(self):
         cases = [

@@ -414,19 +414,36 @@ class TestInputErrors:
          None, "payload.txt: '3x'"),
         (["batch", "{frc}", "--t", "0"], None, "--t: 0"),
         (["batch", "{frc}", "--t", "-1"], None, "--t: -1"),
-    ], ids=["budget-env", "nodes", "dead", "store-file", "batch-t-0", "batch-t-negative"])
+        (["analyze", "{latin1}"], None, "latin1.frc:2: bytes outside ASCII"),
+        (["analyze", "{dir}"], None, "Is a directory"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{dir}"],
+         None, "Is a directory"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{file}"], None, "File exists"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--field-q", "0"],
+         None, "field order must be at least 2, got 0"),
+        (["repair", "--root", "{root}", "--failed", "1", "--dead", "99"], None,
+         "node id 99 out of range 1..12"),
+        (["repair", "--root", "{root}", "--failed", "1", "--dead", "0,-3"], None,
+         "node id 0 out of range 1..12"),
+    ], ids=["budget-env", "nodes", "dead", "store-file", "batch-t-0", "batch-t-negative",
+            "non-ascii-frc", "directory-frc", "store-file-directory", "store-root-file",
+            "field-q-0", "dead-99", "dead-0-and-negative"])
     def test_exits_1_naming_the_value(self, capsys, tmp_path, monkeypatch, td34_frc,
                                       argv, budget, source):
         if budget is not None:
             monkeypatch.setenv("FREPKIT_BUDGET", budget)
         payload = tmp_path / "payload.txt"
         payload.write_text("1 2 3x 4\n")
+        latin1 = tmp_path / "latin1.frc"
+        latin1.write_bytes(b"FRC 3 3 2 2\n1 2 \xe9\n1 3\n2 3\n")
+        (tmp_path / "dir").mkdir()
         paths = {"frc": td34_frc, "root": copy_store(tmp_path), "new": tmp_path / "new",
-                 "file": payload}
+                 "file": payload, "latin1": latin1, "dir": tmp_path / "dir"}
         status, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
         assert status == 1
         assert out == ""
         assert err.startswith("error: ") and source in err
+        assert "Traceback" not in err
         assert not (tmp_path / "new").exists()
 
 

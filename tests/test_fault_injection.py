@@ -115,13 +115,19 @@ def test_damaged_store_gives_the_original_or_refuses(pristine, tmp_path, capsys,
         assert not list(root.glob("*.tmp")), seed
 
 
-def test_non_integer_file_size_in_manifest_is_corruption(tmp_path, capsys):
+@pytest.mark.parametrize("block,key,value,message", [
+    (None, "M", 11.0, "dimension 11.0 is not an integer"),
+    ("field", "modulus", "abc", "modulus 'abc' is not an integer"),
+    ("field", "modulus", 19.5, "modulus 19.5 is not an integer"),
+], ids=["M-11.0", "modulus-abc", "modulus-19.5"])
+def test_non_integer_file_size_in_manifest_is_corruption(tmp_path, capsys, block, key, value,
+                                                         message):
     root = tmp_path / "sys"
     shutil.copytree(Path(__file__).parent / "data" / "td34_k4_seed0", root)
     manifest = json.loads((root / "manifest.json").read_text())
-    manifest["M"] = 11.0
+    (manifest[block] if block else manifest)[key] = value
     (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CorruptionError, match="dimension 11.0 is not an integer"):
+    with pytest.raises(CorruptionError, match=message):
         load_system(root)
     assert main(["reconstruct", "--root", str(root), "--nodes", "1,2,3,4"]) == 1
     captured = capsys.readouterr()

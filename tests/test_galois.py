@@ -92,6 +92,13 @@ class TestFieldAxioms:
         with pytest.raises(ParameterError, match="irreducible"):
             GF(4, modulus=0b100)
 
+    def test_odd_modulus_must_be_integer_coefficients(self):
+        # a binary modulus is one integer; the manifest tests cover it
+        with pytest.raises(ParameterError, match="coefficient 2.0 is not an integer"):
+            GF(9, modulus=(2.0, 1))
+        with pytest.raises(ParameterError, match="modulus 7 is not a coefficient list"):
+            GF(9, modulus=7)
+
 
 class TestDefaultField:
     def test_smallest_binary_field(self):
