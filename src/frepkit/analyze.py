@@ -21,6 +21,14 @@ greedy incumbent misses the floor, and the search pays for it: between
 depth-0 branches it may do one unit of work per _NODES_PER_DISCOVERY_UNIT
 nodes opened.  It is not charged to the budget, and it depends only on
 (code, k), so a refusal does too.
+
+Profile rule: capacity_profile finds M(1..k_max) in one pass, k ascending,
+and bounds each row's search by the exact rows below it.  Its searches
+share one greedy pass and one discovery, paid by the nodes the profile has
+opened so far.  The budget counts each k-search's own nodes, so a refusal
+depends only on (code, k_max, budget).  The profile neither reads nor writes
+the per-code memo; only file_size, a search of its own with no rows below
+it, uses that.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from types import MappingProxyType
 from typing import Sequence
 
@@ -257,7 +267,10 @@ def has_k_clique(g: Graph, k: int) -> bool:
                 return True
         return False
 
-    return extend((1 << g.v) - 1, k)
+    try:
+        return extend((1 << g.v) - 1, k)
+    finally:
+        extend = None  # it refers to itself: break the cycle
 
 
 def max_induced_edges(g: Graph, k: int, budget: int | None = None) -> int:
@@ -291,7 +304,10 @@ def max_induced_edges(g: Graph, k: int, budget: int | None = None) -> int:
             extend(i + 1, depth + 1, chosen_mask | (1 << i),
                    count + (adj[i] & chosen_mask).bit_count())
 
-    extend(0, 0, 0, 0)
+    try:
+        extend(0, 0, 0, 0)
+    finally:
+        extend = None  # it refers to itself: break the cycle
     return best
 
 
@@ -311,7 +327,7 @@ def file_size(code: FrCode, k: int, budget: int | None = None) -> int:
     budget = _budget(budget)
     memo = code._file_sizes
     if k not in memo:
-        memo[k] = _min_union(code, k, budget)
+        memo[k] = _min_union(code, k, budget, _Profile(code, k))
     m_size, nodes = memo[k]
     if nodes > budget:
         raise BudgetExceededError(_file_size_what(code, k), budget)
@@ -322,19 +338,66 @@ def _file_size_what(code: FrCode, k: int) -> str:
     return f"file-size search over {k}-subsets of {code.n} nodes"
 
 
-def _greedy_union(masks: tuple[int, ...], k: int, start: int) -> int:
-    """Union size of k nodes picked greedily from start, each the first of the
-    remaining nodes that adds the fewest symbols."""
-    rest = list(masks)
-    union = rest.pop(start)
-    for _ in range(k - 1):
-        sizes = [(union | m).bit_count() for m in rest]
-        union |= rest.pop(sizes.index(min(sizes)))
-    return union.bit_count()
+def _greedy_unions(masks: tuple[int, ...], k_max: int) -> list[int]:
+    """Entry k - 1: the smallest union size, over all start nodes, of k nodes
+    picked greedily from the start, each the first of the remaining nodes
+    that adds the fewest symbols.  The picks for k are a prefix of those for
+    k + 1, so one run per start serves every k up to k_max."""
+    best = [math.inf] * k_max
+    for start in range(len(masks)):
+        rest = list(masks)
+        union = rest.pop(start)
+        sizes = [union.bit_count()]
+        for _ in range(k_max - 1):
+            grown = [(union | m).bit_count() for m in rest]
+            least = min(grown)
+            union |= rest.pop(grown.index(least))
+            sizes.append(least)
+        best = list(map(min, best, sizes))
+    return best
 
 
-def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
+class _Profile:
+    """What the M(k) searches of one capacity profile share, run for k = 1,
+    2, ... in turn: the greedy incumbents, the exact rows found so far, the
+    suffix unions, and the proven orbits with the discovery that extends
+    them.  A standalone file_size search has one of its own, with no rows."""
+
+    def __init__(self, code: FrCode, k_max: int):
+        masks = code.symbol_masks
+        self.greedy = _greedy_unions(masks, k_max)
+        self.rows: list[int] = []  # exact M(1), M(2), ... so far
+        # suffix[s]: the union of masks[s:]
+        self.suffix = list(accumulate(reversed(masks), or_, initial=0))[::-1]
+        self.orbit = list(range(code.n))  # union-find; each root is its class's smallest node
+        self._units = _discover_orbits(masks, code.holder_masks, self.orbit)
+        # discovery first pays for its incidence graph (vertices and edges)
+        self._spent = code.n + code.theta + sum(map(int.bit_count, masks))
+        self.opened = 0  # search nodes of the finished searches
+
+    def discover(self, nodes: int) -> None:
+        """Runs discovery until it has done one unit of work per
+        _NODES_PER_DISCOVERY_UNIT nodes opened, these nodes included."""
+        while self._spent * _NODES_PER_DISCOVERY_UNIT < self.opened + nodes:
+            self._spent += next(self._units, math.inf)
+
+
+def _profile_sizes(code: FrCode, k_max: int, budget: int) -> list[tuple[int, int]]:
+    """(M(k), search nodes opened) for k = 1..k_max, each search bounded by
+    the rows below it; raises once one search's count passes budget."""
+    profile = _Profile(code, k_max)
+    sizes = []
+    for k in range(1, k_max + 1):
+        m_size, nodes = _min_union(code, k, budget, profile)
+        profile.rows.append(m_size)
+        profile.opened += nodes
+        sizes.append((m_size, nodes))
+    return sizes
+
+
+def _min_union(code: FrCode, k: int, budget: int, profile: _Profile) -> tuple[int, int]:
     """(M(k), search nodes opened); raises once the count passes budget.
+    profile.rows holds the exact M(1..k-1), or nothing.
 
     Branch j of the depth-0 loop holds the k-sets whose smallest node is j;
     it is skipped when verified automorphisms join j to a node a < j.
@@ -342,6 +405,11 @@ def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
     branch j to a set of the same union size whose smallest node is below
     j, so by induction on j, S has an equal set in a searched branch.  Any
     subgroup keeps M(k) exact; proving fewer orbits only costs pruning.
+
+    A node with union U of u symbols, first free node s and r >= 2 nodes
+    still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:
+    each completion adds the union N of r nodes from s on, with N inside
+    suffix[s] and |N| >= M(r), so |U | N| >= u + M(r) - |U & suffix[s]|.
     """
     masks = code.symbol_masks
     n = code.n
@@ -356,11 +424,16 @@ def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
     tail = [0] * (k + 1)
     for c in range(k - 1, -1, -1):
         tail[c] = tail[c + 1] + max(0, a_min - s_max * c)
-    floor = max(floor, tail[0])
+    below = profile.rows
+    floor = max(floor, tail[0], *below[-1:])  # M is monotone in k
 
-    best = min(_greedy_union(masks, k, start) for start in range(n))
+    best = profile.greedy[k - 1]
     nodes = 0
     if best > floor:
+        suffix = profile.suffix
+        # doll[d]: M(r) for the r = k - d - 1 nodes still to pick below a
+        # child at depth d + 1, when r >= 2 inside a profile; 0 skips the test
+        doll = [*below[:0:-1], 0, 0] if below else [0] * k
 
         def descend(start: int, depth: int, union: int, usize: int) -> bool:
             """Returns True once the floor is reached and search can stop."""
@@ -372,28 +445,32 @@ def _min_union(code: FrCode, k: int, budget: int) -> tuple[int, int]:
                 if usize < best:
                     best = usize
                 return best <= floor
+            limit = best - tail[depth + 1]
+            rest = doll[depth]
             for i in range(start, n - (k - depth) + 1):
                 nu = union | masks[i]
                 ns = nu.bit_count()
-                if ns + tail[depth + 1] >= best:
+                if ns >= limit or rest and ns + rest - (nu & suffix[i + 1]).bit_count() >= best:
                     continue
                 if descend(i + 1, depth + 1, nu, ns):
                     return True
+                limit = best - tail[depth + 1]
             return False
 
-        orbit = list(range(n))  # union-find; each root is its class's smallest node
-        discovery = _discover_orbits(masks, code.holder_masks, orbit)
-        # discovery first pays for its incidence graph (vertices and edges),
-        # then does one unit of work per _NODES_PER_DISCOVERY_UNIT nodes opened
-        spent = n + code.theta + sum(sizes)
-        for j in range(n - k + 1):
-            while spent * _NODES_PER_DISCOVERY_UNIT < nodes:
-                spent += next(discovery, math.inf)
-            # a node that is not a root is joined to its smaller root
-            if orbit[j] != j or sizes[j] + tail[1] >= best:
-                continue
-            if descend(j + 1, 1, masks[j], sizes[j]):
-                break
+        orbit = profile.orbit
+        try:
+            for j in range(n - k + 1):
+                profile.discover(nodes)
+                # a node that is not a root is joined to its smaller root
+                if orbit[j] != j or sizes[j] + tail[1] >= best:
+                    continue
+                if doll[0] and (sizes[j] + doll[0]
+                                - (masks[j] & suffix[j + 1]).bit_count() >= best):
+                    continue
+                if descend(j + 1, 1, masks[j], sizes[j]):
+                    break
+        finally:
+            descend = None  # it refers to itself: free the code without the cyclic collector
     return best, nodes
 
 
@@ -522,19 +599,22 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list
         return False
 
     part = [[(1 << n) - 1], [(1 << len(holders)) - 1]]
-    yield refine(part, [(0, part[0][0]), (1, part[1][0])])[0]
-    parts, traces = [], []
-    while (c := target(part)) is not None:
-        parts.append(part)
-        part, work, trace = individualize(part, _bits(part[0][c])[0])
-        traces.append(trace)
-        yield work
-    first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
-    for level in reversed(range(len(parts))):
-        x, *others = _bits(parts[level][0][target(parts[level])])
-        for z in others:
-            if _root(orbit, z) != _root(orbit, x):
-                yield from leaf_search(parts[level], level, z)
+    try:
+        yield refine(part, [(0, part[0][0]), (1, part[1][0])])[0]
+        parts, traces = [], []
+        while (c := target(part)) is not None:
+            parts.append(part)
+            part, work, trace = individualize(part, _bits(part[0][c])[0])
+            traces.append(trace)
+            yield work
+        first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
+        for level in reversed(range(len(parts))):
+            x, *others = _bits(parts[level][0][target(parts[level])])
+            for z in others:
+                if _root(orbit, z) != _root(orbit, x):
+                    yield from leaf_search(parts[level], level, z)
+    finally:
+        leaf_search = None  # it refers to itself: break the cycle, also on close()
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +713,7 @@ def capacity_profile(code: FrCode, k_max: int | None = None,
     if not 1 <= k_max <= code.n:
         raise ParameterError(f"need 1 <= k_max <= {code.n}, got {k_max}")
     rows = []
-    for k in range(1, k_max + 1):
-        exact = file_size(code, k, budget=budget)
+    for k, (exact, _) in enumerate(_profile_sizes(code, k_max, _budget(budget)), start=1):
         phi = fr_capacity_bound(code.n, k, code.alpha, code.rho) if k < code.n else code.theta
         mbr = mbr_capacity(k, code.alpha)
         rho2_cap = k * code.alpha - k + 1 if code.rho == 2 and k <= code.alpha else None

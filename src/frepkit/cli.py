@@ -221,6 +221,11 @@ def _cmd_certify_frb(args) -> int:
         doc = json.loads(profile.to_json())
         doc["frb"] = cert.to_json_dict()
         print(json.dumps(doc, sort_keys=True, indent=2))
+        # M(k) reaches the two halves by two exact searches: file_size's and the profile's
+        if args.k <= len(profile.rows) and profile.row(args.k).exact != cert.file_size:
+            print(f"cross-check failed: M({args.k}) = {cert.file_size} in the certificate "
+                  f"but {profile.row(args.k).exact} in the capacity profile", file=sys.stderr)
+            return EXIT_CROSS_CHECK
     else:
         print(f"FRB tuple: {cert.tuple_str}")
         labels = ["node degree uniform", "symbol replication uniform",

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import networkx as nx
 import pytest
@@ -508,8 +510,97 @@ class TestCapacityProfile:
         assert profile.to_json() == profile.to_json()
         assert profile.to_text() == profile.to_text()
 
+    @pytest.mark.parametrize("code,expected", [
+        (from_graph(cage("tuttecoxeter")), [3, 5, 7, 9, 11, 13, 15, 16, 18, 20]),
+        (from_graph(cage("mcgee")), [3, 5, 7, 9, 11, 13, 14, 16, 18, 19, 21, 22]),
+        (from_design(projective_plane(5)), [6, 11, 15, 18, 20, 21, 23, 24, 25]),
+        (from_design(transversal_design(5, 7)), [7, 13, 18, 22, 25, 28, 30, 31]),
+    ], ids=["tuttecoxeter", "mcgee", "pg5", "td57"])
+    def test_rows_on_the_benchmark_codes(self, code, expected):
+        # the rows the capacity benchmark's `analyze` runs must print
+        assert [r.exact for r in capacity_profile(code, len(expected)).rows] == expected
+
+    @pytest.mark.parametrize("make,expected", [
+        (lambda: from_graph(cage("tuttecoxeter")),
+         [(3, 0), (5, 0), (7, 44), (9, 647), (11, 1680), (13, 2151), (15, 4829),
+          (16, 3765), (18, 11069), (20, 30760)]),
+        (lambda: from_graph(cage("mcgee")),
+         [(3, 0), (5, 0), (7, 35), (9, 403), (11, 1038), (13, 1548), (14, 533),
+          (16, 1832), (18, 5366), (19, 2330), (21, 7335), (22, 3663)]),
+    ], ids=["tuttecoxeter", "mcgee"])
+    def test_the_profile_schedule_is_pinned(self, make, expected):
+        """(M(k), search nodes opened) for each k of one profile pass; the
+        counts move with any change to the bounds from the rows below, the
+        shared greedy pass or the shared discovery.
+
+        That no k-search of the profile opens more nodes than the standalone
+        file_size search is an observed regression check, not a theorem:
+        discovery is paid per node opened, so a search that opens fewer nodes
+        early may prove its orbits later (TD(5,7) at k = 6 opens 3,796 nodes
+        in the profile and 3,545 alone)."""
+        sizes = analyze._profile_sizes(make(), len(expected), analyze.DEFAULT_BUDGET)
+        assert sizes == expected
+        for k, (_, nodes) in enumerate(sizes, start=1):
+            alone = make()
+            file_size(alone, k)
+            assert nodes <= alone._file_sizes[k][1], k
+
+    def test_the_profile_neither_reads_nor_writes_the_memo(self):
+        code = from_graph(cage("petersen"))
+        assert [r.exact for r in capacity_profile(code).rows] == [3, 5, 7]
+        assert code._file_sizes == {}
+        code._file_sizes[2] = (99, 0)
+        assert [r.exact for r in capacity_profile(code).rows] == [3, 5, 7]
+        assert file_size(code, 2) == 99
+
+    def test_refusal_depends_only_on_code_k_max_and_budget(self):
+        # each k-search has the budget to itself: the profile refuses below
+        # its largest per-k count and runs from it on
+        def make():
+            return from_graph(cage("tuttecoxeter"))
+
+        largest = max(nodes for _, nodes in
+                      analyze._profile_sizes(make(), 8, analyze.DEFAULT_BUDGET))
+        assert largest == 4829
+        assert len(capacity_profile(make(), 8, budget=largest).rows) == 8
+        with pytest.raises(BudgetExceededError, match="over 7-subsets of 30 nodes"):
+            capacity_profile(make(), 8, budget=largest - 1)
+
     def test_cross_check_catches_lying_header(self):
         # a K33 code whose header claims rho=3 computes a phi below the true M
         code = FrCode(6, 9, 3, 3, from_graph(turan(6, 2)).node_sets)
         profile = capacity_profile(code)
         assert any("phi" in p for p in profile.cross_check())
+
+
+class TestReferenceCycles:
+    def test_searches_free_their_inputs_without_the_cyclic_collector(self):
+        # the recursive search closures refer to themselves; each search
+        # breaks that cycle on the way out, refusal included, so a code dies
+        # with its last reference and nothing is left for the collector
+        searches = [
+            (lambda: from_graph(cage("tuttecoxeter")), lambda c: file_size(c, 6)),
+            (lambda: from_graph(cage("tuttecoxeter")), lambda c: file_size(c, 9, budget=100)),
+            (lambda: from_graph(cage("petersen")), capacity_profile),
+            (lambda: from_graph(cage("tuttecoxeter")), lambda c: capacity_profile(c, 8)),
+            (lambda: from_graph(cage("tuttecoxeter")),
+             lambda c: capacity_profile(c, 8, budget=100)),
+            (lambda: cage("petersen"), lambda g: max_induced_edges(g, 5)),
+            (lambda: cage("petersen"), lambda g: max_induced_edges(g, 5, budget=3)),
+            (lambda: cage("petersen"), lambda g: has_k_clique(g, 3)),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for i, (make, search) in enumerate(searches):
+                subject = make()
+                ref = weakref.ref(subject)
+                try:
+                    search(subject)
+                except BudgetExceededError:
+                    pass
+                del subject
+                assert ref() is None, i
+                assert gc.collect() == 0, i
+        finally:
+            gc.enable()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from frepkit import load_system, plan_repair, verify_integrity
+from frepkit import batch, load_system, plan_repair, verify_integrity
 from frepkit.cli import main
 
 
@@ -293,6 +293,24 @@ class TestBatchCommands:
         assert [row["M"] for row in doc["rows"]] == [4, 7, 9, 11]
         assert doc["frb"]["tuple"] == "3-(12, 11, 4, 4, 11)"
         assert doc["frb"]["properties"]["every_t_batch_retrievable"] is True
+
+    def test_certify_frb_json_cross_checks_the_two_searches(self, capsys, td34_frc,
+                                                             monkeypatch):
+        # the certificate's M(k) comes from file_size, the report's row k from
+        # the capacity profile: two exact searches that must agree
+        exact = batch.file_size
+        monkeypatch.setattr(batch, "file_size",
+                            lambda code, k, budget=None: exact(code, k, budget) + 1)
+        status, out, err = run(capsys, "certify-frb", str(td34_frc), "--k", "4",
+                               "--format", "json")
+        assert status == 2
+        assert json.loads(out)["frb"]["M"] == 12
+        assert ("cross-check failed: M(4) = 12 in the certificate "
+                "but 11 in the capacity profile") in err
+        # past the profile's rows (k > alpha) there is no row k to compare
+        status, _, err = run(capsys, "certify-frb", str(td34_frc), "--k", "5",
+                             "--format", "json")
+        assert status == 0 and err == ""
 
 
 SYSTEM_V1 = Path(__file__).parent / "data" / "td34_k4_seed0"

@@ -20,6 +20,7 @@ from frepkit import (
     analyze,
     batch_t_detail,
     cage,
+    capacity_profile,
     file_size,
     from_design,
     from_graph,
@@ -78,15 +79,17 @@ def test_unlimited_symmetry_discovery_keeps_file_size_on_random_codes(monkeypatc
             assert file_size(code, k) == brute_min_union(code, k), (node_sets, k)
 
 
-def _relabelled(code, rng):
-    """A copy with nodes and symbols renumbered at random."""
-    nodes = list(range(code.n))
-    symbols = list(range(1, code.theta + 1))
-    rng.shuffle(nodes)
-    rng.shuffle(symbols)
+def _relabelled(code, rng, nodes=True, symbols=True):
+    """A copy with its nodes and/or its symbols renumbered at random."""
+    node_ids = list(range(code.n))
+    symbol_ids = list(range(1, code.theta + 1))
+    if nodes:
+        rng.shuffle(node_ids)
+    if symbols:
+        rng.shuffle(symbol_ids)
     sets = [None] * code.n
     for i, s in enumerate(code.node_sets):
-        sets[nodes[i]] = [symbols[j - 1] for j in s]
+        sets[node_ids[i]] = [symbol_ids[j - 1] for j in s]
     return FrCode(code.n, code.theta, code.alpha, code.rho, sets)
 
 
@@ -110,6 +113,43 @@ def test_file_size_is_unchanged_on_relabelled_catalog_codes(monkeypatch, nodes_p
         for _ in range(2):
             code = _relabelled(base, rng)
             assert [file_size(code, k) for k in range(1, len(expected) + 1)] == expected
+
+
+@pytest.mark.parametrize("nodes_per_unit", [analyze._NODES_PER_DISCOVERY_UNIT, 0],
+                         ids=["paid", "unlimited"])
+def test_capacity_profile_matches_brute_on_random_codes(monkeypatch, nodes_per_unit):
+    # each row's search is bounded by the rows below it and shares one greedy
+    # pass and one discovery; copied node sets give discovery orbits to find
+    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", nodes_per_unit)
+    rng = random.Random(808)
+    searched = 0
+    for trial in range(200):
+        n = rng.randrange(2, 10)
+        theta = rng.randrange(2, 12)
+        alpha = rng.randrange(1, theta + 1)
+        node_sets = [rng.sample(range(1, theta + 1), alpha) for _ in range(n)]
+        for _ in range(rng.randrange(n)):
+            node_sets[rng.randrange(n)] = list(rng.choice(node_sets))
+        code = FrCode(n, theta, alpha, 1, node_sets)
+        sizes = analyze._profile_sizes(code, n, analyze.DEFAULT_BUDGET)
+        assert [m for m, _ in sizes] == [brute_min_union(code, k) for k in range(1, n + 1)], \
+            node_sets
+        searched += sum(1 for _, nodes in sizes if nodes)
+    assert searched >= 200
+
+
+def test_capacity_profile_equals_file_size_on_relabelled_catalog_codes():
+    rng = random.Random(909)
+    cases = [(from_graph(cage("petersen")), 10), (from_graph(cage("heawood")), 14),
+             (from_graph(cage("tuttecoxeter")), 8), (from_graph(cage("mcgee")), 8),
+             (from_design(transversal_design(3, 4)), 12),
+             (from_design(projective_plane(3)), 13)]
+    for base, k_max in cases:
+        for relabel in ({"symbols": False}, {"nodes": False}):
+            code = _relabelled(base, rng, **relabel)
+            rows = [r.exact for r in capacity_profile(code, k_max).rows]
+            fresh = FrCode(code.n, code.theta, code.alpha, code.rho, code.node_sets)
+            assert rows == [file_size(fresh, k) for k in range(1, k_max + 1)]
 
 
 def test_any_admitted_budget_gives_the_exact_answer_on_random_codes():
