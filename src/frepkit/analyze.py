@@ -9,10 +9,11 @@ incumbent, and branches that a proven automorphism covers.
 Budget rule, shared by every exact search here and in `batch`: a search
 counts the search nodes it opens, in its fixed order, and raises
 BudgetExceededError as soon as the count passes the budget (DEFAULT_BUDGET
-unless given).  A node is one call of the min-union or induced-edge
-recursion, or one frontier candidate tried by the deficiency search.  The
-polynomial set-up (greedy incumbent, floors, counting bound) is not
-charged, so a code that set-up settles runs at any budget.
+unless given).  A node is one call of the min-union recursion, which also
+answers max_induced_edges, or one frontier candidate tried by the
+deficiency search.  The polynomial set-up (greedy incumbent, floors,
+counting bound) is not charged, so a code that set-up settles runs at any
+budget.  has_k_clique is a plain decision with no budget.
 
 Symmetry rule for M(k): the search skips node j's depth-0 branch when
 automorphisms, each checked against the incidence, map a smaller node to j.
@@ -42,7 +43,8 @@ from types import MappingProxyType
 from typing import Sequence
 
 from .errors import BudgetExceededError, ParameterError
-from .incidence import FrCode, Graph
+from .galois import _integer
+from .incidence import FrCode, Graph, _edge_code
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -249,7 +251,7 @@ def girth(g: Graph) -> int | float:
 
 def has_k_clique(g: Graph, k: int) -> bool:
     """Exact clique decision by recursive pivoting over neighborhoods."""
-    if k < 1:
+    if _integer(k, "k") < 1:
         raise ParameterError(f"k must be positive, got {k}")
     if k == 1:
         return g.v >= 1
@@ -274,41 +276,18 @@ def has_k_clique(g: Graph, k: int) -> bool:
 
 
 def max_induced_edges(g: Graph, k: int, budget: int | None = None) -> int:
-    """Maximum edge count over all induced k-vertex subgraphs, exhaustively."""
-    if not 1 <= k <= g.v:
-        raise ParameterError(f"need 1 <= k <= {g.v}, got k={k}")
-    budget = _budget(budget)
-    adj = g.adjacency_masks
-    n = g.v
-    dmax = max(g.degrees())
-    best = 0
-    nodes = 0
+    """Maximum edge count over all induced k-vertex subgraphs, exactly.
 
-    def extend(start: int, depth: int, chosen_mask: int, count: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"induced-subgraph search over {k}-subsets of {n} vertices", budget)
-        remaining = k - depth
-        if remaining == 0:
-            if count > best:
-                best = count
-            return
-        # optimistic completion: each further vertex adds at most
-        # min(dmax, vertices already present) new edges
-        bound = count + sum(min(dmax, depth + j) for j in range(remaining))
-        if bound <= best:
-            return
-        for i in range(start, n - remaining + 1):
-            extend(i + 1, depth + 1, chosen_mask | (1 << i),
-                   count + (adj[i] & chosen_mask).bit_count())
-
-    try:
-        extend(0, 0, 0, 0)
-    finally:
-        extend = None  # it refers to itself: break the cycle
-    return best
+    Lemma 1 for any graph: in the edge code, where each vertex stores its
+    edges and then symbols of its own up to the largest degree d, any k
+    vertices S store k*d - e(S) symbols, so the answer is k*d - M(k).  This
+    is file_size on that code: the budget counts its search nodes, and a
+    refusal is its BudgetExceededError ("file-size search over k-subsets of
+    n nodes").
+    """
+    code = _edge_code(g)
+    m_size = file_size(code, k, budget)
+    return k * code.alpha - m_size
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +301,7 @@ def file_size(code: FrCode, k: int, budget: int | None = None) -> int:
     opens none.  The code's memo keeps M(k) with the node count of its
     search, so a memo hit refuses exactly where a fresh search would.
     """
-    if not 1 <= k <= code.n:
+    if not 1 <= _integer(k, "k") <= code.n:
         raise ParameterError(f"need 1 <= k <= {code.n}, got k={k}")
     budget = _budget(budget)
     memo = code._file_sizes
@@ -710,7 +689,7 @@ def capacity_profile(code: FrCode, k_max: int | None = None,
     None rather than guessed.
     """
     k_max = code.alpha if k_max is None else k_max
-    if not 1 <= k_max <= code.n:
+    if not 1 <= _integer(k_max, "k_max") <= code.n:
         raise ParameterError(f"need 1 <= k_max <= {code.n}, got {k_max}")
     rows = []
     for k, (exact, _) in enumerate(_profile_sizes(code, k_max, _budget(budget)), start=1):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .analyze import _budget, file_size
 from .errors import BudgetExceededError, FrbDefinitionError, ParameterError
-from .galois import GF
+from .galois import GF, _integer
 from .incidence import FrCode, validate
 from .matching import hall_witness, maximum_matching
 
@@ -45,6 +45,7 @@ __all__ = [
     "BatchTResult",
     "frb_certify",
     "FrbCertificate",
+    "FRB_PROPERTIES",
     "theorem5_predicted_t",
 ]
 
@@ -271,14 +272,18 @@ class FrbCertificate:
             "tuple": self.tuple_str,
             "rho": self.rho, "n": self.n, "M": self.file_size,
             "k": self.k, "alpha": self.alpha, "t": self.t,
-            "properties": {
-                "node_degree_uniform": self.properties[0],
-                "symbol_replication_uniform": self.properties[1],
-                "file_size_is_exact_minimum": self.properties[2],
-                "every_t_batch_retrievable": self.properties[3],
-            },
+            "properties": {key: ok for (_, key), ok in zip(FRB_PROPERTIES, self.properties)},
             "witness": list(self.witness) if self.witness is not None else None,
         }
+
+
+# (text label, JSON key) of FRB properties 1-4, in the order frb_certify checks them
+FRB_PROPERTIES = (
+    ("node degree uniform", "node_degree_uniform"),
+    ("symbol replication uniform", "symbol_replication_uniform"),
+    ("file size is the exact k-union minimum", "file_size_is_exact_minimum"),
+    ("every t-batch retrievable", "every_t_batch_retrievable"),
+)
 
 
 def frb_certify(code: FrCode, k: int, budget: int | None = None) -> FrbCertificate:
@@ -293,7 +298,7 @@ def frb_certify(code: FrCode, k: int, budget: int | None = None) -> FrbCertifica
     k may exceed alpha: the girth-based family is certified on the full
     validity range of its file-size formula, which runs past alpha.
     """
-    if not 1 <= k <= code.n:
+    if not 1 <= _integer(k, "k") <= code.n:
         raise ParameterError(f"need 1 <= k <= n = {code.n}, got k={k}")
     report = validate(code)
     m_size = file_size(code, k, budget=budget)

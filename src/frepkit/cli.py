@@ -228,9 +228,7 @@ def _cmd_certify_frb(args) -> int:
             return EXIT_CROSS_CHECK
     else:
         print(f"FRB tuple: {cert.tuple_str}")
-        labels = ["node degree uniform", "symbol replication uniform",
-                  "file size is the exact k-union minimum", "every t-batch retrievable"]
-        for label, ok in zip(labels, cert.properties):
+        for (label, _), ok in zip(batch.FRB_PROPERTIES, cert.properties):
             print(f"property: {label}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if cert.all_properties_hold else EXIT_REFUSED
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .analyze import file_size
 from .errors import CorruptionError, FrepkitError, IrreparableError, ParameterError
-from .galois import GF, MdsCode, default_field_for
+from .galois import GF, MdsCode, _integer, default_field_for
 from .incidence import FrCode, validate
 from .matching import maximum_matching
 
@@ -157,6 +157,8 @@ def load_system(root) -> StoredSystem:
         field = GF.from_spec(manifest["field"])
         mds = MdsCode(field=field, length=code.theta, dimension=manifest["M"])
         k, file_sha256, listed = manifest["k"], manifest["file_sha256"], manifest["checksums"]
+        if not 1 <= _integer(k, "k") <= code.alpha:
+            raise ParameterError(f"k = {k} is outside 1..alpha = {code.alpha}")
         checksums = {f"node_{i}.dat": listed[f"node_{i}.dat"] for i in range(1, code.n + 1)}
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
             ParameterError) as exc:

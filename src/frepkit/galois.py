@@ -85,7 +85,7 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def _integer(value, what: str) -> int:
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ParameterError(f"{what} {value!r} is not an integer")
     return value
 

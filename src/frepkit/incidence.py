@@ -307,11 +307,26 @@ def from_graph(g: Graph) -> FrCode:
                 f"vertex {i} has degree {d}")
     if alpha < 1:
         raise ParameterError("graph has no edges, cannot derive a code")
+    return _edge_code(g)
+
+
+def _edge_code(g: Graph) -> FrCode:
+    """The edge code of any graph: vertex i becomes node i and stores symbol
+    j for each of its edges, the j-th in lexicographic order, and then as
+    many symbols of its own as fill it to the largest degree d (at least 1).
+    Any k nodes S store k*d - e(S) symbols; for a regular graph with edges
+    this is from_graph(g)."""
     node_sets: list[list[int]] = [[] for _ in range(g.v)]
     for j, (u, w) in enumerate(g.edges, start=1):
         node_sets[u - 1].append(j)
         node_sets[w - 1].append(j)
-    return FrCode(n=g.v, theta=g.e, alpha=alpha, rho=2, node_sets=node_sets)
+    d = max(1, *map(len, node_sets))
+    theta = g.e
+    for s in node_sets:
+        own = range(theta + 1, theta + 1 + d - len(s))
+        s.extend(own)
+        theta += len(own)
+    return FrCode(n=g.v, theta=theta, alpha=d, rho=2, node_sets=node_sets)
 
 
 def from_design(d: Design) -> FrCode:

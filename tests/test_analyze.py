@@ -23,6 +23,7 @@ from frepkit import (
     capacity_profile,
     file_size,
     fr_capacity_bound,
+    frb_certify,
     from_design,
     from_graph,
     girth,
@@ -208,7 +209,8 @@ class TestMaxInducedEdges:
         assert max_induced_edges(turan(6, 2), 1) == 0
         assert max_induced_edges(cage("petersen"), 5) == 5
 
-    @pytest.mark.parametrize("graph", SMALL_GRAPHS, ids=lambda g: f"n{g.v}e{g.e}")
+    @pytest.mark.parametrize("graph", [*SMALL_GRAPHS, Graph(v=3, edges=[])],
+                             ids=lambda g: f"n{g.v}e{g.e}")
     def test_against_brute_force(self, graph):
         for k in range(1, graph.v + 1):
             assert max_induced_edges(graph, k) == brute_max_edges(graph, k)
@@ -218,15 +220,35 @@ class TestMaxInducedEdges:
             max_induced_edges(cage("petersen"), 5, budget=10)
 
     def test_refuses_exactly_below_the_nodes_it_opens(self):
+        searched = 0
         for g in (cage("petersen"), turan(6, 2)):
             for k in range(1, g.v + 1):
                 b = smallest_admitted_budget(lambda budget: max_induced_edges(g, k, budget))
-                assert b >= 1  # the root call is a search node
-                with pytest.raises(BudgetExceededError, match=f"more than {b - 1} search"):
-                    max_induced_edges(g, k, budget=b - 1)
                 expected = brute_max_edges(g, k)
                 assert max_induced_edges(g, k, budget=b) == expected
                 assert max_induced_edges(g, k, budget=b + 1) == expected
+                if b == 0:
+                    continue  # the file-size set-up settled k: no search
+                searched += 1
+                with pytest.raises(BudgetExceededError) as refused:
+                    max_induced_edges(g, k, budget=b - 1)
+                assert str(refused.value) == (
+                    f"file-size search over {k}-subsets of {g.v} nodes needs more "
+                    f"than {b - 1} search nodes; raise the budget to run this exactly")
+        assert searched
+
+
+@pytest.mark.parametrize("search", [
+    lambda k: file_size(from_graph(turan(6, 2)), k),
+    lambda k: capacity_profile(from_graph(turan(6, 2)), k),
+    lambda k: frb_certify(from_graph(turan(6, 2)), k),
+    lambda k: max_induced_edges(turan(6, 2), k),
+    lambda k: has_k_clique(turan(6, 2), k),
+], ids=["file_size", "capacity_profile", "frb_certify", "max_induced_edges", "has_k_clique"])
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", True], ids=["2.5", "3.0", "str3", "True"])
+def test_non_integer_k_is_refused(search, k):
+    with pytest.raises(ParameterError, match="is not an integer"):
+        search(k)
 
 
 SMALL_CODES = (
@@ -392,6 +414,8 @@ class TestPaperRelations:
             alpha = code.alpha
             for k in range(1, g.v + 1):
                 assert file_size(code, k) == k * alpha - max_induced_edges(g, k)
+                # max_induced_edges runs on this very code: check it apart too
+                assert k * alpha - file_size(code, k) == brute_max_edges(g, k)
 
     def test_lemma2_clique_iff_mbr(self):
         for g in SMALL_GRAPHS:
@@ -441,6 +465,7 @@ class TestPaperRelations:
         code = from_graph(g)
         for k in range(1, 15):
             assert file_size(code, k) == k * 3 - max_induced_edges(g, k)
+            assert k * 3 - file_size(code, k) == brute_max_edges(g, k)
 
     def test_corollary2_petersen_optimal(self):
         code = from_graph(cage("petersen"))

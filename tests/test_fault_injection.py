@@ -119,7 +119,12 @@ def test_damaged_store_gives_the_original_or_refuses(pristine, tmp_path, capsys,
     (None, "M", 11.0, "dimension 11.0 is not an integer"),
     ("field", "modulus", "abc", "modulus 'abc' is not an integer"),
     ("field", "modulus", 19.5, "modulus 19.5 is not an integer"),
-], ids=["M-11.0", "modulus-abc", "modulus-19.5"])
+    (None, "k", "3", "k '3' is not an integer"),
+    (None, "k", 2.5, "k 2.5 is not an integer"),
+    (None, "k", True, "k True is not an integer"),
+    (None, "k", 0, r"k = 0 is outside 1\.\.alpha = 4"),
+    (None, "k", 99, r"k = 99 is outside 1\.\.alpha = 4"),
+], ids=["M-11.0", "modulus-abc", "modulus-19.5", "k-str3", "k-2.5", "k-true", "k-0", "k-99"])
 def test_non_integer_file_size_in_manifest_is_corruption(tmp_path, capsys, block, key, value,
                                                          message):
     root = tmp_path / "sys"
