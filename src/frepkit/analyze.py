@@ -9,11 +9,12 @@ incumbent, and branches that a proven automorphism covers.
 Budget rule, shared by every exact search here and in `batch`: a search
 counts the search nodes it opens, in its fixed order, and raises
 BudgetExceededError as soon as the count passes the budget (DEFAULT_BUDGET
-unless given).  A node is one call of the min-union recursion, which also
-answers max_induced_edges, or one frontier candidate tried by the
-deficiency search.  The polynomial set-up (greedy incumbent, floors,
-counting bound) is not charged, so a code that set-up settles runs at any
-budget.  has_k_clique is a plain decision with no budget.
+unless given).  A node is one call of the min-union recursion, the one
+search kernel, which answers file_size, capacity_profile,
+max_induced_edges and, on the dual code, the batch parameter.  The
+polynomial set-up (greedy incumbent, floors) is not charged, so a code
+that set-up settles runs at any budget.  has_k_clique is a plain decision
+with no budget.
 
 Symmetry rule for M(k): the search skips node j's depth-0 branch when
 automorphisms, each checked against the incidence, map a smaller node to j.
@@ -306,7 +307,7 @@ def file_size(code: FrCode, k: int, budget: int | None = None) -> int:
     budget = _budget(budget)
     memo = code._file_sizes
     if k not in memo:
-        memo[k] = _min_union(code, k, budget, _Profile(code, k))
+        memo[k] = _min_union(code, k, budget, _Profile(code, k))[:2]
     m_size, nodes = memo[k]
     if nodes > budget:
         raise BudgetExceededError(_file_size_what(code, k), budget)
@@ -338,14 +339,15 @@ def _greedy_unions(masks: tuple[int, ...], k_max: int) -> list[int]:
 
 class _Profile:
     """What the M(k) searches of one capacity profile share, run for k = 1,
-    2, ... in turn: the greedy incumbents, the exact rows found so far, the
-    suffix unions, and the proven orbits with the discovery that extends
-    them.  A standalone file_size search has one of its own, with no rows."""
+    2, ... in turn: the greedy incumbents, the rows found so far, the suffix
+    unions, and the proven orbits with the discovery that extends them.  A
+    standalone file_size search has one of its own, with no rows; the batch
+    search has one on the dual code, whose rows are lower bounds."""
 
     def __init__(self, code: FrCode, k_max: int):
         masks = code.symbol_masks
         self.greedy = _greedy_unions(masks, k_max)
-        self.rows: list[int] = []  # exact M(1), M(2), ... so far
+        self.rows: list[int] = []  # M(1), M(2), ... so far, or lower bounds on them
         # suffix[s]: the union of masks[s:]
         self.suffix = list(accumulate(reversed(masks), or_, initial=0))[::-1]
         self.orbit = list(range(code.n))  # union-find; each root is its class's smallest node
@@ -367,16 +369,22 @@ def _profile_sizes(code: FrCode, k_max: int, budget: int) -> list[tuple[int, int
     profile = _Profile(code, k_max)
     sizes = []
     for k in range(1, k_max + 1):
-        m_size, nodes = _min_union(code, k, budget, profile)
+        m_size, nodes, _ = _min_union(code, k, budget, profile)
         profile.rows.append(m_size)
         profile.opened += nodes
         sizes.append((m_size, nodes))
     return sizes
 
 
-def _min_union(code: FrCode, k: int, budget: int, profile: _Profile) -> tuple[int, int]:
-    """(M(k), search nodes opened); raises once the count passes budget.
-    profile.rows holds the exact M(1..k-1), or nothing.
+def _min_union(code: FrCode, k: int, budget: int, profile: _Profile,
+               cap: int | None = None) -> tuple[int, int, int | None]:
+    """(M(k), search nodes opened, the union mask of the best k-set the
+    search found or None if none beat the incumbent); raises once the count
+    passes budget.  profile.rows holds lower bounds on M(1..k-1), or nothing.
+
+    With a cap, it decides whether some k-set has a union below cap: cap is
+    the incumbent, and the floor is raised to cap - 1, so the first such set
+    ends the search.  With no such set, cap is returned, a lower bound on M(k).
 
     Branch j of the depth-0 loop holds the k-sets whose smallest node is j;
     it is skipped when verified automorphisms join j to a node a < j.
@@ -405,24 +413,28 @@ def _min_union(code: FrCode, k: int, budget: int, profile: _Profile) -> tuple[in
         tail[c] = tail[c + 1] + max(0, a_min - s_max * c)
     below = profile.rows
     floor = max(floor, tail[0], *below[-1:])  # M is monotone in k
-
-    best = profile.greedy[k - 1]
+    if cap is None:
+        best = profile.greedy[k - 1]
+    else:
+        best, floor = cap, max(floor, cap - 1)
     nodes = 0
+    found = None
     if best > floor:
         suffix = profile.suffix
-        # doll[d]: M(r) for the r = k - d - 1 nodes still to pick below a
-        # child at depth d + 1, when r >= 2 inside a profile; 0 skips the test
+        # doll[d]: M(r), or a lower bound on it, for the r = k - d - 1 nodes
+        # still to pick below a child at depth d + 1, when r >= 2 inside a
+        # profile; 0 skips the test
         doll = [*below[:0:-1], 0, 0] if below else [0] * k
 
         def descend(start: int, depth: int, union: int, usize: int) -> bool:
             """Returns True once the floor is reached and search can stop."""
-            nonlocal best, nodes
+            nonlocal best, nodes, found
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(_file_size_what(code, k), budget)
             if depth == k:
                 if usize < best:
-                    best = usize
+                    best, found = usize, union
                 return best <= floor
             limit = best - tail[depth + 1]
             rest = doll[depth]
@@ -450,7 +462,7 @@ def _min_union(code: FrCode, k: int, budget: int, profile: _Profile) -> tuple[in
                     break
         finally:
             descend = None  # it refers to itself: free the code without the cyclic collector
-    return best, nodes
+    return best, nodes, found
 
 
 # ---------------------------------------------------------------------------

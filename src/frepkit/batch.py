@@ -3,34 +3,23 @@ parameter t.
 
 A batch of symbols is retrievable when the symbol/node incidence admits a
 system of distinct representatives; t is the largest size at which every
-batch works, which by Hall's theorem is one less than the smallest
-deficient symbol set.  Dually, t is the size of a smallest deficient node
-set T: one whose interior, the symbols stored only on T, has more than |T|
+batch works, which by Hall's theorem is one less than the size of a
+smallest deficient symbol set, one stored on fewer nodes than it has
 symbols.
 
-Connectivity lemma: a smallest deficient node set is connected in the graph
-where two nodes are adjacent when they share a symbol.  Proof: split T into
-the components of "shares an interior symbol".  Every interior symbol lies
-in exactly one component, so the interiors and the node counts both add
-up over the components, and some component is deficient.  T is smallest,
-so that component is T itself.
-
-Counting bound: let lambda be the most symbols two nodes share, rho_min the
-fewest holders of a symbol and alpha_max the largest node.  An interior
-symbol of an s-set has at least rho_min holders in it, so it takes at least
-C(rho_min, 2) of the set's C(s, 2) node pairs, each pair carrying at most
-lambda symbols; and it takes rho_min of the set's at most s*alpha_max
-holder slots.  So the interior has at most min(lambda*C(s,2)/C(rho_min,2),
-s*alpha_max/rho_min) symbols (the first term only when rho_min >= 2), and
-an s-set whose bound is <= s cannot be deficient.
+Duality: in the dual code, where symbol j becomes a node storing the nodes
+that hold j, the union of s dual nodes is the set of nodes holding those s
+symbols.  So an s-set of symbols is deficient exactly when its dual union
+has fewer than s elements, and t + 1 is the smallest s with M*(s) < s,
+where M* is the file-size function of the dual code.  The min-union kernel
+of `analyze` decides each size, with its floors, proven symmetry and budget.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .analyze import _budget, file_size
+from .analyze import _budget, _min_union, _Profile, file_size
 from .errors import BudgetExceededError, FrbDefinitionError, ParameterError
 from .galois import GF, _integer
 from .incidence import FrCode, validate
@@ -106,137 +95,42 @@ class BatchTResult:
 def batch_t_detail(code: FrCode, budget: int | None = None) -> BatchTResult:
     """Exact maximum t with a maximality witness.
 
-    t is the size of a smallest deficient node set T, one whose interior
-    (the symbols stored only on T) outnumbers it; any |T| + 1 interior
-    symbols violate Hall.  With no deficiency anywhere, t = theta.
+    For s = 1, 2, ... the min-union kernel on the dual code decides whether
+    some s symbols are held by fewer than s nodes; t is s - 1 at the first
+    such s, and theta if there is none.  Every (n + 1)-set is deficient, so
+    t <= n.  The sizes share one profile: a size without a deficient set
+    adds s, a lower bound on M*(s), to the rows that bound the next search.
 
-    Connectivity: call two nodes adjacent when they share a symbol.  A
-    smallest deficient T is connected, because the components of T under
-    "shares an interior symbol" split both T and its interior, so one
-    component is deficient too.  The search therefore visits connected
-    node sets only, each once, rooted at its smallest node.
+    At the first hit the holders of the s symbols found are exactly t
+    nodes: fewer would leave s - 1 of the symbols deficient too.  Any t + 1
+    of their interior symbols (those stored only on them) violate Hall.
 
-    Counting bound: an interior symbol has at least rho_min holders in T,
-    which use at least C(rho_min, 2) of T's node pairs, and a pair shares
-    at most lambda = max_pairwise_intersection symbols.  So the interior of
-    an s-set is at most lambda*C(s,2)/C(rho_min,2), and (counting holder
-    slots) at most s*alpha_max/rho_min.  Only sizes where both exceed s can
-    be deficient; for a projective plane none can, and t = theta unsearched.
-
-    The search refuses (never approximates) once it has tried more than
-    `budget` frontier candidates; the counting bound is not charged, so a
-    projective plane runs at any budget.
+    The search refuses (never approximates) once the sizes together have
+    opened more than `budget` search nodes; the floors are not charged, so
+    a projective plane runs at any budget.
     """
     budget = _budget(budget)
     holders = code.nodes_of_symbol
-    min_rho = min((len(h) for h in holders), default=0)
-    if min_rho == 0:
+    if not all(holders):
         unstored = next(j for j, h in enumerate(holders, start=1) if not h)
         return BatchTResult(t=0, witness=(unstored,), witness_nodes=())
-    high = min(code.n, code.theta - 1)
-    found = _smallest_deficient(code, _smallest_open_size(code, min_rho, high), high, budget)
-    if found is not None:
-        chosen, size = found
-        interior = [j for j, mask in enumerate(code.holder_masks, start=1)
-                    if not mask & ~chosen]
-        return BatchTResult(t=size, witness=tuple(interior[: size + 1]),
-                            witness_nodes=tuple(i + 1 for i in range(code.n) if chosen >> i & 1))
+    dual = FrCode(n=code.theta, theta=code.n, alpha=code.rho, rho=code.alpha,
+                  node_sets=holders)
+    profile = _Profile(dual, 1)
+    for s in range(1, min(code.theta, code.n + 1) + 1):
+        try:
+            bound, nodes, chosen = _min_union(dual, s, budget - profile.opened, profile, cap=s)
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"deficiency search over sets of {code.theta} symbols", budget) from None
+        if chosen is not None:
+            interior = [j for j, mask in enumerate(code.holder_masks, start=1)
+                        if not mask & ~chosen]
+            held = tuple(i + 1 for i in range(code.n) if chosen >> i & 1)
+            return BatchTResult(t=s - 1, witness=tuple(interior[:s]), witness_nodes=held)
+        profile.rows.append(bound)
+        profile.opened += nodes
     return BatchTResult(t=code.theta, witness=None, witness_nodes=None)
-
-
-def _smallest_open_size(code: FrCode, min_rho: int, high: int) -> int:
-    """Smallest size in [min_rho, high] the counting bound leaves open, else
-    high + 1.
-
-    Both bounds outgrow s once they exceed it, so the open sizes run from
-    here up.  Taking floors is sound: an interior is a whole number.
-    The pair bound needs rho_min >= 2 (a symbol on one node uses no pair).
-    """
-    lam = code.max_pairwise_intersection
-    alpha_max = max(mask.bit_count() for mask in code.symbol_masks)
-    pairs = math.comb(min_rho, 2)
-    for s in range(min_rho, high + 1):
-        if s * alpha_max // min_rho > s and (
-                min_rho < 2 or lam * math.comb(s, 2) // pairs > s):
-            return s
-    return high + 1
-
-
-def _smallest_deficient(code: FrCode, smallest: int, limit: int,
-                        budget: int) -> tuple[int, int] | None:
-    """Node mask and size of a smallest deficient set of size in
-    [smallest, limit], or None.
-
-    One depth-first pass over the connected node sets, each rooted at its
-    smallest node and grown by include/exclude on its frontier: a frame
-    holds the frontier still to try (cand), the nodes its subtree may not
-    take (forb), the interior count, and how large its set can still grow
-    (reach).  Adding node v adds to the interior those of v's symbols whose
-    holder masks now lie inside the set, an O(alpha) step.  A deficient
-    set of size s lowers the limit to s - 1 and is not grown; a frame that
-    cannot reach `smallest` is cut.  Each frontier candidate tried is one
-    search node of the budget.
-    """
-    n = code.n
-    node_symbols: list[list[int]] = [[] for _ in range(n)]
-    adjacency = [0] * n
-    for mask, holders in zip(code.holder_masks, code.nodes_of_symbol):
-        for i in holders:
-            node_symbols[i - 1].append(mask)
-            adjacency[i - 1] |= mask
-    best = None
-    nodes = 0
-    cand, forb, interior, reach, added = ([0] * (limit + 1) for _ in range(5))
-    for root in range(n - smallest + 1):
-        if limit < smallest:
-            break
-        chosen = 1 << root
-        depth = 0
-        cand[0] = adjacency[root] & ~((chosen << 1) - 1)
-        forb[0] = (chosen << 1) - 1
-        interior[0] = node_symbols[root].count(chosen)
-        reach[0] = n - root
-        added[0] = chosen
-        if interior[0] > 1:
-            return chosen, 1
-        while depth >= 0:
-            c = cand[depth]
-            if not c or depth + 1 >= limit or reach[depth] < smallest:
-                chosen ^= added[depth]
-                depth -= 1
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"deficiency search over connected sets of {n} nodes", budget)
-            low = c & -c
-            cand[depth] = c ^ low
-            f = forb[depth]
-            forb[depth] = f | low
-            r = reach[depth]
-            reach[depth] = r - 1
-            chosen |= low
-            outside = ~chosen
-            v = low.bit_length() - 1
-            gained = interior[depth]
-            for mask in node_symbols[v]:
-                if not mask & outside:
-                    gained += 1
-            size = depth + 2
-            if gained > size:
-                best = chosen, size
-                limit = size - 1
-                chosen ^= low
-            elif size < limit:
-                depth += 1
-                cand[depth] = (c ^ low) | (adjacency[v] & ~(chosen | f))
-                forb[depth] = f
-                interior[depth] = gained
-                reach[depth] = r
-                added[depth] = low
-            else:
-                chosen ^= low
-    return best
 
 
 def batch_t(code: FrCode, budget: int | None = None) -> int:

@@ -239,11 +239,13 @@ def plan_repair(system: StoredSystem, failed: int, policy: str = "lowest",
                 dead=()) -> RepairPlan:
     """Pick one donor per lost symbol among the surviving replicas.
 
-    Policy "lowest" takes the smallest node id per symbol; "spread" balances
-    load via maximum matching.  Either way, no donor serves two symbols
-    whenever a system of distinct donors exists (matching fallback), and
-    otherwise the reuse reported is the minimum possible.  Extra dead nodes
-    model multi-failure and make symbols without survivors irreparable.
+    A maximum matching assigns the donors, so no donor serves two symbols
+    whenever a system of distinct donors exists, and otherwise the reuse
+    reported is the minimum possible.  The matching scans each symbol's
+    donors in ascending order, so it takes the smallest donors whenever they
+    are distinct.  Both policies, "lowest" and "spread", name this one plan.
+    Extra dead nodes model multi-failure and make symbols without survivors
+    irreparable.
     """
     if policy not in REPAIR_POLICIES:
         raise ParameterError(f"unknown policy {policy!r}; choose from {REPAIR_POLICIES}")
@@ -259,15 +261,11 @@ def plan_repair(system: StoredSystem, failed: int, policy: str = "lowest",
             raise IrreparableError(
                 f"symbol {j} of node {failed} has no surviving replica")
         candidates.append(donors)
-    lowest = [min(d) for d in candidates]
-    if policy == "lowest" and len(set(lowest)) == len(lowest):
-        assignment = lowest
-    else:
-        matched = maximum_matching(candidates)
-        # an unmatched symbol only has already-used donors (else the matching
-        # would extend), so falling back to the smallest keeps reuse minimal
-        assignment = [m if m is not None else min(c)
-                      for m, c in zip(matched, candidates)]
+    matched = maximum_matching(candidates)
+    # an unmatched symbol only has already-used donors (else the matching
+    # would extend), so falling back to the smallest keeps reuse minimal
+    assignment = [m if m is not None else min(c)
+                  for m, c in zip(matched, candidates)]
     transfers = tuple(zip(lost, assignment))
     per_donor: dict[int, int] = {}
     for _, donor in transfers:

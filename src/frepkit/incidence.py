@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import FormatError, ParameterError
+from .galois import _integer
 
 __all__ = [
     "Graph",
@@ -106,16 +107,19 @@ class FrCode:
     def __init__(self, n: int, theta: int, alpha: int, rho: int,
                  node_sets: Iterable[Iterable[int]]):
         for name, value in (("n", n), ("theta", theta), ("alpha", alpha), ("rho", rho)):
-            if value < 1:
+            if _integer(value, name) < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {value}")
-        sets = tuple(tuple(sorted(s)) for s in node_sets)
+        sets = tuple(map(tuple, node_sets))
         if len(sets) != n:
             raise ParameterError(f"expected {n} node sets, got {len(sets)}")
         for i, s in enumerate(sets, start=1):
             for j in s:
+                if type(j) is not int:  # only then build _integer's message
+                    _integer(j, f"node {i} symbol")
                 if not 1 <= j <= theta:
                     raise ParameterError(
                         f"node {i} references symbol {j}, outside 1..{theta}")
+        sets = tuple(tuple(sorted(s)) for s in sets)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "alpha", alpha)

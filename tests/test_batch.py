@@ -275,7 +275,7 @@ def _assert_matches_oracle(code):
 
 
 class TestBatchTAgainstOracle:
-    """The connected-set search against the plain combinations scan."""
+    """The dual min-union search against the plain combinations scan."""
 
     @pytest.mark.parametrize("relabel", ["none", "symbols", "nodes"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CATALOG))
@@ -300,15 +300,15 @@ class TestBatchTAgainstOracle:
     def test_witnesses_are_pinned(self):
         # the search order is fixed, so the witness is too
         k33 = batch_t_detail(from_graph(turan(6, 2)))
-        assert (k33.witness, k33.witness_nodes) == ((1, 2, 4, 5, 7, 8), (1, 2, 3, 4, 5))
+        assert (k33.witness, k33.witness_nodes) == ((1, 2, 3, 4, 5, 6), (1, 2, 4, 5, 6))
         petersen = batch_t_detail(from_graph(cage("petersen")))
         assert (petersen.witness, petersen.witness_nodes) == (
             (1, 2, 3, 4, 6, 7, 8, 11), (1, 2, 3, 4, 5, 6, 8))
 
 
 class TestBudgetContract:
-    """Refusal depends on the frontier candidates the search tries, in its
-    fixed order; the counting bound is not charged."""
+    """Refusal depends on the search nodes the sizes open together, in their
+    fixed order; the floors are not charged."""
 
     @pytest.mark.parametrize("make,t", [
         (lambda: from_design(transversal_design(3, 4)), 11),
@@ -323,11 +323,11 @@ class TestBudgetContract:
         with pytest.raises(BudgetExceededError) as refused:
             batch_t_detail(make(), budget=b - 1)
         assert str(refused.value) == (
-            f"deficiency search over connected sets of {make().n} nodes needs more "
+            f"deficiency search over sets of {make().theta} symbols needs more "
             f"than {b - 1} search nodes; raise the budget to run this exactly")
 
     def test_plane_runs_at_budget_zero(self):
-        # the counting bound leaves no size open, so nothing is searched
+        # the floors settle every size, so nothing is searched
         for q in (3, 5):
             code = from_design(projective_plane(q))
             assert batch_t_detail(code, budget=0).t == code.theta
@@ -354,12 +354,23 @@ class TestTheorem5InReach:
         assert isinstance(retrieval_plan(code, detail.witness), NoPlan)
 
     def test_pg24_decided_by_the_counting_bound(self):
+        # the kernel's counting floor on the dual, ceil(s * rho / min(alpha, s)),
+        # is at least s when rho = alpha, so no size opens a search node
         code = from_design(projective_plane(4))
-        high = min(code.n, code.theta - 1)
-        # no size is open, so the search visits no subset
-        assert batch._smallest_open_size(code, code.rho, high) > high
-        detail = batch_t_detail(code)
+        detail = batch_t_detail(code, budget=0)
         assert (detail.t, detail.witness) == (code.theta, None) == (21, None)
+
+    def test_td38(self):
+        # the deficient sets are large here, yet the search stays well within 10**6 nodes
+        code = from_design(transversal_design(3, 8))
+        detail = batch_t_detail(code, budget=10**6)
+        assert detail.t == 11 and len(detail.witness_nodes) == 11
+        assert isinstance(retrieval_plan(code, detail.witness), NoPlan)
+
+    def test_unstored_symbol_gives_t0_at_budget_zero(self):
+        code = FrCode(3, 4, 2, 2, [[1, 2], [2, 4], [1, 4]])
+        assert batch_t_detail(code, budget=0) == batch.BatchTResult(
+            t=0, witness=(3,), witness_nodes=())
 
 
 def _edge_endpoints(code):

@@ -20,12 +20,14 @@ from frepkit import (
     from_graph,
     load_system,
     plan_repair,
+    projective_plane,
     reconstruct,
     store,
     transversal_design,
     turan,
     verify_integrity,
 )
+from frepkit.construct import cage
 from frepkit.dress import file_digest
 
 
@@ -256,6 +258,24 @@ class TestPlanRepair:
         system.code = code
         with pytest.raises(IrreparableError):
             plan_repair(system, 1)
+
+    def test_both_policies_give_the_same_plan(self, td34_system):
+        # the matching takes the smallest donors whenever they are distinct
+        system, _ = td34_system
+        rng = random.Random(12)
+        for code in (from_graph(turan(6, 2)), from_graph(cage("petersen")),
+                     from_design(transversal_design(3, 4)), from_design(projective_plane(3))):
+            system.code = code
+            for failed in range(1, code.n + 1):
+                others = [i for i in range(1, code.n + 1) if i != failed]
+                for dead in ((), *(rng.sample(others, rng.randrange(1, 3)) for _ in range(4))):
+                    plans = []
+                    for policy in ("lowest", "spread"):
+                        try:
+                            plans.append(plan_repair(system, failed, policy=policy, dead=dead))
+                        except IrreparableError as exc:
+                            plans.append(str(exc))
+                    assert plans[0] == plans[1], (code.n, failed, dead)
 
     def test_unknown_policy_rejected(self, td34_system):
         system, _ = td34_system

@@ -124,7 +124,16 @@ def test_damaged_store_gives_the_original_or_refuses(pristine, tmp_path, capsys,
     (None, "k", True, "k True is not an integer"),
     (None, "k", 0, r"k = 0 is outside 1\.\.alpha = 4"),
     (None, "k", 99, r"k = 99 is outside 1\.\.alpha = 4"),
-], ids=["M-11.0", "modulus-abc", "modulus-19.5", "k-str3", "k-2.5", "k-true", "k-0", "k-99"])
+    ("code", "node_sets", [[1.5, *CODE.node_sets[0][1:]], *CODE.node_sets[1:]],
+     "node 1 symbol 1.5 is not an integer"),
+    ("code", "node_sets", [[True, *CODE.node_sets[0][1:]], *CODE.node_sets[1:]],
+     "node 1 symbol True is not an integer"),
+    ("code", "n", 12.0, "n 12.0 is not an integer"),
+    ("code", "theta", True, "theta True is not an integer"),
+    ("code", "alpha", 4.0, "alpha 4.0 is not an integer"),
+    ("code", "rho", "3", "rho '3' is not an integer"),
+], ids=["M-11.0", "modulus-abc", "modulus-19.5", "k-str3", "k-2.5", "k-true", "k-0", "k-99",
+        "symbol-1.5", "symbol-true", "n-12.0", "theta-true", "alpha-4.0", "rho-str3"])
 def test_non_integer_file_size_in_manifest_is_corruption(tmp_path, capsys, block, key, value,
                                                          message):
     root = tmp_path / "sys"
@@ -134,7 +143,9 @@ def test_non_integer_file_size_in_manifest_is_corruption(tmp_path, capsys, block
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptionError, match=message):
         load_system(root)
-    assert main(["reconstruct", "--root", str(root), "--nodes", "1,2,3,4"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "unreadable manifest" in captured.err
+    for argv in (["reconstruct", "--root", str(root), "--nodes", "1,2,3,4"],
+                 ["repair", "--root", str(root), "--failed", "1", "--plan-only"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "unreadable manifest" in captured.err

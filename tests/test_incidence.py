@@ -43,6 +43,23 @@ class TestGraph:
         assert g.adjacency_masks == (0b010, 0b101, 0b010)
 
 
+class TestFrCodeArguments:
+    @pytest.mark.parametrize("field,value", [
+        ("n", 2.0), ("theta", True), ("alpha", "2"), ("rho", 1.5),
+    ])
+    def test_non_integer_parameter_is_refused(self, field, value):
+        args = {"n": 2, "theta": 3, "alpha": 2, "rho": 1,
+                "node_sets": [(1, 2), (3,)], field: value}
+        with pytest.raises(ParameterError, match=f"^{field} {value!r} is not an integer$"):
+            FrCode(**args)
+
+    @pytest.mark.parametrize("symbol", [1.5, 2.0, True, "2", None])
+    def test_non_integer_symbol_is_refused(self, symbol):
+        with pytest.raises(ParameterError,
+                           match=f"^node 2 symbol {symbol!r} is not an integer$"):
+            FrCode(2, 3, 2, 1, [(1, 2), (3, symbol)])
+
+
 class TestValidate:
     def test_td34_code_passes_with_intersection_one(self, paper_td34):
         code = from_design(paper_td34)
