@@ -17,12 +17,13 @@ that set-up settles runs at any budget.  has_k_clique is a plain decision
 with no budget.
 
 Symmetry rule for M(k): the search skips node j's depth-0 branch when
-automorphisms, each checked against the incidence, map a smaller node to j.
-Discovery verifies and records these orbits itself; it runs only when the
-greedy incumbent misses the floor, and the search pays for it: between
-depth-0 branches it may do one unit of work per _NODES_PER_DISCOVERY_UNIT
-nodes opened.  It is not charged to the budget, and it depends only on
-(code, k), so a refusal does too.
+automorphisms, each checked against the incidence, map a smaller node to j;
+under discovery's level-0 path node x0 it skips the depth-1 child i when
+automorphisms fixing x0 map a smaller node to i.  Discovery verifies and
+records these orbits itself; it runs only when the greedy incumbent misses
+the floor, and the search pays for it: between depth-0 branches it may do
+one unit of work per _NODES_PER_DISCOVERY_UNIT nodes opened.  It is not
+charged to the budget and depends only on (code, k), so a refusal does too.
 
 Profile rule: capacity_profile finds M(1..k_max) in one pass, k ascending,
 and bounds each row's search by the exact rows below it.  Its searches
@@ -79,7 +80,7 @@ def _budget(budget: int | None) -> int:
     """The budget in search nodes: DEFAULT_BUDGET when None."""
     if budget is None:
         return DEFAULT_BUDGET
-    if budget < 0:
+    if _integer(budget, "budget") < 0:
         raise ParameterError(f"budget must be non-negative, got {budget}")
     return budget
 
@@ -351,7 +352,9 @@ class _Profile:
         # suffix[s]: the union of masks[s:]
         self.suffix = list(accumulate(reversed(masks), or_, initial=0))[::-1]
         self.orbit = list(range(code.n))  # union-find; each root is its class's smallest node
-        self._units = _discover_orbits(masks, code.holder_masks, self.orbit)
+        # stab[x]: each node's root in orbits proven under a subgroup of Stab(x)
+        self.stab: dict[int, list[int]] = {}
+        self._units = _discover_orbits(masks, code.holder_masks, self.orbit, self.stab)
         # discovery first pays for its incidence graph (vertices and edges)
         self._spent = code.n + code.theta + sum(map(int.bit_count, masks))
         self.opened = 0  # search nodes of the finished searches
@@ -387,11 +390,14 @@ def _min_union(code: FrCode, k: int, budget: int, profile: _Profile,
     ends the search.  With no such set, cap is returned, a lower bound on M(k).
 
     Branch j of the depth-0 loop holds the k-sets whose smallest node is j;
-    it is skipped when verified automorphisms join j to a node a < j.
-    Lemma: some product pi of them maps a to j, and pi^-1 maps each set S of
-    branch j to a set of the same union size whose smallest node is below
-    j, so by induction on j, S has an equal set in a searched branch.  Any
-    subgroup keeps M(k) exact; proving fewer orbits only costs pruning.
+    it is skipped when verified automorphisms join j to a node a < j.  Under
+    j = x0, discovery's level-0 path node, the depth-1 child i is skipped when
+    the automorphisms verified before level 0 join i to a node i' < i; each
+    of them fixes x0 (see _discover_orbits), so they generate a subgroup of
+    Stab(x0).  Lemma: some product g maps a to j, or fixes j and maps i' to
+    i, and g^-1 maps each skipped set to a lexicographically smaller set of
+    the same union size, so the lex-least set of least union is never
+    skipped.  Any subgroup keeps M(k) exact; fewer orbits only cost pruning.
 
     A node with union U of u symbols, first free node s and r >= 2 nodes
     still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:
@@ -426,7 +432,7 @@ def _min_union(code: FrCode, k: int, budget: int, profile: _Profile,
         # profile; 0 skips the test
         doll = [*below[:0:-1], 0, 0] if below else [0] * k
 
-        def descend(start: int, depth: int, union: int, usize: int) -> bool:
+        def descend(children: Sequence[int], depth: int, union: int, usize: int) -> bool:
             """Returns True once the floor is reached and search can stop."""
             nonlocal best, nodes, found
             nodes += 1
@@ -438,17 +444,18 @@ def _min_union(code: FrCode, k: int, budget: int, profile: _Profile,
                 return best <= floor
             limit = best - tail[depth + 1]
             rest = doll[depth]
-            for i in range(start, n - (k - depth) + 1):
+            stop = n - k + depth + 2  # past the last node a child at depth + 1 may add
+            for i in children:
                 nu = union | masks[i]
                 ns = nu.bit_count()
                 if ns >= limit or rest and ns + rest - (nu & suffix[i + 1]).bit_count() >= best:
                     continue
-                if descend(i + 1, depth + 1, nu, ns):
+                if descend(range(i + 1, stop), depth + 1, nu, ns):
                     return True
                 limit = best - tail[depth + 1]
             return False
 
-        orbit = profile.orbit
+        orbit, stab = profile.orbit, profile.stab
         try:
             for j in range(n - k + 1):
                 profile.discover(nodes)
@@ -458,7 +465,10 @@ def _min_union(code: FrCode, k: int, budget: int, profile: _Profile,
                 if doll[0] and (sizes[j] + doll[0]
                                 - (masks[j] & suffix[j + 1]).bit_count() >= best):
                     continue
-                if descend(j + 1, 1, masks[j], sizes[j]):
+                children = range(j + 1, n - k + 2)
+                if j in stab:  # only the roots of j's stabilizer orbits
+                    children = [i for i in children if stab[j][i] == i]
+                if descend(children, 1, masks[j], sizes[j]):
                     break
         finally:
             descend = None  # it refers to itself: free the code without the cyclic collector
@@ -499,7 +509,8 @@ def _is_automorphism(holders: Sequence[int], perm: list[int]) -> bool:
     return sorted(images) == sorted(holders)
 
 
-def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list[int]):
+def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list[int],
+                     stab: dict[int, list[int]]):
     """Individualization and refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014) on the node/symbol incidence graph, yielding the
     work units of each step.  It verifies and records its own orbits: a leaf
@@ -509,7 +520,9 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list
     the largest node cell until every node is a singleton.  Deepest level
     first, each other node of that level's cell outside the path node's orbit
     takes its place, and the tree below is searched for a leaf with the first
-    path's traces.
+    path's traces.  Such a leaf keeps the path nodes above that level, so
+    every automorphism verified before level 0 fixes x0, the level-0 path
+    node; as level 0 begins, stab[x0] gets each node's root in orbit.
     """
     n = len(masks)
     neighbours = (masks, holders)  # of a node, of a symbol
@@ -601,6 +614,8 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list
         first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
         for level in reversed(range(len(parts))):
             x, *others = _bits(parts[level][0][target(parts[level])])
+            if not level:  # everything verified so far fixes x, the level-0 path node
+                stab[x] = [_root(orbit, v) for v in range(n)]
             for z in others:
                 if _root(orbit, z) != _root(orbit, x):
                     yield from leaf_search(parts[level], level, z)

@@ -48,7 +48,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, v: int, edges: Iterable[Sequence[int]]):
-        if v < 1:
+        if _integer(v, "vertex count") < 1:
             raise ParameterError(f"vertex count must be positive, got {v}")
         canonical = []
         for edge in edges:
@@ -177,7 +177,7 @@ class Design:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, points: int, blocks: Iterable[Iterable[int]]):
-        if points < 1:
+        if _integer(points, "point count") < 1:
             raise ParameterError(f"point count must be positive, got {points}")
         blks = tuple(tuple(sorted(b)) for b in blocks)
         for b in blks:

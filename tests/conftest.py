@@ -108,7 +108,7 @@ def proven_orbits(code: FrCode) -> list[list[int]]:
     when its work is not limited: discovery run to its end, which verifies
     each candidate with analyze._is_automorphism before it joins two orbits."""
     parent = list(range(code.n))
-    for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks, parent):
+    for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks, parent, {}):
         pass
     orbits: dict[int, list[int]] = {}
     for v in range(code.n):

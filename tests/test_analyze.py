@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import weakref
 
 import networkx as nx
@@ -20,6 +21,7 @@ from frepkit import (
     Graph,
     ParameterError,
     analyze,
+    batch_t,
     capacity_profile,
     file_size,
     fr_capacity_bound,
@@ -251,6 +253,20 @@ def test_non_integer_k_is_refused(search, k):
         search(k)
 
 
+@pytest.mark.parametrize("search", [
+    lambda b: file_size(from_graph(cage("petersen")), 5, budget=b),
+    lambda b: capacity_profile(from_graph(cage("petersen")), budget=b),
+    lambda b: max_induced_edges(cage("petersen"), 5, budget=b),
+    lambda b: batch_t(from_graph(cage("petersen")), budget=b),
+], ids=["file_size", "capacity_profile", "max_induced_edges", "batch_t"])
+@pytest.mark.parametrize("budget", [True, 2.5, 10.0, "5"], ids=["True", "2.5", "10.0", "str5"])
+def test_non_integer_budget_is_refused(search, budget):
+    # before any search runs: True would otherwise act as a budget of 1
+    message = f"^budget {re.escape(repr(budget))} is not an integer$"
+    with pytest.raises(ParameterError, match=message):
+        search(budget)
+
+
 SMALL_CODES = (
     [from_graph(g) for g in SMALL_GRAPHS]
     + [from_design(transversal_design(2, 2)),
@@ -352,6 +368,41 @@ class TestSymmetryPruning:
     def test_discovery_proves_the_orbits(self, code, sizes):
         assert sorted(map(len, proven_orbits(code))) == sizes
 
+    @pytest.mark.parametrize("code", [
+        from_graph(cage("petersen")), from_graph(cage("heawood")), from_graph(cage("mcgee")),
+        from_graph(cage("tuttecoxeter")), from_design(transversal_design(3, 4)),
+        from_design(transversal_design(4, 5)), from_design(transversal_design(5, 7)),
+        from_design(projective_plane(3)), from_design(projective_plane(5)),
+    ], ids=["petersen", "heawood", "mcgee", "tuttecoxeter", "td34", "td45", "td57",
+            "pg3", "pg5"])
+    def test_automorphisms_proven_before_level_0_fix_its_path_node(self, code, monkeypatch):
+        # the premise of the depth-1 rule: discovery searches its levels
+        # deepest first, and each level-l leaf keeps the path nodes above l,
+        # so every automorphism verified before level 0 fixes x0, and the
+        # snapshot holds the orbits of the group they generate in Stab(x0)
+        stab, early = {}, []
+        is_automorphism = analyze._is_automorphism
+
+        def spy(holders, perm):
+            verified = is_automorphism(holders, perm)
+            if verified and not stab:
+                early.append(perm)
+            return verified
+
+        monkeypatch.setattr(analyze, "_is_automorphism", spy)
+        orbit = list(range(code.n))
+        for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks, orbit, stab):
+            pass
+        (x0, roots), = stab.items()
+        assert x0 == 0 and early
+        assert all(perm[x0] == x0 for perm in early)
+        generated = list(range(code.n))
+        for perm in early:
+            for v, w in enumerate(perm):
+                a, b = analyze._root(generated, v), analyze._root(generated, w)
+                generated[max(a, b)] = min(a, b)
+        assert roots == [analyze._root(generated, v) for v in range(code.n)]
+
     @pytest.mark.parametrize("code,k,expected", [
         (from_graph(cage("tuttecoxeter")), 6, (13, 3990)),
         (from_design(transversal_design(5, 7)), 6, (28, 3545)),
@@ -382,7 +433,7 @@ class TestSymmetryPruning:
         rejecting = from_graph(cage("petersen"))
         assert file_size(rejecting, 5) == brute_min_union(rejecting, 5) == 10
         assert checked
-        monkeypatch.setattr(analyze, "_discover_orbits", lambda masks, holders, orbit: iter(()))
+        monkeypatch.setattr(analyze, "_discover_orbits", lambda masks, holders, orbit, stab: iter(()))
         silent = from_graph(cage("petersen"))
         assert file_size(silent, 5) == 10
         assert rejecting._file_sizes[5][1] == silent._file_sizes[5][1]
@@ -547,11 +598,11 @@ class TestCapacityProfile:
 
     @pytest.mark.parametrize("make,expected", [
         (lambda: from_graph(cage("tuttecoxeter")),
-         [(3, 0), (5, 0), (7, 44), (9, 647), (11, 1680), (13, 2151), (15, 4829),
-          (16, 3765), (18, 11069), (20, 30760)]),
+         [(3, 0), (5, 0), (7, 44), (9, 647), (11, 1680), (13, 2151), (15, 3141),
+          (16, 2819), (18, 8748), (20, 25043)]),
         (lambda: from_graph(cage("mcgee")),
-         [(3, 0), (5, 0), (7, 35), (9, 403), (11, 1038), (13, 1548), (14, 533),
-          (16, 1832), (18, 5366), (19, 2330), (21, 7335), (22, 3663)]),
+         [(3, 0), (5, 0), (7, 35), (9, 403), (11, 1038), (13, 1548), (14, 492),
+          (16, 1746), (18, 5156), (19, 2285), (21, 7220), (22, 3645)]),
     ], ids=["tuttecoxeter", "mcgee"])
     def test_the_profile_schedule_is_pinned(self, make, expected):
         """(M(k), search nodes opened) for each k of one profile pass; the
@@ -570,6 +621,20 @@ class TestCapacityProfile:
             file_size(alone, k)
             assert nodes <= alone._file_sizes[k][1], k
 
+    @pytest.mark.parametrize("make,expected", [
+        (lambda: from_design(transversal_design(5, 7)),
+         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 3796), (30, 15185),
+          (31, 27197), (34, 120296)]),
+        (lambda: from_design(projective_plane(5)),
+         [(6, 0), (11, 0), (15, 0), (18, 0), (20, 0), (21, 0), (23, 23741),
+          (24, 12034), (25, 27755)]),
+    ], ids=["td57", "pg5"])
+    def test_the_design_profile_schedule_is_pinned(self, make, expected):
+        # (M(k), search nodes opened) on the designs: the rows where
+        # discovery has reached level 0, TD(5,7) k = 9 and PG(2,5) k >= 8,
+        # search depth 1 under node 0 by its stabilizer's orbits
+        assert analyze._profile_sizes(make(), len(expected), analyze.DEFAULT_BUDGET) == expected
+
     def test_the_profile_neither_reads_nor_writes_the_memo(self):
         code = from_graph(cage("petersen"))
         assert [r.exact for r in capacity_profile(code).rows] == [3, 5, 7]
@@ -586,7 +651,7 @@ class TestCapacityProfile:
 
         largest = max(nodes for _, nodes in
                       analyze._profile_sizes(make(), 8, analyze.DEFAULT_BUDGET))
-        assert largest == 4829
+        assert largest == 3141
         assert len(capacity_profile(make(), 8, budget=largest).rows) == 8
         with pytest.raises(BudgetExceededError, match="over 7-subsets of 30 nodes"):
             capacity_profile(make(), 8, budget=largest - 1)

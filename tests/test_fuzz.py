@@ -68,15 +68,20 @@ def test_unlimited_symmetry_discovery_keeps_file_size_on_random_codes(monkeypatc
     monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
     rng = random.Random(606)
     for trial in range(80):
-        n = rng.randrange(2, 10)
-        theta = rng.randrange(2, 12)
-        alpha = rng.randrange(1, theta + 1)
-        node_sets = [rng.sample(range(1, theta + 1), alpha) for _ in range(n)]
-        for _ in range(rng.randrange(n)):
-            node_sets[rng.randrange(n)] = list(rng.choice(node_sets))
-        code = FrCode(n, theta, alpha, 1, node_sets)
-        for k in range(1, n + 1):
-            assert file_size(code, k) == brute_min_union(code, k), (node_sets, k)
+        code = _random_code_with_copies(rng)
+        for k in range(1, code.n + 1):
+            assert file_size(code, k) == brute_min_union(code, k), (code.node_sets, k)
+
+
+def _random_code_with_copies(rng):
+    """n <= 9 random node sets, some of them copies of others."""
+    n = rng.randrange(2, 10)
+    theta = rng.randrange(2, 12)
+    alpha = rng.randrange(1, theta + 1)
+    node_sets = [rng.sample(range(1, theta + 1), alpha) for _ in range(n)]
+    for _ in range(rng.randrange(n)):
+        node_sets[rng.randrange(n)] = list(rng.choice(node_sets))
+    return FrCode(n, theta, alpha, 1, node_sets)
 
 
 def _relabelled(code, rng, nodes=True, symbols=True):
@@ -150,6 +155,64 @@ def test_capacity_profile_equals_file_size_on_relabelled_catalog_codes():
             rows = [r.exact for r in capacity_profile(code, k_max).rows]
             fresh = FrCode(code.n, code.theta, code.alpha, code.rho, code.node_sets)
             assert rows == [file_size(fresh, k) for k in range(1, k_max + 1)]
+
+
+def _stabilizer_cases(seed):
+    """Small catalog codes, two relabelled copies of each, and random codes
+    with copied node sets.  Discovery's x0 is the first node of the largest
+    cell, node 0 on the node-transitive catalog codes and their copies, some
+    other node on many of the random codes."""
+    rng = random.Random(seed)
+    for base in [from_graph(turan(6, 2)), from_graph(cage("petersen")),
+                 from_graph(cage("heawood")), from_design(transversal_design(3, 4)),
+                 from_design(projective_plane(2)), from_design(projective_plane(3))]:
+        yield from (base, _relabelled(base, rng), _relabelled(base, rng, symbols=False))
+    for _ in range(40):
+        yield _random_code_with_copies(rng)
+
+
+def _path_node(code):
+    """x0, the level-0 path node of discovery run to its end; None when
+    refinement alone makes every node a cell of its own."""
+    stab = {}
+    for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks,
+                                      list(range(code.n)), stab):
+        pass
+    return next(iter(stab), None)
+
+
+def test_depth_1_stabilizer_rule_keeps_file_size(monkeypatch):
+    # discovery runs to its end once a search opens a node, so the level-0
+    # snapshot is there for every later branch and every later profile row
+    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
+    discover_orbits = analyze._discover_orbits
+
+    def profile_nodes(code, stabilizer):
+        with monkeypatch.context() as patch:
+            if not stabilizer:  # the snapshot goes to a dict the search never sees
+                patch.setattr(analyze, "_discover_orbits", lambda masks, holders, orbit, stab:
+                              discover_orbits(masks, holders, orbit, {}))
+            return analyze._profile_sizes(code, code.n, analyze.DEFAULT_BUDGET)
+
+    path_nodes, opened = set(), {True: 0, False: 0}
+    for code in _stabilizer_cases(1313):
+        expected = [brute_min_union(code, k) for k in range(1, code.n + 1)]
+        path_nodes.add(_path_node(code))
+        assert [file_size(code, k) for k in range(1, code.n + 1)] == expected, code.node_sets
+        for stabilizer in (True, False):
+            sizes = profile_nodes(code, stabilizer)
+            assert [m for m, _ in sizes] == expected, code.node_sets
+            opened[stabilizer] += sum(nodes for _, nodes in sizes)
+    assert path_nodes - {0, None}
+    assert opened[True] < opened[False]  # the rule prunes
+
+
+def test_depth_1_stabilizer_rule_keeps_batch_t(monkeypatch):
+    # the batch search runs the kernel on the dual code, whose nodes are the
+    # symbols; on some of the random codes the dual's x0 is not 0
+    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
+    for code in _stabilizer_cases(1414):
+        assert batch_t_detail(code).t == brute_batch_t_detail(code).t, code.node_sets
 
 
 def test_any_admitted_budget_gives_the_exact_answer_on_random_codes():

@@ -1,6 +1,7 @@
 import pytest
 
 from frepkit import (
+    Design,
     FormatError,
     FrCode,
     Graph,
@@ -38,6 +39,11 @@ class TestGraph:
         with pytest.raises(ParameterError):
             Graph(v=3, edges=[(1, 4)])
 
+    @pytest.mark.parametrize("v", [3.0, True, "3", None])
+    def test_non_integer_vertex_count_is_refused(self, v):
+        with pytest.raises(ParameterError, match=f"^vertex count {v!r} is not an integer$"):
+            Graph(v, [(1, 2)])
+
     def test_adjacency_masks(self):
         g = Graph(v=3, edges=[(1, 2), (2, 3)])
         assert g.adjacency_masks == (0b010, 0b101, 0b010)
@@ -58,6 +64,15 @@ class TestFrCodeArguments:
         with pytest.raises(ParameterError,
                            match=f"^node 2 symbol {symbol!r} is not an integer$"):
             FrCode(2, 3, 2, 1, [(1, 2), (3, symbol)])
+
+
+class TestDesign:
+    @pytest.mark.parametrize("points", [3.0, True, "3", None])
+    def test_non_integer_point_count_is_refused(self, points):
+        with pytest.raises(ParameterError, match=f"^point count {points!r} is not an integer$"):
+            Design(points, [(1, 2)])
+        with pytest.raises(ParameterError, match=f"^point count {points!r} is not an integer$"):
+            TransversalDesign(points, [(1, 2)], [(1,), (2,)])
 
 
 class TestValidate:
