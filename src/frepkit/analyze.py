@@ -20,10 +20,12 @@ Symmetry rule for M(k): the search skips node j's depth-0 branch when
 automorphisms, each checked against the incidence, map a smaller node to j;
 under discovery's level-0 path node x0 it skips the depth-1 child i when
 automorphisms fixing x0 map a smaller node to i.  Discovery verifies and
-records these orbits itself; it runs only when the greedy incumbent misses
-the floor, and the search pays for it: between depth-0 branches it may do
-one unit of work per _NODES_PER_DISCOVERY_UNIT nodes opened.  It is not
-charged to the budget and depends only on (code, k), so a refusal does too.
+records these orbits itself, and skips a leaf search when a node of the
+same proven orbit has already failed one at that level; it runs only when
+the greedy incumbent misses the floor, and the search pays for it: between
+depth-0 branches it may do one unit of work per _NODES_PER_DISCOVERY_UNIT
+nodes opened.  It is not charged to the budget and depends only on (code,
+k), so a refusal does too.
 
 Profile rule: capacity_profile finds M(1..k_max) in one pass, k ascending,
 and bounds each row's search by the exact rows below it.  Its searches
@@ -523,6 +525,16 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list
     path's traces.  Such a leaf keeps the path nodes above that level, so
     every automorphism verified before level 0 fixes x0, the level-0 path
     node; as level 0 begins, stab[x0] gets each node's root in orbit.
+
+    At level L, z is skipped when its root is the root of x_L or of a z0
+    whose leaf search failed.  Lemma: every automorphism verified so far, at
+    L or deeper, fixes the path nodes x_0..x_{L-1}.  Say z = g(z0) for such
+    a g, and some h fixing x_0..x_{L-1} maps x_L to z; then g^-1 h maps x_L
+    to z0.  leaf_search is complete: it returns False only once it has
+    exhausted its subtree, so no such h exists for z0, nor for z.  Every
+    skipped search would have failed, so the same automorphisms are verified
+    in the same order, and the orbits and stab do not change; only the work
+    units shrink.  Roots move as classes merge, so they are compared afresh.
     """
     n = len(masks)
     neighbours = (masks, holders)  # of a node, of a symbol
@@ -616,9 +628,11 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list
             x, *others = _bits(parts[level][0][target(parts[level])])
             if not level:  # everything verified so far fixes x, the level-0 path node
                 stab[x] = [_root(orbit, v) for v in range(n)]
+            settled = [x]  # x and the nodes whose leaf search failed
             for z in others:
-                if _root(orbit, z) != _root(orbit, x):
-                    yield from leaf_search(parts[level], level, z)
+                if all(_root(orbit, z) != _root(orbit, s) for s in settled):
+                    if not (yield from leaf_search(parts[level], level, z)):
+                        settled.append(z)
     finally:
         leaf_search = None  # it refers to itself: break the cycle, also on close()
 

@@ -53,6 +53,9 @@ class Graph:
         canonical = []
         for edge in edges:
             u, w = edge
+            for x in (u, w):
+                if type(x) is not int:  # only then build _integer's message
+                    _integer(x, "edge endpoint")
             if u == w:
                 raise ParameterError(f"self-loop at vertex {u}")
             if u > w:
@@ -179,15 +182,17 @@ class Design:
     def __init__(self, points: int, blocks: Iterable[Iterable[int]]):
         if _integer(points, "point count") < 1:
             raise ParameterError(f"point count must be positive, got {points}")
-        blks = tuple(tuple(sorted(b)) for b in blocks)
+        blks = tuple(map(tuple, blocks))
         for b in blks:
             for p in b:
+                if type(p) is not int:  # only then build _integer's message
+                    _integer(p, "block point")
                 if not 1 <= p <= points:
                     raise ParameterError(f"block point {p} out of range 1..{points}")
             if len(set(b)) != len(b):
-                raise ParameterError(f"block {b} repeats a point")
+                raise ParameterError(f"block {tuple(sorted(b))} repeats a point")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "blocks", blks)
+        object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in blks))
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,20 @@ class TestSymmetryPruning:
         for orbit in proven_orbits(code):
             assert all(automorphism_maps(code, orbit[0], v) for v in orbit[1:]), orbit
 
+    @pytest.mark.parametrize("code", [
+        from_graph(turan(6, 2)), from_graph(cage("petersen")), from_graph(cage("heawood")),
+        from_graph(cage("mcgee")), from_design(transversal_design(3, 4)),
+        from_design(transversal_design(3, 5)), from_design(transversal_design(4, 5)),
+        from_design(projective_plane(2)), from_design(projective_plane(3)),
+    ], ids=["k33", "petersen", "heawood", "mcgee", "td34", "td35", "td45", "pg2", "pg3"])
+    def test_distinct_proven_orbits_are_distinct_true_orbits(self, code):
+        # completeness: discovery skips the leaf searches that an orbit which
+        # already failed answers, so a wrong skip would leave two proven
+        # orbits that one automorphism joins
+        firsts = [orbit[0] for orbit in proven_orbits(code)]
+        for i, a in enumerate(firsts):
+            assert not any(automorphism_maps(code, a, b) for b in firsts[i + 1:]), a
+
     def test_the_oracle_tells_orbits_apart(self):
         # nodes 0 and 1 of K_{1,2}'s code: the centre holds both symbols
         code = FrCode(3, 2, 1, 2, [(1, 2), (1,), (2,)])
@@ -364,7 +378,8 @@ class TestSymmetryPruning:
         (from_graph(cage("tuttecoxeter")), [30]),
         (from_design(transversal_design(7, 7)), [49]),
         (from_graph(cage("mcgee")), [8, 16]),
-    ], ids=["petersen", "heawood", "tuttecoxeter", "td77", "mcgee"])
+        (from_design(transversal_design(5, 7)), [14, 21]),
+    ], ids=["petersen", "heawood", "tuttecoxeter", "td77", "mcgee", "td57"])
     def test_discovery_proves_the_orbits(self, code, sizes):
         assert sorted(map(len, proven_orbits(code))) == sizes
 
@@ -403,10 +418,22 @@ class TestSymmetryPruning:
                 generated[max(a, b)] = min(a, b)
         assert roots == [analyze._root(generated, v) for v in range(code.n)]
 
+    @pytest.mark.parametrize("code,units", [
+        (from_design(transversal_design(5, 7)), 24240),
+        (from_design(transversal_design(7, 7)), 6972),
+    ], ids=["td57", "td77"])
+    def test_discovery_work_is_pinned(self, code, units):
+        # the work units of discovery run to its end; searching again each
+        # node whose orbit already failed at its level takes TD(5,7) 252,281
+        # units and TD(7,7) 8,422
+        orbit = list(range(code.n))
+        assert sum(analyze._discover_orbits(code.symbol_masks, code.holder_masks,
+                                            orbit, {})) == units
+
     @pytest.mark.parametrize("code,k,expected", [
         (from_graph(cage("tuttecoxeter")), 6, (13, 3990)),
         (from_design(transversal_design(5, 7)), 6, (28, 3545)),
-        (from_design(transversal_design(5, 7)), 7, (30, 19782)),
+        (from_design(transversal_design(5, 7)), 7, (30, 11374)),
         (from_graph(cage("mcgee")), 9, (18, 57989)),
     ], ids=["tuttecoxeter-k6", "td57-k6", "td57-k7", "mcgee-k9"])
     def test_the_discovery_schedule_is_pinned(self, code, k, expected):
@@ -612,7 +639,7 @@ class TestCapacityProfile:
         That no k-search of the profile opens more nodes than the standalone
         file_size search is an observed regression check, not a theorem:
         discovery is paid per node opened, so a search that opens fewer nodes
-        early may prove its orbits later (TD(5,7) at k = 6 opens 3,796 nodes
+        early may prove its orbits later (TD(5,7) at k = 6 opens 3,775 nodes
         in the profile and 3,545 alone)."""
         sizes = analyze._profile_sizes(make(), len(expected), analyze.DEFAULT_BUDGET)
         assert sizes == expected
@@ -623,15 +650,15 @@ class TestCapacityProfile:
 
     @pytest.mark.parametrize("make,expected", [
         (lambda: from_design(transversal_design(5, 7)),
-         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 3796), (30, 15185),
-          (31, 27197), (34, 120296)]),
+         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 3775), (30, 8615),
+          (31, 8512), (34, 117276)]),
         (lambda: from_design(projective_plane(5)),
          [(6, 0), (11, 0), (15, 0), (18, 0), (20, 0), (21, 0), (23, 23741),
           (24, 12034), (25, 27755)]),
     ], ids=["td57", "pg5"])
     def test_the_design_profile_schedule_is_pinned(self, make, expected):
         # (M(k), search nodes opened) on the designs: the rows where
-        # discovery has reached level 0, TD(5,7) k = 9 and PG(2,5) k >= 8,
+        # discovery has reached level 0, k >= 8 on both codes,
         # search depth 1 under node 0 by its stabilizer's orbits
         assert analyze._profile_sizes(make(), len(expected), analyze.DEFAULT_BUDGET) == expected
 

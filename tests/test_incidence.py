@@ -44,6 +44,13 @@ class TestGraph:
         with pytest.raises(ParameterError, match=f"^vertex count {v!r} is not an integer$"):
             Graph(v, [(1, 2)])
 
+    @pytest.mark.parametrize("endpoint", [1.5, 2.0, True, "2", None])
+    def test_non_integer_endpoint_is_refused(self, endpoint):
+        for edge in [(endpoint, 3), (3, endpoint)]:
+            with pytest.raises(ParameterError,
+                               match=f"^edge endpoint {endpoint!r} is not an integer$"):
+                Graph(3, [(1, 2), edge])
+
     def test_adjacency_masks(self):
         g = Graph(v=3, edges=[(1, 2), (2, 3)])
         assert g.adjacency_masks == (0b010, 0b101, 0b010)
@@ -73,6 +80,20 @@ class TestDesign:
             Design(points, [(1, 2)])
         with pytest.raises(ParameterError, match=f"^point count {points!r} is not an integer$"):
             TransversalDesign(points, [(1, 2)], [(1,), (2,)])
+
+    @pytest.mark.parametrize("point", [1.5, 2.0, True, "2", None])
+    def test_non_integer_block_point_is_refused(self, point):
+        with pytest.raises(ParameterError, match=f"^block point {point!r} is not an integer$"):
+            Design(3, [(1, 2), (3, point)])
+        with pytest.raises(ParameterError, match=f"^block point {point!r} is not an integer$"):
+            TransversalDesign(2, [(1, point)], [(1,), (2,)])
+
+    def test_blocks_are_sorted_and_checked(self):
+        assert Design(3, [(3, 1), [2, 1]]).blocks == ((1, 3), (1, 2))
+        with pytest.raises(ParameterError, match=r"^block \(1, 2, 2\) repeats a point$"):
+            Design(3, [(2, 1, 2)])
+        with pytest.raises(ParameterError, match="^block point 4 out of range 1..3$"):
+            Design(3, [(1, 4)])
 
 
 class TestValidate:
