@@ -6,15 +6,14 @@ The enumerator is a branch-and-bound over the same subset space as a plain
 scan; it prunes branches whose best reachable union already matches the
 incumbent, and branches that a proven automorphism covers.
 
-Budget rule, shared by every exact search here and in `batch`: a search
-counts the search nodes it opens, in its fixed order, and raises
-BudgetExceededError as soon as the count passes the budget (DEFAULT_BUDGET
-unless given).  A node is one call of the min-union recursion, the one
-search kernel, which answers file_size, capacity_profile,
-max_induced_edges and, on the dual code, the batch parameter.  The
-polynomial set-up (greedy incumbent, floors) is not charged, so a code
-that set-up settles runs at any budget.  has_k_clique is a plain decision
-with no budget.
+Budget rule: each exact request is one _Profile, whose min-union searches
+share its budget (DEFAULT_BUDGET unless given) and refuse with
+BudgetExceededError as soon as they have together opened more search nodes
+than it, counted in their fixed order.  A node is one call of the min-union
+recursion, the one search kernel, which answers file_size,
+capacity_profile, max_induced_edges, has_k_clique and, on the dual code,
+the batch parameter.  The polynomial set-up (greedy incumbent, floors) is
+not charged, so a code that set-up settles runs at any budget.
 
 Symmetry rule for M(k): the search skips node j's depth-0 branch when
 automorphisms, each checked against the incidence, map a smaller node to j;
@@ -30,10 +29,13 @@ k), so a refusal does too.
 Profile rule: capacity_profile finds M(1..k_max) in one pass, k ascending,
 and bounds each row's search by the exact rows below it.  Its searches
 share one greedy pass and one discovery, paid by the nodes the profile has
-opened so far.  The budget counts each k-search's own nodes, so a refusal
-depends only on (code, k_max, budget).  The profile neither reads nor writes
-the per-code memo; only file_size, a search of its own with no rows below
-it, uses that.
+opened so far.  A refusal depends only on (code, k_max, budget).  The
+profile neither reads nor writes the per-code memo; only file_size, a
+search of its own with no rows below it, uses that.
+
+Clique rule: k vertices S store k*d - e(S) symbols in a graph's edge code,
+d the largest degree, so S is a clique exactly when that is below
+k*d - C(k, 2) + 1, the cap of has_k_clique's one search.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ def _budget(budget: int | None) -> int:
 
 def mbr_capacity(k: int, alpha: int) -> int:
     """Largest file a minimum-bandwidth regenerating code can store: k*alpha - C(k,2)."""
-    if k < 1:
+    if _integer(k, "k") < 1:
         raise ParameterError(f"k must be positive, got {k}")
-    return k * alpha - k * (k - 1) // 2
+    return k * _integer(alpha, "alpha") - k * (k - 1) // 2
 
 
 def _ceil_div(num: int, den: int) -> int:
@@ -106,11 +108,12 @@ def fr_capacity_bound(n: int, k: int, alpha: int, rho: int) -> int:
 
     phi(1) = alpha and phi(k+1) = phi(k) + alpha - ceil((rho*phi(k) - k*alpha)/(n - k)).
     """
-    if k < 1:
+    _integer(rho, "rho")
+    if _integer(k, "k") < 1:
         raise ParameterError(f"k must be positive, got {k}")
-    if k >= n:
+    if k >= _integer(n, "n"):
         raise ParameterError(f"the recursion needs k < n, got k={k}, n={n}")
-    phi = alpha
+    phi = _integer(alpha, "alpha")
     for i in range(1, k):
         phi = phi + alpha - _ceil_div(rho * phi - i * alpha, n - i)
     return phi
@@ -148,9 +151,9 @@ def improved_bound_profile(known_caps: Sequence[int], n: int, alpha: int,
 
 def turan_file_size(n: int, r: int, k: int) -> int:
     """Closed-form file size of the (n, r)-Turan code: k*alpha - floor((r-1)k^2 / 2r)."""
-    if n % r != 0:
+    if _integer(n, "n") % _integer(r, "r") != 0:
         raise ParameterError(f"part count {r} does not divide {n}")
-    if k < 1:
+    if _integer(k, "k") < 1:
         raise ParameterError(f"k must be positive, got {k}")
     alpha = (r - 1) * n // r
     return k * alpha - (r - 1) * k * k // (2 * r)
@@ -158,10 +161,10 @@ def turan_file_size(n: int, r: int, k: int) -> int:
 
 def td_file_size_lower_bound(alpha: int, rho: int, k: int) -> int:
     """Transversal-design lower bound k*alpha - C(k,2) + rho*C(b,2) + b*t, k = b*rho + t."""
-    if k < 1 or rho < 1:
+    if _integer(k, "k") < 1 or _integer(rho, "rho") < 1:
         raise ParameterError("k and rho must be positive")
     b, t = divmod(k, rho)
-    return (k * alpha - k * (k - 1) // 2
+    return (k * _integer(alpha, "alpha") - k * (k - 1) // 2
             + rho * (b * (b - 1) // 2) + b * t)
 
 
@@ -171,9 +174,10 @@ def girth_file_size(alpha: int, g: int, k: int) -> int:
     Equals k*alpha - k + 1 for k <= g - 1 and k*alpha - k for
     g <= k <= g + ceil(g/2) - 2; outside that range no formula applies.
     """
-    if k < 1:
+    _integer(alpha, "alpha")
+    if _integer(k, "k") < 1:
         raise ParameterError(f"k must be positive, got {k}")
-    if k <= g - 1:
+    if k <= _integer(g, "g") - 1:
         return k * alpha - k + 1
     if k <= g + _ceil_div(g, 2) - 2:
         return k * alpha - k
@@ -184,7 +188,7 @@ def girth_file_size(alpha: int, g: int, k: int) -> int:
 
 def moore_bound(d: int, g: int) -> int:
     """Moore lower bound n0(d, g) on the order of a d-regular graph of girth g."""
-    if d < 2 or g < 3:
+    if _integer(d, "d") < 2 or _integer(g, "g") < 3:
         raise ParameterError(f"need d >= 2 and g >= 3, got d={d}, g={g}")
     if g % 2 == 1:
         return 1 + d * sum((d - 1) ** i for i in range((g - 3) // 2 + 1))
@@ -254,29 +258,21 @@ def girth(g: Graph) -> int | float:
 
 
 def has_k_clique(g: Graph, k: int) -> bool:
-    """Exact clique decision by recursive pivoting over neighborhoods."""
+    """Exact clique decision: one capped min-union search on the edge code.
+
+    Lemma: with d the largest degree, k vertices S store k*d - e(S) symbols
+    there, and e(S) <= C(k, 2) with equality only for a clique, so S is a
+    clique exactly when its union is below the cap k*d - C(k, 2) + 1.  It
+    refuses once it opens more than DEFAULT_BUDGET search nodes.
+    """
     if _integer(k, "k") < 1:
         raise ParameterError(f"k must be positive, got {k}")
-    if k == 1:
-        return g.v >= 1
-    adj = g.adjacency_masks
-
-    def extend(candidates: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while candidates:
-            if candidates.bit_count() < need:
-                return False
-            low = candidates & -candidates
-            candidates ^= low
-            if extend(adj[low.bit_length() - 1] & candidates, need - 1):
-                return True
+    if k > g.v:
         return False
-
-    try:
-        return extend((1 << g.v) - 1, k)
-    finally:
-        extend = None  # it refers to itself: break the cycle
+    code = _edge_code(g)
+    profile = _Profile(code, 1, DEFAULT_BUDGET,
+                       f"clique search over {k}-subsets of {g.v} vertices")
+    return profile.search(k, cap=k * code.alpha - k * (k - 1) // 2 + 1) is not None
 
 
 def max_induced_edges(g: Graph, k: int, budget: int | None = None) -> int:
@@ -310,7 +306,9 @@ def file_size(code: FrCode, k: int, budget: int | None = None) -> int:
     budget = _budget(budget)
     memo = code._file_sizes
     if k not in memo:
-        memo[k] = _min_union(code, k, budget, _Profile(code, k))[:2]
+        profile = _Profile(code, k, budget, _file_size_what(code, k))
+        profile.search(k)
+        memo[k] = profile.rows[0], profile.opened
     m_size, nodes = memo[k]
     if nodes > budget:
         raise BudgetExceededError(_file_size_what(code, k), budget)
@@ -341,14 +339,15 @@ def _greedy_unions(masks: tuple[int, ...], k_max: int) -> list[int]:
 
 
 class _Profile:
-    """What the M(k) searches of one capacity profile share, run for k = 1,
-    2, ... in turn: the greedy incumbents, the rows found so far, the suffix
-    unions, and the proven orbits with the discovery that extends them.  A
-    standalone file_size search has one of its own, with no rows; the batch
-    search has one on the dual code, whose rows are lower bounds."""
+    """One exact request and its min-union searches, run for k = 1, 2, ...
+    in turn or for one k alone.  They share one budget, the greedy
+    incumbents (up to k_max; a capped search reads none), the rows found so
+    far, the suffix unions, and the proven orbits with the discovery that
+    extends them."""
 
-    def __init__(self, code: FrCode, k_max: int):
+    def __init__(self, code: FrCode, k_max: int, budget: int, what: str):
         masks = code.symbol_masks
+        self.code, self.budget, self.what = code, budget, what  # what names the request
         self.greedy = _greedy_unions(masks, k_max)
         self.rows: list[int] = []  # M(1), M(2), ... so far, or lower bounds on them
         # suffix[s]: the union of masks[s:]
@@ -361,120 +360,111 @@ class _Profile:
         self._spent = code.n + code.theta + sum(map(int.bit_count, masks))
         self.opened = 0  # search nodes of the finished searches
 
-    def discover(self, nodes: int) -> None:
-        """Runs discovery until it has done one unit of work per
-        _NODES_PER_DISCOVERY_UNIT nodes opened, these nodes included."""
-        while self._spent * _NODES_PER_DISCOVERY_UNIT < self.opened + nodes:
-            self._spent += next(self._units, math.inf)
+    def search(self, k: int, cap: int | None = None) -> int | None:
+        """Appends M(k) to rows, adds the nodes opened to opened, and returns
+        the union mask of the best k-set found, or None if none beat the
+        incumbent; raises once the request's searches together pass the
+        budget.  rows holds lower bounds on M(1..k-1), or nothing.
 
+        With a cap, it decides whether some k-set has a union below cap: cap
+        is the incumbent, and the floor is raised to cap - 1, so the first
+        such set ends the search.  With no such set, cap, a lower bound on
+        M(k), is the row; a set found leaves no row, its union being only an
+        upper bound.
 
-def _profile_sizes(code: FrCode, k_max: int, budget: int) -> list[tuple[int, int]]:
-    """(M(k), search nodes opened) for k = 1..k_max, each search bounded by
-    the rows below it; raises once one search's count passes budget."""
-    profile = _Profile(code, k_max)
-    sizes = []
-    for k in range(1, k_max + 1):
-        m_size, nodes, _ = _min_union(code, k, budget, profile)
-        profile.rows.append(m_size)
-        profile.opened += nodes
-        sizes.append((m_size, nodes))
-    return sizes
+        Branch j of the depth-0 loop holds the k-sets whose smallest node is
+        j; it is skipped when verified automorphisms join j to a node a < j.
+        Under j = x0, discovery's level-0 path node, the depth-1 child i is
+        skipped when the automorphisms verified before level 0 join i to a
+        node i' < i; each of them fixes x0 (see _discover_orbits), so they
+        generate a subgroup of Stab(x0).  Lemma: some product g maps a to j,
+        or fixes j and maps i' to i, and g^-1 maps each skipped set to a
+        lexicographically smaller set of the same union size, so the
+        lex-least set of least union is never skipped.  Any subgroup keeps
+        M(k) exact; fewer orbits only cost pruning.
 
+        A node with union U of u symbols, first free node s and r >= 2 nodes
+        still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:
+        each completion adds the union N of r nodes from s on, with N inside
+        suffix[s] and |N| >= M(r), so |U | N| >= u + M(r) - |U & suffix[s]|.
+        """
+        code = self.code
+        masks = code.symbol_masks
+        n = code.n
+        sizes = [m.bit_count() for m in masks]
+        a_min = min(sizes)
+        # every symbol appears in at most r_max of the chosen sets
+        r_max = max(map(int.bit_count, code.holder_masks))
+        s_max = code.max_pairwise_intersection
+        # admissible bounds: the j-th set added overlaps the running union in at
+        # most j*s_max symbols, and counting multiplicity caps the union from below
+        floor = _ceil_div(k * a_min, min(max(r_max, 1), k))
+        tail = [0] * (k + 1)
+        for c in range(k - 1, -1, -1):
+            tail[c] = tail[c + 1] + max(0, a_min - s_max * c)
+        below = self.rows
+        floor = max(floor, tail[0], *below[-1:])  # M is monotone in k
+        if cap is None:
+            best = self.greedy[k - 1]
+        else:
+            best, floor = cap, max(floor, cap - 1)
+        nodes = 0
+        found = None
+        if best > floor:
+            suffix = self.suffix
+            budget, what, total = self.budget - self.opened, self.what, self.budget
+            # doll[d]: M(r), or a lower bound on it, for the r = k - d - 1 nodes
+            # still to pick below a child at depth d + 1, when r >= 2 inside a
+            # profile; 0 skips the test
+            doll = [*below[:0:-1], 0, 0] if below else [0] * k
 
-def _min_union(code: FrCode, k: int, budget: int, profile: _Profile,
-               cap: int | None = None) -> tuple[int, int, int | None]:
-    """(M(k), search nodes opened, the union mask of the best k-set the
-    search found or None if none beat the incumbent); raises once the count
-    passes budget.  profile.rows holds lower bounds on M(1..k-1), or nothing.
-
-    With a cap, it decides whether some k-set has a union below cap: cap is
-    the incumbent, and the floor is raised to cap - 1, so the first such set
-    ends the search.  With no such set, cap is returned, a lower bound on M(k).
-
-    Branch j of the depth-0 loop holds the k-sets whose smallest node is j;
-    it is skipped when verified automorphisms join j to a node a < j.  Under
-    j = x0, discovery's level-0 path node, the depth-1 child i is skipped when
-    the automorphisms verified before level 0 join i to a node i' < i; each
-    of them fixes x0 (see _discover_orbits), so they generate a subgroup of
-    Stab(x0).  Lemma: some product g maps a to j, or fixes j and maps i' to
-    i, and g^-1 maps each skipped set to a lexicographically smaller set of
-    the same union size, so the lex-least set of least union is never
-    skipped.  Any subgroup keeps M(k) exact; fewer orbits only cost pruning.
-
-    A node with union U of u symbols, first free node s and r >= 2 nodes
-    still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:
-    each completion adds the union N of r nodes from s on, with N inside
-    suffix[s] and |N| >= M(r), so |U | N| >= u + M(r) - |U & suffix[s]|.
-    """
-    masks = code.symbol_masks
-    n = code.n
-    sizes = [m.bit_count() for m in masks]
-    a_min = min(sizes)
-    # every symbol appears in at most r_max of the chosen sets
-    r_max = max(map(int.bit_count, code.holder_masks))
-    s_max = code.max_pairwise_intersection
-    # admissible bounds: the j-th set added overlaps the running union in at
-    # most j*s_max symbols, and counting multiplicity caps the union from below
-    floor = _ceil_div(k * a_min, min(max(r_max, 1), k))
-    tail = [0] * (k + 1)
-    for c in range(k - 1, -1, -1):
-        tail[c] = tail[c + 1] + max(0, a_min - s_max * c)
-    below = profile.rows
-    floor = max(floor, tail[0], *below[-1:])  # M is monotone in k
-    if cap is None:
-        best = profile.greedy[k - 1]
-    else:
-        best, floor = cap, max(floor, cap - 1)
-    nodes = 0
-    found = None
-    if best > floor:
-        suffix = profile.suffix
-        # doll[d]: M(r), or a lower bound on it, for the r = k - d - 1 nodes
-        # still to pick below a child at depth d + 1, when r >= 2 inside a
-        # profile; 0 skips the test
-        doll = [*below[:0:-1], 0, 0] if below else [0] * k
-
-        def descend(children: Sequence[int], depth: int, union: int, usize: int) -> bool:
-            """Returns True once the floor is reached and search can stop."""
-            nonlocal best, nodes, found
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(_file_size_what(code, k), budget)
-            if depth == k:
-                if usize < best:
-                    best, found = usize, union
-                return best <= floor
-            limit = best - tail[depth + 1]
-            rest = doll[depth]
-            stop = n - k + depth + 2  # past the last node a child at depth + 1 may add
-            for i in children:
-                nu = union | masks[i]
-                ns = nu.bit_count()
-                if ns >= limit or rest and ns + rest - (nu & suffix[i + 1]).bit_count() >= best:
-                    continue
-                if descend(range(i + 1, stop), depth + 1, nu, ns):
-                    return True
+            def descend(children: Sequence[int], depth: int, union: int, usize: int) -> bool:
+                """Returns True once the floor is reached and search can stop."""
+                nonlocal best, nodes, found
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(what, total)
+                if depth == k:
+                    if usize < best:
+                        best, found = usize, union
+                    return best <= floor
                 limit = best - tail[depth + 1]
-            return False
+                rest = doll[depth]
+                stop = n - k + depth + 2  # past the last node a child at depth + 1 may add
+                for i in children:
+                    nu = union | masks[i]
+                    ns = nu.bit_count()
+                    if ns >= limit or rest and ns + rest - (nu & suffix[i + 1]).bit_count() >= best:
+                        continue
+                    if descend(range(i + 1, stop), depth + 1, nu, ns):
+                        return True
+                    limit = best - tail[depth + 1]
+                return False
 
-        orbit, stab = profile.orbit, profile.stab
-        try:
-            for j in range(n - k + 1):
-                profile.discover(nodes)
-                # a node that is not a root is joined to its smaller root
-                if orbit[j] != j or sizes[j] + tail[1] >= best:
-                    continue
-                if doll[0] and (sizes[j] + doll[0]
-                                - (masks[j] & suffix[j + 1]).bit_count() >= best):
-                    continue
-                children = range(j + 1, n - k + 2)
-                if j in stab:  # only the roots of j's stabilizer orbits
-                    children = [i for i in children if stab[j][i] == i]
-                if descend(children, 1, masks[j], sizes[j]):
-                    break
-        finally:
-            descend = None  # it refers to itself: free the code without the cyclic collector
-    return best, nodes, found
+            orbit, stab, units, opened = self.orbit, self.stab, self._units, self.opened
+            try:
+                for j in range(n - k + 1):
+                    # discovery does one unit of work per _NODES_PER_DISCOVERY_UNIT
+                    # nodes the request has opened
+                    while self._spent * _NODES_PER_DISCOVERY_UNIT < opened + nodes:
+                        self._spent += next(units, math.inf)
+                    # a node that is not a root is joined to its smaller root
+                    if orbit[j] != j or sizes[j] + tail[1] >= best:
+                        continue
+                    if doll[0] and (sizes[j] + doll[0]
+                                    - (masks[j] & suffix[j + 1]).bit_count() >= best):
+                        continue
+                    children = range(j + 1, n - k + 2)
+                    if j in stab:  # only the roots of j's stabilizer orbits
+                        children = [i for i in children if stab[j][i] == i]
+                    if descend(children, 1, masks[j], sizes[j]):
+                        break
+            finally:
+                descend = None  # it refers to itself: free the code without the cyclic collector
+        self.opened += nodes
+        if cap is None or found is None:
+            self.rows.append(best)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +722,12 @@ def capacity_profile(code: FrCode, k_max: int | None = None,
     k_max = code.alpha if k_max is None else k_max
     if not 1 <= _integer(k_max, "k_max") <= code.n:
         raise ParameterError(f"need 1 <= k_max <= {code.n}, got {k_max}")
+    profile = _Profile(code, k_max, _budget(budget),
+                       f"capacity-profile search over k-subsets of {code.n} nodes, k <= {k_max}")
+    for k in range(1, k_max + 1):
+        profile.search(k)
     rows = []
-    for k, (exact, _) in enumerate(_profile_sizes(code, k_max, _budget(budget)), start=1):
+    for k, exact in enumerate(profile.rows, start=1):
         phi = fr_capacity_bound(code.n, k, code.alpha, code.rho) if k < code.n else code.theta
         mbr = mbr_capacity(k, code.alpha)
         rho2_cap = k * code.alpha - k + 1 if code.rho == 2 and k <= code.alpha else None

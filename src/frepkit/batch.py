@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analyze import _budget, _min_union, _Profile, file_size
-from .errors import BudgetExceededError, FrbDefinitionError, ParameterError
+from .analyze import _budget, _Profile, file_size
+from .errors import FrbDefinitionError, ParameterError
 from .galois import GF, _integer
 from .incidence import FrCode, validate
 from .matching import hall_witness, maximum_matching
@@ -65,12 +65,15 @@ class NoPlan:
 
 def retrieval_plan(code: FrCode, symbols) -> BatchPlan | NoPlan:
     """Plan a parallel retrieval of the requested symbols, or explain why none exists."""
-    request = tuple(sorted(symbols))
-    if len(set(request)) != len(request):
-        raise ParameterError("requested symbols must be distinct")
+    request = tuple(symbols)
     for j in request:
+        if type(j) is not int:
+            _integer(j, "symbol")
         if not 1 <= j <= code.theta:
             raise ParameterError(f"symbol {j} out of range 1..{code.theta}")
+    request = tuple(sorted(request))
+    if len(set(request)) != len(request):
+        raise ParameterError("requested symbols must be distinct")
     holders = code.nodes_of_symbol
     neighbors = [holders[j - 1] for j in request]
     match = maximum_matching(neighbors)
@@ -116,20 +119,14 @@ def batch_t_detail(code: FrCode, budget: int | None = None) -> BatchTResult:
         return BatchTResult(t=0, witness=(unstored,), witness_nodes=())
     dual = FrCode(n=code.theta, theta=code.n, alpha=code.rho, rho=code.alpha,
                   node_sets=holders)
-    profile = _Profile(dual, 1)
+    profile = _Profile(dual, 1, budget, f"deficiency search over sets of {code.theta} symbols")
     for s in range(1, min(code.theta, code.n + 1) + 1):
-        try:
-            bound, nodes, chosen = _min_union(dual, s, budget - profile.opened, profile, cap=s)
-        except BudgetExceededError:
-            raise BudgetExceededError(
-                f"deficiency search over sets of {code.theta} symbols", budget) from None
+        chosen = profile.search(s, cap=s)
         if chosen is not None:
             interior = [j for j, mask in enumerate(code.holder_masks, start=1)
                         if not mask & ~chosen]
             held = tuple(i + 1 for i in range(code.n) if chosen >> i & 1)
             return BatchTResult(t=s - 1, witness=tuple(interior[:s]), witness_nodes=held)
-        profile.rows.append(bound)
-        profile.opened += nodes
     return BatchTResult(t=code.theta, witness=None, witness_nodes=None)
 
 

@@ -36,7 +36,10 @@ def _integers(fields, source: str) -> list[int]:
     return values
 
 
-def _default_budget() -> int | None:
+def _budget(args) -> int | None:
+    """--budget, else FREPKIT_BUDGET (store has no flag), else the default."""
+    if getattr(args, "budget", None) is not None:
+        return args.budget
     raw = os.environ.get(BUDGET_ENV)
     return _integers([raw], BUDGET_ENV)[0] if raw else None
 
@@ -131,7 +134,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_analyze(args) -> int:
     code = incidence.load(args.code)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     profile = analyze.capacity_profile(code, k_max=args.k_max, budget=budget)
     sys.stdout.write(profile.to_json() if args.format == "json" else profile.to_text())
     problems = profile.cross_check()
@@ -145,7 +148,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_store(args) -> int:
     code = incidence.load(args.code)
     field = GF(args.field_q) if args.field_q is not None else default_field_for(code.theta)
-    budget = _default_budget()
+    budget = _budget(args)
     m_size = analyze.file_size(code, args.k, budget=budget)
     if args.file is not None:
         with open(args.file, encoding="ascii", errors="replace") as fh:
@@ -190,7 +193,7 @@ def _cmd_batch(args) -> int:
     code = incidence.load(args.code)
     if args.t is not None and args.t > code.theta:
         raise ParameterError(f"--t: {args.t} exceeds the code's theta = {code.theta} symbols")
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     detail = batch.batch_t_detail(code, budget=budget)
     if args.max_t:
         print(f"t = {detail.t}")
@@ -213,7 +216,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_certify_frb(args) -> int:
     code = incidence.load(args.code)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     cert = batch.frb_certify(code, args.k, budget=budget)
     if args.format == "json":
         # the certification block joins the capacity report in one document

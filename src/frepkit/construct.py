@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import analyze
 from .errors import FrepkitError, ParameterError
-from .galois import GF
+from .galois import GF, _integer
 from .incidence import Design, Graph, TransversalDesign
 
 __all__ = [
@@ -32,7 +32,7 @@ def turan(n: int, r: int) -> Graph:
 
     Regular of degree (r-1)n/r and free of (r+1)-cliques.
     """
-    if not 2 <= r <= n:
+    if not 2 <= _integer(r, "part count") <= _integer(n, "vertex count"):
         raise ParameterError(f"need 2 <= r <= n, got r={r}, n={n}")
     if n % r != 0:
         raise ParameterError(f"part count {r} does not divide vertex count {n}")
@@ -116,7 +116,7 @@ def transversal_design(ell: int, h: int) -> TransversalDesign:
     emitted intercept-major, so for ell <= h the blocks of a fixed slope a
     form a parallel class (positions a+1, a+1+h, ..., stepping by h).
     """
-    if ell < 2:
+    if _integer(ell, "group count") < 2:
         raise ParameterError(f"group count must be at least 2, got {ell}")
     field = GF(h)  # rejects h that is not a supported prime power
     if ell > h + 1:

@@ -210,6 +210,9 @@ def reconstruct(system: StoredSystem, nodes) -> list[int]:
     """Recover the stored file from exactly k node files and check it
     against the manifest's file digest."""
     nodes = list(nodes)
+    for i in nodes:
+        if type(i) is not int:
+            _integer(i, "node id")
     chosen = sorted(set(nodes))
     if len(chosen) != system.k or len(chosen) != len(nodes):
         raise ParameterError(
@@ -249,7 +252,10 @@ def plan_repair(system: StoredSystem, failed: int, policy: str = "lowest",
     """
     if policy not in REPAIR_POLICIES:
         raise ParameterError(f"unknown policy {policy!r}; choose from {REPAIR_POLICIES}")
+    dead = tuple(dead)
     for i in (failed, *dead):
+        if type(i) is not int:
+            _integer(i, "node id")
         if not 1 <= i <= system.code.n:
             raise ParameterError(f"node id {i} out of range 1..{system.code.n}")
     unavailable = {failed} | set(dead)

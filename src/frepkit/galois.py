@@ -108,7 +108,7 @@ class GF:
     """The finite field with q = p^m elements."""
 
     def __init__(self, q: int, modulus=None):
-        p, m = _prime_power(q)
+        p, m = _prime_power(_integer(q, "field order"))
         if q > MAX_ORDER:
             raise ParameterError(f"field order {q} exceeds the supported 2^16")
         self.q = q

@@ -282,10 +282,8 @@ class CodeReport:
 def validate(code: FrCode) -> CodeReport:
     """Check every FrCode invariant; a failing code yields a failing report."""
     rows_uniform = all(len(s) == code.alpha for s in code.node_sets)
-    symbols_valid = all(
-        len(set(s)) == len(s) and all(1 <= j <= code.theta for j in s)
-        for s in code.node_sets
-    )
+    # FrCode already refuses a symbol outside 1..theta; only a repeat is left
+    symbols_valid = all(len(set(s)) == len(s) for s in code.node_sets)
     column_weight = [0] * (code.theta + 1)
     for s in code.node_sets:
         for j in set(s):

@@ -23,6 +23,19 @@ def brute_min_union(code: FrCode, k: int) -> int:
                for chosen in combinations(range(code.n), k))
 
 
+def profile_sizes(code: FrCode, k_max: int) -> list[tuple[int, int]]:
+    """(M(k), search nodes opened) for k = 1..k_max, each row's search run in
+    turn through one analyze._Profile at the default budget, as
+    capacity_profile runs them."""
+    profile = analyze._Profile(code, k_max, analyze.DEFAULT_BUDGET, "profile search")
+    sizes = []
+    for k in range(1, k_max + 1):
+        before = profile.opened
+        profile.search(k)
+        sizes.append((profile.rows[-1], profile.opened - before))
+    return sizes
+
+
 def brute_max_edges(g: Graph, k: int) -> int:
     """Reference induced-edge maximum: plain scan over vertex subsets."""
     best = 0

@@ -10,6 +10,7 @@ from conftest import (
     automorphism_maps,
     brute_max_edges,
     brute_min_union,
+    profile_sizes,
     proven_orbits,
     smallest_admitted_budget,
     to_networkx,
@@ -198,6 +199,20 @@ class TestCliques:
     def test_k1(self):
         assert has_k_clique(Graph(v=1, edges=[]), 1)
 
+    def test_refuses_exactly_below_the_nodes_it_opens(self, monkeypatch):
+        # no parameter: the search runs at DEFAULT_BUDGET, read per call
+        def run(budget):
+            monkeypatch.setattr(analyze, "DEFAULT_BUDGET", budget)
+            return has_k_clique(cage("petersen"), 3)
+
+        b = smallest_admitted_budget(run)
+        assert b > 0 and run(b) is False
+        with pytest.raises(BudgetExceededError) as refused:
+            run(b - 1)
+        assert str(refused.value) == (
+            f"clique search over 3-subsets of 10 vertices needs more than {b - 1} "
+            f"search nodes; raise the budget to run this exactly")
+
     @pytest.mark.parametrize("graph", SMALL_GRAPHS, ids=lambda g: f"n{g.v}e{g.e}")
     def test_against_networkx_clique_number(self, graph):
         omega = max(len(c) for c in nx.find_cliques(to_networkx(graph)))
@@ -265,6 +280,25 @@ def test_non_integer_budget_is_refused(search, budget):
     message = f"^budget {re.escape(repr(budget))} is not an integer$"
     with pytest.raises(ParameterError, match=message):
         search(budget)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: mbr_capacity(2.5, 3), "k 2.5"),
+    (lambda: mbr_capacity(2, 3.0), "alpha 3.0"),
+    (lambda: fr_capacity_bound(6, 2.5, 3, 2), "k 2.5"),
+    (lambda: fr_capacity_bound(6.0, 2, 3, 2), "n 6.0"),
+    (lambda: turan_file_size(6, 2, 2.5), "k 2.5"),
+    (lambda: turan_file_size(6, True, 2), "r True"),
+    (lambda: td_file_size_lower_bound(2.5, 3, 2), "alpha 2.5"),
+    (lambda: girth_file_size(3, 5, True), "k True"),
+    (lambda: girth_file_size(3, 5.0, 2), "g 5.0"),
+    (lambda: moore_bound(3.0, 5), "d 3.0"),
+], ids=["mbr-k", "mbr-alpha", "phi-k", "phi-n", "turan-k", "turan-r", "td-alpha",
+        "girth-k", "girth-g", "moore-d"])
+def test_closed_forms_refuse_non_integers(call, name):
+    # a float or bool would otherwise give a float or a wrong integer
+    with pytest.raises(ParameterError, match=f"^{re.escape(name)} is not an integer$"):
+        call()
 
 
 SMALL_CODES = (
@@ -641,7 +675,7 @@ class TestCapacityProfile:
         discovery is paid per node opened, so a search that opens fewer nodes
         early may prove its orbits later (TD(5,7) at k = 6 opens 3,775 nodes
         in the profile and 3,545 alone)."""
-        sizes = analyze._profile_sizes(make(), len(expected), analyze.DEFAULT_BUDGET)
+        sizes = profile_sizes(make(), len(expected))
         assert sizes == expected
         for k, (_, nodes) in enumerate(sizes, start=1):
             alone = make()
@@ -660,7 +694,7 @@ class TestCapacityProfile:
         # (M(k), search nodes opened) on the designs: the rows where
         # discovery has reached level 0, k >= 8 on both codes,
         # search depth 1 under node 0 by its stabilizer's orbits
-        assert analyze._profile_sizes(make(), len(expected), analyze.DEFAULT_BUDGET) == expected
+        assert profile_sizes(make(), len(expected)) == expected
 
     def test_the_profile_neither_reads_nor_writes_the_memo(self):
         code = from_graph(cage("petersen"))
@@ -671,17 +705,21 @@ class TestCapacityProfile:
         assert file_size(code, 2) == 99
 
     def test_refusal_depends_only_on_code_k_max_and_budget(self):
-        # each k-search has the budget to itself: the profile refuses below
-        # its largest per-k count and runs from it on
+        # the k-searches share the budget: the profile refuses below their
+        # total count and runs from it on
         def make():
             return from_graph(cage("tuttecoxeter"))
 
-        largest = max(nodes for _, nodes in
-                      analyze._profile_sizes(make(), 8, analyze.DEFAULT_BUDGET))
-        assert largest == 3141
-        assert len(capacity_profile(make(), 8, budget=largest).rows) == 8
-        with pytest.raises(BudgetExceededError, match="over 7-subsets of 30 nodes"):
-            capacity_profile(make(), 8, budget=largest - 1)
+        sizes = profile_sizes(make(), 8)
+        assert [nodes for _, nodes in sizes] == [0, 0, 44, 647, 1680, 2151, 3141, 2819]
+        total = sum(nodes for _, nodes in sizes)
+        assert total == 10482
+        assert len(capacity_profile(make(), 8, budget=total).rows) == 8
+        with pytest.raises(BudgetExceededError) as refused:
+            capacity_profile(make(), 8, budget=total - 1)
+        assert str(refused.value) == (
+            "capacity-profile search over k-subsets of 30 nodes, k <= 8 needs more "
+            "than 10481 search nodes; raise the budget to run this exactly")
 
     def test_cross_check_catches_lying_header(self):
         # a K33 code whose header claims rho=3 computes a phi below the true M

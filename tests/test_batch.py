@@ -103,6 +103,13 @@ class TestRetrievalPlan:
         with pytest.raises(ParameterError):
             retrieval_plan(code, [4])
 
+    @pytest.mark.parametrize("request_", [[1.5], [True], [2, 1.0], ["1", 2]],
+                             ids=["float", "bool", "integral-float", "str"])
+    def test_non_integer_symbol_rejected(self, request_):
+        code = from_graph(turan(3, 3))
+        with pytest.raises(ParameterError, match="^symbol .* is not an integer$"):
+            retrieval_plan(code, request_)
+
     def test_hall_duality_exhaustive_small(self):
         # matcher verdict must coincide with Hall's condition on every
         # request of these theta <= 12 codes

@@ -1,8 +1,11 @@
+import re
+
 import networkx as nx
 import pytest
 from conftest import brute_min_union, to_networkx
 
 from frepkit import (
+    GF,
     ParameterError,
     file_size,
     from_design,
@@ -15,6 +18,20 @@ from frepkit import (
     turan,
 )
 from frepkit.construct import cage, cage_catalog
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: GF(4.0), "field order 4.0"),
+    (lambda: GF(True), "field order True"),
+    (lambda: turan(6.0, 2), "vertex count 6.0"),
+    (lambda: turan(6, 2.0), "part count 2.0"),
+    (lambda: transversal_design(3, 4.0), "field order 4.0"),
+    (lambda: transversal_design(3.0, 4), "group count 3.0"),
+    (lambda: projective_plane(2.0), "field order 2.0"),
+], ids=["gf", "gf-bool", "turan-n", "turan-r", "td-h", "td-ell", "plane"])
+def test_constructors_refuse_non_integers(call, name):
+    with pytest.raises(ParameterError, match=f"^{re.escape(name)} is not an integer$"):
+        call()
 
 
 class TestTuran:

@@ -134,6 +134,14 @@ class TestReconstruct:
         with pytest.raises(ParameterError):
             reconstruct(system, [1, 1, 2, 3])
 
+    @pytest.mark.parametrize("nodes", [[1.5, 2, 3, 4], [True, 2, 3, 4], [1.0, 2, 3, 4],
+                                       ["1", 2, 3, 4]],
+                             ids=["float", "bool", "integral-float", "str"])
+    def test_non_integer_node_refused(self, td34_system, nodes):
+        system, _ = td34_system
+        with pytest.raises(ParameterError, match="^node id .* is not an integer$"):
+            reconstruct(system, nodes)
+
     def test_nodes_may_be_a_generator(self, td34_system):
         system, file_symbols = td34_system
         assert reconstruct(system, iter([1, 5, 9, 12])) == file_symbols
@@ -192,6 +200,14 @@ class TestReconstruct:
 
 
 class TestPlanRepair:
+    @pytest.mark.parametrize("failed,dead", [(1.5, ()), (True, ()), (1.0, ()), (1, [2.5]),
+                                             (1, [False])],
+                             ids=["float", "bool", "integral-float", "dead-float", "dead-bool"])
+    def test_non_integer_node_refused(self, td34_system, failed, dead):
+        system, _ = td34_system
+        with pytest.raises(ParameterError, match="^node id .* is not an integer$"):
+            plan_repair(system, failed, dead=dead)
+
     def test_paper_td34_donor_pools(self, paper_td34, tmp_path):
         # node 1 stores blocks 1..4 = {1,5,9}, {1,6,10}, {1,7,11}, {1,8,12}
         code = from_design(paper_td34)
@@ -231,6 +247,8 @@ class TestPlanRepair:
         # symbol 1 is edge (1, 4); with node 4 also dead it has no replica
         with pytest.raises(IrreparableError):
             plan_repair(system, 1, dead=[4])
+        with pytest.raises(IrreparableError):  # an iterator is read once
+            plan_repair(system, 1, dead=iter([4]))
 
     def test_lowest_policy_avoids_reuse_when_possible(self, tmp_path):
         # every node stores both symbols, so naive lowest-id picks collide on

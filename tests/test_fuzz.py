@@ -11,7 +11,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from conftest import brute_batch_t_detail, brute_max_edges, brute_min_union
+from conftest import brute_batch_t_detail, brute_max_edges, brute_min_union, profile_sizes
 
 from frepkit import (
     BudgetExceededError,
@@ -136,7 +136,7 @@ def test_capacity_profile_matches_brute_on_random_codes(monkeypatch, nodes_per_u
         for _ in range(rng.randrange(n)):
             node_sets[rng.randrange(n)] = list(rng.choice(node_sets))
         code = FrCode(n, theta, alpha, 1, node_sets)
-        sizes = analyze._profile_sizes(code, n, analyze.DEFAULT_BUDGET)
+        sizes = profile_sizes(code, n)
         assert [m for m, _ in sizes] == [brute_min_union(code, k) for k in range(1, n + 1)], \
             node_sets
         searched += sum(1 for _, nodes in sizes if nodes)
@@ -192,7 +192,7 @@ def test_depth_1_stabilizer_rule_keeps_file_size(monkeypatch):
             if not stabilizer:  # the snapshot goes to a dict the search never sees
                 patch.setattr(analyze, "_discover_orbits", lambda masks, holders, orbit, stab:
                               discover_orbits(masks, holders, orbit, {}))
-            return analyze._profile_sizes(code, code.n, analyze.DEFAULT_BUDGET)
+            return profile_sizes(code, code.n)
 
     path_nodes, opened = set(), {True: 0, False: 0}
     for code in _stabilizer_cases(1313):
@@ -261,6 +261,22 @@ def test_clique_decision_matches_networkx_on_random_graphs():
         omega = max((len(c) for c in nx.find_cliques(G)), default=1)
         for k in range(1, n + 1):
             assert has_k_clique(g, k) == (k <= omega)
+
+
+def test_clique_decision_matches_networkx_on_300_random_graphs():
+    # an oracle outside the min-union kernel, which has_k_clique runs on:
+    # non-regular graphs get symbols of their own, edgeless ones are all own
+    rng = random.Random(3030)
+    regular = edgeless = 0
+    for trial in range(300):
+        n = rng.randrange(1, 15)
+        G, g = _random_graph(rng, n, 0.0 if trial % 10 == 0 else rng.uniform(0.05, 0.95))
+        edgeless += not g.edges
+        regular += len(set(g.degrees())) == 1
+        omega = max((len(c) for c in nx.find_cliques(G)), default=0)
+        for k in range(1, n + 2):
+            assert has_k_clique(g, k) == (k <= omega), (g.edges, k)
+    assert edgeless >= 30 and regular < 100
 
 
 def test_matching_size_matches_hopcroft_karp():
