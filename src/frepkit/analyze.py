@@ -15,16 +15,16 @@ capacity_profile, max_induced_edges, has_k_clique and, on the dual code,
 the batch parameter.  The polynomial set-up (greedy incumbent, floors) is
 not charged, so a code that set-up settles runs at any budget.
 
-Symmetry rule for M(k): the search skips node j's depth-0 branch when
-automorphisms, each checked against the incidence, map a smaller node to j;
-under discovery's level-0 path node x0 it skips the depth-1 child i when
-automorphisms fixing x0 map a smaller node to i.  Discovery verifies and
-records these orbits itself, and skips a leaf search when a node of the
-same proven orbit has already failed one at that level; it runs only when
-the greedy incumbent misses the floor, and the search pays for it: between
-depth-0 branches it may do one unit of work per _NODES_PER_DISCOVERY_UNIT
-nodes opened.  It is not charged to the budget and depends only on (code,
-k), so a refusal does too.
+Symmetry rule for M(k): at depth d, once it has picked the first d nodes
+of discovery's first path, the search skips a child i when automorphisms,
+each checked against the incidence and each fixing those d nodes, map a
+smaller node to i; at d = 0 that is any automorphism.  Discovery verifies
+and records these orbits itself, deepest path level first, and skips a
+leaf search when a node of the same proven orbit has already failed one at
+that level; it runs only when the greedy incumbent misses the floor, and
+the search pays for it: between depth-0 branches it may do one unit of
+work per _NODES_PER_DISCOVERY_UNIT nodes opened.  It is not charged to the
+budget and depends only on (code, k), so a refusal does too.
 
 Profile rule: capacity_profile finds M(1..k_max) in one pass, k ascending,
 and bounds each row's search by the exact rows below it.  Its searches
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 from types import MappingProxyType
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ParameterError
 from .galois import _integer
@@ -352,10 +352,11 @@ class _Profile:
         self.rows: list[int] = []  # M(1), M(2), ... so far, or lower bounds on them
         # suffix[s]: the union of masks[s:]
         self.suffix = list(accumulate(reversed(masks), or_, initial=0))[::-1]
-        self.orbit = list(range(code.n))  # union-find; each root is its class's smallest node
-        # stab[x]: each node's root in orbits proven under a subgroup of Stab(x)
-        self.stab: dict[int, list[int]] = {}
-        self._units = _discover_orbits(masks, code.holder_masks, self.orbit, self.stab)
+        # path: discovery's first path once known, then -1; chain[d]: each node's root
+        # in orbits proven under a subgroup of the pointwise stabilizer of path[:d],
+        # once recorded; chain[0] is the union-find orbit, roots the smallest nodes
+        self.path, self.chain = [-1], {0: list(range(code.n))}
+        self._units = _discover_orbits(masks, code.holder_masks, self.path, self.chain)
         # discovery first pays for its incidence graph (vertices and edges)
         self._spent = code.n + code.theta + sum(map(int.bit_count, masks))
         self.opened = 0  # search nodes of the finished searches
@@ -364,7 +365,7 @@ class _Profile:
         """Appends M(k) to rows, adds the nodes opened to opened, and returns
         the union mask of the best k-set found, or None if none beat the
         incumbent; raises once the request's searches together pass the
-        budget.  rows holds lower bounds on M(1..k-1), or nothing.
+        budget.  rows must hold lower bounds on M(1..k-1), or nothing.
 
         With a cap, it decides whether some k-set has a union below cap: cap
         is the incumbent, and the floor is raised to cap - 1, so the first
@@ -372,27 +373,27 @@ class _Profile:
         M(k), is the row; a set found leaves no row, its union being only an
         upper bound.
 
-        Branch j of the depth-0 loop holds the k-sets whose smallest node is
-        j; it is skipped when verified automorphisms join j to a node a < j.
-        Under j = x0, discovery's level-0 path node, the depth-1 child i is
-        skipped when the automorphisms verified before level 0 join i to a
-        node i' < i; each of them fixes x0 (see _discover_orbits), so they
-        generate a subgroup of Stab(x0).  Lemma: some product g maps a to j,
-        or fixes j and maps i' to i, and g^-1 maps each skipped set to a
-        lexicographically smaller set of the same union size, so the
-        lex-least set of least union is never skipped.  Any subgroup keeps
-        M(k) exact; fewer orbits only cost pruning.
+        The node at depth d below an empty root picks a set's d-th smallest
+        node.  Once it has picked path[:d], it opens only the children that
+        chain[d] does not join to a smaller node.  Lemma: the automorphisms
+        behind chain[d] fix path[:d] (see _discover_orbits).  If a product g
+        of them maps i' < i to the child i, g^-1 maps each set that picks
+        path[:d] and then i to a set of equal union holding path[:d] and i',
+        d + 1 nodes below i: a lexicographically smaller set.  So the
+        lex-least set of least union is never skipped, under any subgroup.
 
         A node with union U of u symbols, first free node s and r >= 2 nodes
         still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:
         each completion adds the union N of r nodes from s on, with N inside
         suffix[s] and |N| >= M(r), so |U | N| >= u + M(r) - |U & suffix[s]|.
         """
+        below = self.rows
+        if below and len(below) != k - 1:
+            raise ParameterError(f"search({k}) needs rows M(1..{k - 1}), not {len(below)} rows")
         code = self.code
         masks = code.symbol_masks
         n = code.n
-        sizes = [m.bit_count() for m in masks]
-        a_min = min(sizes)
+        a_min = min(map(int.bit_count, masks))
         # every symbol appears in at most r_max of the chosen sets
         r_max = max(map(int.bit_count, code.holder_masks))
         s_max = code.max_pairwise_intersection
@@ -402,24 +403,24 @@ class _Profile:
         tail = [0] * (k + 1)
         for c in range(k - 1, -1, -1):
             tail[c] = tail[c + 1] + max(0, a_min - s_max * c)
-        below = self.rows
         floor = max(floor, tail[0], *below[-1:])  # M is monotone in k
         if cap is None:
             best = self.greedy[k - 1]
         else:
             best, floor = cap, max(floor, cap - 1)
-        nodes = 0
-        found = None
+        nodes, found = 0, None
         if best > floor:
-            suffix = self.suffix
-            budget, what, total = self.budget - self.opened, self.what, self.budget
+            opened, suffix, path, chain = self.opened, self.suffix, self.path, self.chain
+            budget, what, total = self.budget - opened, self.what, self.budget
             # doll[d]: M(r), or a lower bound on it, for the r = k - d - 1 nodes
             # still to pick below a child at depth d + 1, when r >= 2 inside a
             # profile; 0 skips the test
             doll = [*below[:0:-1], 0, 0] if below else [0] * k
 
-            def descend(children: Sequence[int], depth: int, union: int, usize: int) -> bool:
-                """Returns True once the floor is reached and search can stop."""
+            def descend(children: Iterable[int], depth: int, union: int, usize: int,
+                        on: int) -> bool:
+                """Returns True once the floor is reached and search can stop.
+                on is path[depth] once the node has picked path[:depth], else -1."""
                 nonlocal best, nodes, found
                 nodes += 1
                 if nodes > budget:
@@ -436,29 +437,27 @@ class _Profile:
                     ns = nu.bit_count()
                     if ns >= limit or rest and ns + rest - (nu & suffix[i + 1]).bit_count() >= best:
                         continue
-                    if descend(range(i + 1, stop), depth + 1, nu, ns):
+                    if i == on:  # i extends the path prefix: chain[depth + 1] filters its children
+                        kids = range(i + 1, min(stop, n))
+                        if roots := chain.get(depth + 1):
+                            kids = [c for c in kids if roots[c] == c]
+                        if descend(kids, depth + 1, nu, ns, path[depth + 1]):
+                            return True
+                    elif descend(range(i + 1, stop), depth + 1, nu, ns, -1):
                         return True
                     limit = best - tail[depth + 1]
                 return False
 
-            orbit, stab, units, opened = self.orbit, self.stab, self._units, self.opened
+            def live(j: int) -> bool:
+                """Paces discovery, then tells whether branch j is a root of chain[0]."""
+                while self._spent * _NODES_PER_DISCOVERY_UNIT < opened + nodes:
+                    self._spent += next(self._units, math.inf)
+                return chain[0][j] == j
+
+            live(0)  # so the root reads path[0] as branch 0 would
+            nodes = -1  # the root is not a search node
             try:
-                for j in range(n - k + 1):
-                    # discovery does one unit of work per _NODES_PER_DISCOVERY_UNIT
-                    # nodes the request has opened
-                    while self._spent * _NODES_PER_DISCOVERY_UNIT < opened + nodes:
-                        self._spent += next(units, math.inf)
-                    # a node that is not a root is joined to its smaller root
-                    if orbit[j] != j or sizes[j] + tail[1] >= best:
-                        continue
-                    if doll[0] and (sizes[j] + doll[0]
-                                    - (masks[j] & suffix[j + 1]).bit_count() >= best):
-                        continue
-                    children = range(j + 1, n - k + 2)
-                    if j in stab:  # only the roots of j's stabilizer orbits
-                        children = [i for i in children if stab[j][i] == i]
-                    if descend(children, 1, masks[j], sizes[j]):
-                        break
+                descend((j for j in range(n - k + 1) if live(j)), 0, 0, 0, path[0])
             finally:
                 descend = None  # it refers to itself: free the code without the cyclic collector
         self.opened += nodes
@@ -501,20 +500,20 @@ def _is_automorphism(holders: Sequence[int], perm: list[int]) -> bool:
     return sorted(images) == sorted(holders)
 
 
-def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list[int],
-                     stab: dict[int, list[int]]):
+def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[int],
+                     chain: dict[int, list[int]]):
     """Individualization and refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014) on the node/symbol incidence graph, yielding the
     work units of each step.  It verifies and records its own orbits: a leaf
     permutation that passes _is_automorphism joins its nodes' classes in the
-    union-find orbit.  A partition is a pair of ordered lists of node and
-    symbol cell bitmasks.  The first path individualizes the first node of
-    the largest node cell until every node is a singleton.  Deepest level
-    first, each other node of that level's cell outside the path node's orbit
-    takes its place, and the tree below is searched for a leaf with the first
-    path's traces.  Such a leaf keeps the path nodes above that level, so
-    every automorphism verified before level 0 fixes x0, the level-0 path
-    node; as level 0 begins, stab[x0] gets each node's root in orbit.
+    union-find orbit, chain[0].  A partition is a pair of ordered lists of
+    node and symbol cell bitmasks.  At each level L, the first path
+    individualizes x_L = path[L], the first node of the largest node cell,
+    until every node is a singleton.  Deepest level first, each other node
+    of a level's cell outside x_L's orbit takes its place, and the tree below
+    is searched for a leaf with the first path's traces.  Such a leaf keeps
+    x_0..x_{L-1}, so every automorphism verified before level L begins fixes
+    x_0..x_L, and chain[L + 1] then gets each node's root in orbit.
 
     At level L, z is skipped when its root is the root of x_L or of a z0
     whose leaf search failed.  Lemma: every automorphism verified so far, at
@@ -523,10 +522,10 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list
     to z0.  leaf_search is complete: it returns False only once it has
     exhausted its subtree, so no such h exists for z0, nor for z.  Every
     skipped search would have failed, so the same automorphisms are verified
-    in the same order, and the orbits and stab do not change; only the work
+    in the same order, and the orbits and chain do not change; only the work
     units shrink.  Roots move as classes merge, so they are compared afresh.
     """
-    n = len(masks)
+    n, orbit = len(masks), chain[0]
     neighbours = (masks, holders)  # of a node, of a symbol
 
     def refine(part, stack, ref=None):
@@ -613,11 +612,11 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], orbit: list
             part, work, trace = individualize(part, _bits(part[0][c])[0])
             traces.append(trace)
             yield work
+        path[:0] = [_bits(p[0][target(p)])[0] for p in parts]  # whole: the search reads ahead
         first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
         for level in reversed(range(len(parts))):
             x, *others = _bits(parts[level][0][target(parts[level])])
-            if not level:  # everything verified so far fixes x, the level-0 path node
-                stab[x] = [_root(orbit, v) for v in range(n)]
+            chain[level + 1] = [_root(orbit, v) for v in range(n)]  # all fixing path[:level + 1]
             settled = [x]  # x and the nodes whose leaf search failed
             for z in others:
                 if all(_root(orbit, z) != _root(orbit, s) for s in settled):

@@ -116,13 +116,22 @@ def automorphism_maps(code: FrCode, a: int, v: int) -> bool:
     return nx.vf2pp_is_isomorphic(marked(a), marked(v), node_label="label")
 
 
+def discovered(code: FrCode) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """(orbit, path, chain) of analyze._discover_orbits run to its end: the
+    union-find orbit of the automorphisms it verified, its first path, and
+    chain[d], the orbit roots it recorded under those fixing path[:d]."""
+    path: list[int] = []
+    chain = {0: list(range(code.n))}
+    for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks, path, chain):
+        pass
+    return chain[0], path, chain
+
+
 def proven_orbits(code: FrCode) -> list[list[int]]:
     """The node orbits (0-based) that frepkit's symmetry discovery proves
     when its work is not limited: discovery run to its end, which verifies
     each candidate with analyze._is_automorphism before it joins two orbits."""
-    parent = list(range(code.n))
-    for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks, parent, {}):
-        pass
+    parent = discovered(code)[0]
     orbits: dict[int, list[int]] = {}
     for v in range(code.n):
         orbits.setdefault(analyze._root(parent, v), []).append(v)

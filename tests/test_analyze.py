@@ -10,6 +10,7 @@ from conftest import (
     automorphism_maps,
     brute_max_edges,
     brute_min_union,
+    discovered,
     profile_sizes,
     proven_orbits,
     smallest_admitted_budget,
@@ -425,32 +426,37 @@ class TestSymmetryPruning:
     ], ids=["petersen", "heawood", "mcgee", "tuttecoxeter", "td34", "td45", "td57",
             "pg3", "pg5"])
     def test_automorphisms_proven_before_level_0_fix_its_path_node(self, code, monkeypatch):
-        # the premise of the depth-1 rule: discovery searches its levels
-        # deepest first, and each level-l leaf keeps the path nodes above l,
-        # so every automorphism verified before level 0 fixes x0, and the
-        # snapshot holds the orbits of the group they generate in Stab(x0)
-        stab, early = {}, []
+        # the premise of the chain rule, at every level L: discovery searches
+        # its levels deepest first, and each level-l leaf keeps the path nodes
+        # above l, so the automorphisms verified before level L begins fix
+        # path[:L + 1], every later one moves a node of it, and chain[L + 1]
+        # holds the orbits of the group the earlier ones generate
+        verified = []
         is_automorphism = analyze._is_automorphism
 
         def spy(holders, perm):
-            verified = is_automorphism(holders, perm)
-            if verified and not stab:
-                early.append(perm)
-            return verified
+            if is_automorphism(holders, perm):
+                verified.append(perm)
+                return True
+            return False
+
+        def roots(perms):
+            generated = list(range(code.n))
+            for perm in perms:
+                for v, w in enumerate(perm):
+                    a, b = analyze._root(generated, v), analyze._root(generated, w)
+                    generated[max(a, b)] = min(a, b)
+            return [analyze._root(generated, v) for v in range(code.n)]
 
         monkeypatch.setattr(analyze, "_is_automorphism", spy)
-        orbit = list(range(code.n))
-        for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks, orbit, stab):
-            pass
-        (x0, roots), = stab.items()
-        assert x0 == 0 and early
-        assert all(perm[x0] == x0 for perm in early)
-        generated = list(range(code.n))
-        for perm in early:
-            for v, w in enumerate(perm):
-                a, b = analyze._root(generated, v), analyze._root(generated, w)
-                generated[max(a, b)] = min(a, b)
-        assert roots == [analyze._root(generated, v) for v in range(code.n)]
+        _, path, chain = discovered(code)
+        assert path[0] == 0 and sorted(chain) == list(range(len(path) + 1))
+        for level in range(len(path)):
+            fixes = [all(perm[x] == x for x in path[:level + 1]) for perm in verified]
+            early = fixes.index(False) if False in fixes else len(fixes)
+            assert not any(fixes[early:]), level
+            assert chain[level + 1] == roots(verified[:early]), level
+            assert early or level  # level 0 has automorphisms to prune with
 
     @pytest.mark.parametrize("code,units", [
         (from_design(transversal_design(5, 7)), 24240),
@@ -460,9 +466,8 @@ class TestSymmetryPruning:
         # the work units of discovery run to its end; searching again each
         # node whose orbit already failed at its level takes TD(5,7) 252,281
         # units and TD(7,7) 8,422
-        orbit = list(range(code.n))
         assert sum(analyze._discover_orbits(code.symbol_masks, code.holder_masks,
-                                            orbit, {})) == units
+                                            [], {0: list(range(code.n))})) == units
 
     @pytest.mark.parametrize("code,k,expected", [
         (from_graph(cage("tuttecoxeter")), 6, (13, 3990)),
@@ -475,6 +480,17 @@ class TestSymmetryPruning:
         # to when discovery runs, what it charges, or which orbits it proves
         file_size(code, k)
         assert code._file_sizes[k] == expected
+
+    def test_a_capped_k1_search_after_discovery_ran_to_its_end(self):
+        # a child list filtered by the chain stops at node n - 1, also where a
+        # child at depth 1 is already a leaf
+        code = from_graph(cage("petersen"))
+        profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "capped search")
+        for _ in profile._units:
+            pass
+        a_min = min(map(len, code.node_sets))
+        assert profile.search(1, cap=a_min + 2) == code.symbol_masks[0]
+        assert profile.chain.keys() == {0, 1, 2, 3} and profile.path[0] == 0
 
     def test_a_non_automorphism_is_rejected(self, monkeypatch):
         code = from_graph(cage("petersen"))
@@ -494,7 +510,7 @@ class TestSymmetryPruning:
         rejecting = from_graph(cage("petersen"))
         assert file_size(rejecting, 5) == brute_min_union(rejecting, 5) == 10
         assert checked
-        monkeypatch.setattr(analyze, "_discover_orbits", lambda masks, holders, orbit, stab: iter(()))
+        monkeypatch.setattr(analyze, "_discover_orbits", lambda *args: iter(()))
         silent = from_graph(cage("petersen"))
         assert file_size(silent, 5) == 10
         assert rejecting._file_sizes[5][1] == silent._file_sizes[5][1]
@@ -659,8 +675,8 @@ class TestCapacityProfile:
 
     @pytest.mark.parametrize("make,expected", [
         (lambda: from_graph(cage("tuttecoxeter")),
-         [(3, 0), (5, 0), (7, 44), (9, 647), (11, 1680), (13, 2151), (15, 3141),
-          (16, 2819), (18, 8748), (20, 25043)]),
+         [(3, 0), (5, 0), (7, 44), (9, 647), (11, 1680), (13, 2116), (15, 3039),
+          (16, 2764), (18, 8625), (20, 24782)]),
         (lambda: from_graph(cage("mcgee")),
          [(3, 0), (5, 0), (7, 35), (9, 403), (11, 1038), (13, 1548), (14, 492),
           (16, 1746), (18, 5156), (19, 2285), (21, 7220), (22, 3645)]),
@@ -684,16 +700,16 @@ class TestCapacityProfile:
 
     @pytest.mark.parametrize("make,expected", [
         (lambda: from_design(transversal_design(5, 7)),
-         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 3775), (30, 8615),
-          (31, 8512), (34, 117276)]),
+         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 3775), (30, 8131),
+          (31, 7136), (34, 101727)]),
         (lambda: from_design(projective_plane(5)),
          [(6, 0), (11, 0), (15, 0), (18, 0), (20, 0), (21, 0), (23, 23741),
-          (24, 12034), (25, 27755)]),
+          (24, 1569), (25, 4511)]),
     ], ids=["td57", "pg5"])
     def test_the_design_profile_schedule_is_pinned(self, make, expected):
-        # (M(k), search nodes opened) on the designs: the rows where
-        # discovery has reached level 0, k >= 8 on both codes,
-        # search depth 1 under node 0 by its stabilizer's orbits
+        # (M(k), search nodes opened) on the designs: discovery records the
+        # chain deepest first, so TD(5,7) prunes below path[:2] from k = 7 on
+        # and both codes below node 0 by its stabilizer's orbits from k = 8 on
         assert profile_sizes(make(), len(expected)) == expected
 
     def test_the_profile_neither_reads_nor_writes_the_memo(self):
@@ -711,15 +727,27 @@ class TestCapacityProfile:
             return from_graph(cage("tuttecoxeter"))
 
         sizes = profile_sizes(make(), 8)
-        assert [nodes for _, nodes in sizes] == [0, 0, 44, 647, 1680, 2151, 3141, 2819]
+        assert [nodes for _, nodes in sizes] == [0, 0, 44, 647, 1680, 2116, 3039, 2764]
         total = sum(nodes for _, nodes in sizes)
-        assert total == 10482
+        assert total == 10290
         assert len(capacity_profile(make(), 8, budget=total).rows) == 8
         with pytest.raises(BudgetExceededError) as refused:
             capacity_profile(make(), 8, budget=total - 1)
         assert str(refused.value) == (
             "capacity-profile search over k-subsets of 30 nodes, k <= 8 needs more "
-            "than 10481 search nodes; raise the budget to run this exactly")
+            "than 10289 search nodes; raise the budget to run this exactly")
+
+    def test_a_search_needs_exactly_the_rows_below_it(self):
+        # the floor reads rows[-1] as M(k - 1) and the rows-below cut reads
+        # rows[1:] by depth, so a second search(3) after k = 1..4 would take
+        # M(4) for M(2)
+        profile = analyze._Profile(from_graph(cage("petersen")), 4, analyze.DEFAULT_BUDGET,
+                                   "profile search")
+        for k in range(1, 5):
+            profile.search(k)
+        with pytest.raises(ParameterError, match=r"search\(3\) needs rows M\(1\.\.2\)"):
+            profile.search(3)
+        assert profile.rows == [3, 5, 7, 9]
 
     def test_cross_check_catches_lying_header(self):
         # a K33 code whose header claims rho=3 computes a phi below the true M

@@ -146,14 +146,14 @@ class TestAnalyze:
         assert status == 0 and out.startswith("FR code:")
 
     def test_budget_is_shared_by_the_profile_rows(self, capsys, tmp_path):
-        # Tutte-Coxeter's k <= 8 searches open 10,482 nodes together
+        # Tutte-Coxeter's k <= 8 searches open 10,290 nodes together
         frc = tmp_path / "tc.frc"
         run(capsys, "construct", "cage", "--name", "tuttecoxeter", "--out", str(frc))
-        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "10482")
+        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "10290")
         assert status == 0 and len(out.splitlines()) == 11
-        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "10481")
+        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "10289")
         assert status == 1 and out == ""
-        assert "needs more than 10481 search nodes" in err
+        assert "needs more than 10289 search nodes" in err
 
     def test_repeated_symbol_on_a_node_line_exits_1(self, capsys, tmp_path):
         path = tmp_path / "repeat.frc"

@@ -11,7 +11,13 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from conftest import brute_batch_t_detail, brute_max_edges, brute_min_union, profile_sizes
+from conftest import (
+    brute_batch_t_detail,
+    brute_max_edges,
+    brute_min_union,
+    discovered,
+    profile_sizes,
+)
 
 from frepkit import (
     BudgetExceededError,
@@ -159,9 +165,9 @@ def test_capacity_profile_equals_file_size_on_relabelled_catalog_codes():
 
 def _stabilizer_cases(seed):
     """Small catalog codes, two relabelled copies of each, and random codes
-    with copied node sets.  Discovery's x0 is the first node of the largest
-    cell, node 0 on the node-transitive catalog codes and their copies, some
-    other node on many of the random codes."""
+    with copied node sets.  Discovery's path starts at the first node of the
+    largest cell, node 0 on the node-transitive catalog codes and their
+    copies, some other node on many of the random codes."""
     rng = random.Random(seed)
     for base in [from_graph(turan(6, 2)), from_graph(cage("petersen")),
                  from_graph(cage("heawood")), from_design(transversal_design(3, 4)),
@@ -171,48 +177,53 @@ def _stabilizer_cases(seed):
         yield _random_code_with_copies(rng)
 
 
-def _path_node(code):
-    """x0, the level-0 path node of discovery run to its end; None when
-    refinement alone makes every node a cell of its own."""
-    stab = {}
-    for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks,
-                                      list(range(code.n)), stab):
-        pass
-    return next(iter(stab), None)
+def _path_prefix(code):
+    """The increasing prefix of discovery's first path, run to its end: the
+    path nodes a search can pick in turn.  Empty when refinement alone makes
+    every node a cell of its own."""
+    path = discovered(code)[1]
+    return path[:next((i for i in range(1, len(path)) if path[i] < path[i - 1]), len(path))]
 
 
-def test_depth_1_stabilizer_rule_keeps_file_size(monkeypatch):
-    # discovery runs to its end once a search opens a node, so the level-0
-    # snapshot is there for every later branch and every later profile row
+def test_stabilizer_chain_keeps_file_size(monkeypatch):
+    # discovery runs to its end once a search opens a node, so the chain is
+    # there for every later branch and every later profile row
     monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
     discover_orbits = analyze._discover_orbits
 
-    def profile_nodes(code, stabilizer):
+    def profile_nodes(code, with_chain):
         with monkeypatch.context() as patch:
-            if not stabilizer:  # the snapshot goes to a dict the search never sees
-                patch.setattr(analyze, "_discover_orbits", lambda masks, holders, orbit, stab:
-                              discover_orbits(masks, holders, orbit, {}))
+            if not with_chain:  # the path goes to a list the search never sees: chain[0] alone
+                patch.setattr(analyze, "_discover_orbits", lambda masks, holders, path, chain:
+                              discover_orbits(masks, holders, [], chain))
             return profile_sizes(code, code.n)
 
-    path_nodes, opened = set(), {True: 0, False: 0}
+    prefixes, opened = [], {True: 0, False: 0}
     for code in _stabilizer_cases(1313):
         expected = [brute_min_union(code, k) for k in range(1, code.n + 1)]
-        path_nodes.add(_path_node(code))
+        prefixes.append(_path_prefix(code))
         assert [file_size(code, k) for k in range(1, code.n + 1)] == expected, code.node_sets
-        for stabilizer in (True, False):
-            sizes = profile_nodes(code, stabilizer)
+        for with_chain in (True, False):
+            sizes = profile_nodes(code, with_chain)
             assert [m for m, _ in sizes] == expected, code.node_sets
-            opened[stabilizer] += sum(nodes for _, nodes in sizes)
-    assert path_nodes - {0, None}
-    assert opened[True] < opened[False]  # the rule prunes
+            opened[with_chain] += sum(nodes for _, nodes in sizes)
+    assert max(map(len, prefixes)) >= 3
+    assert any(prefix and prefix[0] for prefix in prefixes)  # a path that starts past node 0
+    assert opened[True] < opened[False]  # the chain prunes
 
 
-def test_depth_1_stabilizer_rule_keeps_batch_t(monkeypatch):
+def test_stabilizer_chain_keeps_batch_t(monkeypatch):
     # the batch search runs the kernel on the dual code, whose nodes are the
-    # symbols; on some of the random codes the dual's x0 is not 0
+    # symbols; on some of the random codes the dual's path starts past node 0
     monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
+    prefixes = []
     for code in _stabilizer_cases(1414):
+        if all(code.nodes_of_symbol):  # the search runs on this dual code
+            dual = FrCode(code.theta, code.n, code.rho, code.alpha, code.nodes_of_symbol)
+            prefixes.append(_path_prefix(dual))
         assert batch_t_detail(code).t == brute_batch_t_detail(code).t, code.node_sets
+    assert max(map(len, prefixes)) >= 3
+    assert any(prefix and prefix[0] for prefix in prefixes)
 
 
 def test_any_admitted_budget_gives_the_exact_answer_on_random_codes():
