@@ -213,7 +213,9 @@ def lemma7_flag(n: int, alpha: int, k: int) -> bool:
     When only the Moore proxy for N(alpha, k+1) is available the flag means
     "possibly not tight"; cage_size() reports which case applies.
     """
-    if k < 2:
+    _integer(n, "n")
+    _integer(alpha, "alpha")
+    if _integer(k, "k") < 2:
         return False  # phi(1) = alpha is always exact
     if alpha < 2:
         return False  # no cages of degree 1; the window presumes them

@@ -213,7 +213,7 @@ def theorem5_predicted_t(family: str, **params) -> int:
     def param(name: str) -> int:
         if name not in params:
             raise ParameterError(f"family {family!r} needs the parameter {name!r}")
-        return params[name]
+        return _integer(params[name], name)
 
     if family == "complete_bipartite":
         alpha = param("alpha")

@@ -4,9 +4,10 @@ Fields GF(p^m) are limited to characteristics {2, 3, 5, 7} and order at
 most 2^16.  Elements are plain integers 0..q-1: for p = 2 the integer is
 the coefficient bitmask of the representing polynomial, otherwise its
 base-p digits are the coefficients.  Multiplication and inversion go
-through exp/log tables built once per field from a verified generator, so
-the chosen modulus only has to be irreducible, not primitive.  Addition in an
-odd-characteristic extension field goes through a Zech-logarithm table,
+through exp/log tables built once per field.  Each order has exactly one
+field, on the built-in modulus below; the first element whose powers run
+through all q - 1 nonzero elements is the generator of the tables.  Addition
+is XOR for p = 2; for odd p it goes through a Zech-logarithm table,
 log(1 + g^n), built with them.
 
 The MDS codec evaluates its polynomial in Lagrange form and never builds the
@@ -24,12 +25,13 @@ its row, on a memo hit as on a miss.
 from __future__ import annotations
 
 import dataclasses
+import json
 from collections import OrderedDict
 from functools import reduce
 from operator import xor
 from typing import Iterable, Sequence
 
-from .errors import CorruptionError, ParameterError
+from .errors import CorruptionError, FrepkitError, ParameterError
 
 __all__ = ["GF", "MdsCode", "default_field_for", "FIELD_CHARACTERISTICS"]
 
@@ -90,44 +92,20 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _prime_factors(n: int) -> list[int]:
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
 class GF:
     """The finite field with q = p^m elements."""
 
-    def __init__(self, q: int, modulus=None):
+    def __init__(self, q: int):
         p, m = _prime_power(_integer(q, "field order"))
         if q > MAX_ORDER:
             raise ParameterError(f"field order {q} exceeds the supported 2^16")
         self.q = q
         self.p = p
         self.m = m
-        if m == 1:
-            self.modulus = None
-        elif p == 2:
-            self.modulus = (_integer(modulus, "modulus") if modulus is not None
-                            else _BINARY_MODULI[m])
-        else:
-            if modulus is not None:
-                if not isinstance(modulus, (list, tuple)):
-                    raise ParameterError(f"modulus {modulus!r} is not a coefficient list")
-                self.modulus = tuple(_integer(c, "modulus coefficient") for c in modulus)
-            elif (p, m) in _ODD_MODULI:
-                self.modulus = _ODD_MODULI[(p, m)]
-            else:
-                raise ParameterError(f"no built-in modulus for GF({p}^{m})")
+        self.modulus = (None if m == 1 else _BINARY_MODULI[m] if p == 2
+                        else _ODD_MODULI.get((p, m)))
+        if m > 1 and self.modulus is None:
+            raise ParameterError(f"no built-in modulus for GF({p}^{m})")
         self._build_tables()
 
     # -- representation plumbing ------------------------------------------
@@ -174,71 +152,49 @@ class GF:
                     prod[i - self.m + j] = (prod[i - self.m + j] - coeff * c) % self.p
         return self._undigits(prod[: self.m])
 
-    def _raw_pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
-
     def _build_tables(self) -> None:
+        # The first g whose powers return to 1 after exactly q - 1 steps is a
+        # generator: no power before then is 1, so the q - 1 powers are
+        # distinct, and they are every nonzero element.
         order = self.q - 1
-        factors = _prime_factors(order) if order > 1 else []
-        generator = None
-        for g in range(2, self.q):
-            if all(self._raw_pow(g, order // f) != 1 for f in factors):
-                generator = g
+        for g in range(1, self.q):
+            powers = [1]
+            value = g
+            while value != 1 and len(powers) < order:
+                powers.append(value)
+                value = self._raw_mul(value, g)
+            if value == 1 and len(powers) == order:
                 break
-        if generator is None:
-            if self.q == 2:
-                generator = 1
-            else:
-                raise ParameterError(
-                    f"modulus for GF({self.p}^{self.m}) is not irreducible: "
-                    f"no multiplicative generator exists")
-        self.generator = generator
-        exp = [1] * (2 * order if order else 1)
-        value = 1
-        for i in range(order):
-            exp[i] = value
-            value = self._raw_mul(value, generator)
-        if value != 1:
-            raise ParameterError(
-                f"modulus for GF({self.p}^{self.m}) is not irreducible")
-        for i in range(order, 2 * order):
-            exp[i] = exp[i - order]
+        else:
+            raise FrepkitError(f"no element generates GF({self.q})^* on its built-in modulus")
+        self.generator = g
         log = [0] * self.q
-        for i in range(order):
-            log[exp[i]] = i
-        self._exp = exp
+        for i, e in enumerate(powers):
+            log[e] = i
+        self._exp = powers * 2
         self._log = log
-        if self.p != 2 and self.m > 1:
+        if self.p != 2:
             # Zech logarithms: zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.
             # Adding 1 only changes the constant digit of an element.
             p = self.p
             self._zech = [log[s] if (s := e - e % p + (e + 1) % p) else -1
-                          for e in exp[:order]]
+                          for e in powers]
 
     # -- field operations --------------------------------------------------
 
     def _check(self, *elements: int) -> None:
         for a in elements:
-            if not isinstance(a, int) or not 0 <= a < self.q:
+            if type(a) is not int or not 0 <= a < self.q:
                 raise ParameterError(f"{a!r} is not an element of GF({self.q})")
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
         if self.p == 2:
             return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
         return self._zech_add(a, b)
 
     def _zech_add(self, a: int, b: int) -> int:
-        """Unchecked a + b for p odd and m > 1: g^x + g^y = g^(x + zech[y - x])."""
+        """Unchecked a + b for p odd: g^x + g^y = g^(x + zech[y - x])."""
         if a == 0:
             return b
         if b == 0:
@@ -251,8 +207,6 @@ class GF:
         self._check(a)
         if self.p == 2:
             return a
-        if self.m == 1:
-            return (-a) % self.p
         # -1 = g^((q-1)/2) for odd q
         return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
 
@@ -276,8 +230,7 @@ class GF:
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
-        if not isinstance(e, int):
-            raise ParameterError(f"exponent {e!r} is not an integer")
+        _integer(e, "exponent")
         if a == 0:
             if e == 0:
                 return 1
@@ -296,9 +249,6 @@ class GF:
         log = self._log
         if self.p == 2:
             return [log[t ^ x] for x in xs]
-        if self.m == 1:
-            p = self.p
-            return [log[(t - x) % p] for x in xs]
         # t - x = t + (-x) by Zech logarithms, with log(-x) = log(x) + (q-1)/2
         order, zech = self.q - 1, self._zech
         half, lt = order // 2, log[t]
@@ -311,8 +261,6 @@ class GF:
         """Unchecked sum of field elements."""
         if self.p == 2:
             return reduce(xor, values, 0)
-        if self.m == 1:
-            return sum(values) % self.p
         return reduce(self._zech_add, values, 0)
 
     # -- identity ----------------------------------------------------------
@@ -324,14 +272,17 @@ class GF:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "GF":
-        return cls(spec["q"], modulus=spec.get("modulus"))
+        """GF(spec["q"]), refused unless spec is exactly that field's spec()."""
+        field = cls(spec["q"])
+        if json.dumps(spec, sort_keys=True) != json.dumps(field.spec(), sort_keys=True):
+            raise ParameterError(f"field spec {spec!r} is not GF({field.q})'s {field.spec()!r}")
+        return field
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GF) and self.q == other.q
-                and self.modulus == other.modulus)
+        return isinstance(other, GF) and self.q == other.q
 
     def __hash__(self) -> int:
-        return hash((self.q, self.modulus))
+        return hash(self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -427,9 +378,9 @@ class MdsCode:
         q = self.field.q
         seen: dict[int, int] = {}
         for pos, value in coords:
-            if not isinstance(pos, int) or not 0 <= pos < self.length:
+            if type(pos) is not int or not 0 <= pos < self.length:
                 raise ParameterError(f"coordinate position {pos!r} out of range")
-            if not isinstance(value, int) or not 0 <= value < q:
+            if type(value) is not int or not 0 <= value < q:
                 raise ParameterError(f"{value!r} is not an element of GF({q})")
             if pos in seen:
                 if seen[pos] != value:

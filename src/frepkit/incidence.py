@@ -81,15 +81,6 @@ class Graph:
             deg[w] += 1
         return deg[1:]
 
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmask, vertex i at index i-1, bit j for vertex j+1."""
-        masks = [0] * self.v
-        for u, w in self.edges:
-            masks[u - 1] |= 1 << (w - 1)
-            masks[w - 1] |= 1 << (u - 1)
-        return tuple(masks)
-
 
 @dataclass(frozen=True)
 class FrCode:

@@ -171,6 +171,16 @@ class TestClosedForms:
         assert lemma7_flag(10, 3, 4) is False
         assert lemma7_flag(100, 3, 4) is False
 
+    @pytest.mark.parametrize("args,message", [
+        ((10.5, 3, 4), "n 10.5"),
+        ((8, 3.0, 4), "alpha 3.0"),
+        ((8, 3, True), "k True"),
+        ((8, 3, 1.0), "k 1.0"),
+    ], ids=["n-10.5", "alpha-3.0", "k-true", "k-1.0"])
+    def test_lemma7_refuses_non_integers(self, args, message):
+        with pytest.raises(ParameterError, match=f"^{message} is not an integer$"):
+            lemma7_flag(*args)
+
 
 class TestGirth:
     def test_examples(self):

@@ -213,6 +213,17 @@ class TestTheorem5:
             with pytest.raises(ParameterError, match="needs the parameter"):
                 theorem5_predicted_t(family)
 
+    @pytest.mark.parametrize("family,name,value", [
+        ("girth", "g", 7.0),
+        ("girth", "g", True),
+        ("complete_bipartite", "alpha", 4.0),
+        ("complete_bipartite", "alpha", "3"),
+        ("resolvable_td", "alpha", 4.0),
+    ])
+    def test_non_integer_parameters_are_refused(self, family, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} {value!r} is not an integer$"):
+            theorem5_predicted_t(family, **{name: value})
+
     def test_exact_t_dominates_prediction_in_family(self):
         cases = [
             (from_graph(turan(6, 2)), theorem5_predicted_t("complete_bipartite", alpha=3)),

@@ -117,8 +117,8 @@ def test_damaged_store_gives_the_original_or_refuses(pristine, tmp_path, capsys,
 
 @pytest.mark.parametrize("block,key,value,message", [
     (None, "M", 11.0, "dimension 11.0 is not an integer"),
-    ("field", "modulus", "abc", "modulus 'abc' is not an integer"),
-    ("field", "modulus", 19.5, "modulus 19.5 is not an integer"),
+    ("field", "modulus", "abc", r"field spec \{.*'modulus': 'abc', .*\} is not GF\(16\)'s "),
+    ("field", "modulus", 19.5, r"field spec \{.*'modulus': 19\.5, .*\} is not GF\(16\)'s "),
     (None, "k", "3", "k '3' is not an integer"),
     (None, "k", 2.5, "k 2.5 is not an integer"),
     (None, "k", True, "k True is not an integer"),
@@ -136,10 +136,34 @@ def test_damaged_store_gives_the_original_or_refuses(pristine, tmp_path, capsys,
         "symbol-1.5", "symbol-true", "n-12.0", "theta-true", "alpha-4.0", "rho-str3"])
 def test_non_integer_file_size_in_manifest_is_corruption(tmp_path, capsys, block, key, value,
                                                          message):
+    def change(manifest):
+        (manifest[block] if block else manifest)[key] = value
+
+    refused_as_unreadable(tmp_path, capsys, change, message)
+
+
+# x^4 + x^3 + 1 (25) is irreducible, so its field is a GF(16) too, but not the
+# one the node files were encoded in.  A value equal to the right one but of
+# another type (19.0, 2.0) is refused as well.
+@pytest.mark.parametrize("change", [
+    {"p": 3, "m": 9},
+    {"modulus": 25},
+    {"modulus": 19.0},
+    {"p": 2.0},
+    {"modulus": None},
+], ids=["p3-m9", "modulus-25", "modulus-19.0", "p-2.0", "modulus-none"])
+def test_a_field_block_other_than_the_built_in_one_is_corruption(tmp_path, capsys, change):
+    refused_as_unreadable(tmp_path, capsys, lambda manifest: manifest["field"].update(change),
+                          r"field spec \{.*\} is not GF\(16\)'s ")
+
+
+def refused_as_unreadable(tmp_path, capsys, change, message):
+    """The stored TD(3,4) system, its manifest edited by change(), refuses to
+    load, and reconstruct and repair --plan-only exit 1 naming the manifest."""
     root = tmp_path / "sys"
     shutil.copytree(Path(__file__).parent / "data" / "td34_k4_seed0", root)
     manifest = json.loads((root / "manifest.json").read_text())
-    (manifest[block] if block else manifest)[key] = value
+    change(manifest)
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptionError, match=message):
         load_system(root)

@@ -4,11 +4,40 @@ from itertools import combinations, product
 import pytest
 
 from conftest import lagrange_values, reference_decode
-from frepkit import GF, CorruptionError, MdsCode, ParameterError, default_field_for
-from frepkit.galois import _MEMO_CAP
+from frepkit import GF, CorruptionError, FrepkitError, MdsCode, ParameterError, default_field_for
+from frepkit.galois import _BINARY_MODULI, _MEMO_CAP
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9]
 LARGER_FIELDS = [16, 25, 27, 32, 49, 64, 81, 128, 256]
+# (p, m, spec() modulus, generator) of every supported order.  The generator
+# is the first element whose powers reach every nonzero element; in GF(7)
+# that skips 2, whose order is 3.
+BUILT_IN_FIELDS = [
+    (2, 1, None, 1),
+    (2, 2, 0b111, 2),
+    (2, 3, 0b1011, 2),
+    (2, 4, 0b10011, 2),
+    (2, 5, 0b100101, 2),
+    (2, 6, 0b1000011, 2),
+    (2, 7, 0b10001001, 2),
+    (2, 8, 0b100011101, 2),
+    (2, 9, 0b1000010001, 2),
+    (2, 10, 0b10000001001, 2),
+    (2, 11, 0b100000000101, 2),
+    (2, 12, 0b1000001010011, 2),
+    (2, 13, 0b10000000011011, 2),
+    (2, 14, 0b100010001000011, 2),
+    (2, 15, 0b1000000000000011, 2),
+    (2, 16, 0b10001000000001011, 2),
+    (3, 1, None, 2),
+    (3, 2, [2, 1], 3),
+    (3, 3, [1, 2, 0], 3),
+    (3, 4, [2, 1, 0, 0], 3),
+    (5, 1, None, 2),
+    (5, 2, [2, 1], 5),
+    (7, 1, None, 3),
+    (7, 2, [3, 1], 7),
+]
 
 
 def _has_order(f, a, order):
@@ -31,6 +60,14 @@ class TestFieldConstruction:
         for q in (9, 16, 49):
             field = GF(q)
             assert GF.from_spec(field.spec()) == field
+
+    @pytest.mark.parametrize("p,m,modulus,generator", BUILT_IN_FIELDS,
+                             ids=[f"{p}^{m}" for p, m, _, _ in BUILT_IN_FIELDS])
+    def test_each_order_has_one_pinned_field(self, p, m, modulus, generator):
+        f = GF(p ** m)
+        assert f.spec() == {"p": p, "m": m, "q": p ** m, "modulus": modulus}
+        assert f.generator == generator and _has_order(f, generator, p ** m - 1)
+        assert GF.from_spec(f.spec()) == f
 
 
 class TestFieldAxioms:
@@ -70,34 +107,16 @@ class TestFieldAxioms:
         with pytest.raises(ZeroDivisionError):
             GF(8).inv(0)
 
-    def test_gf256_alternate_modulus_has_primitive_element(self):
-        # x^8 + x^4 + x^3 + x + 1: irreducible but x itself is not primitive;
-        # the table construction must still find a generator of order 255
-        f = GF(256, modulus=0b100011011)
-        assert _has_order(f, f.generator, 255)
-        seen = set()
-        value = 1
-        for _ in range(255):
-            seen.add(value)
-            value = f.mul(value, f.generator)
-        assert len(seen) == 255 and value == 1
-        assert _has_order(f, 2, 51)  # x has small order under this modulus
-
     def test_default_gf256_generator_order(self):
         f = GF(256)
         assert _has_order(f, f.generator, 255)
 
-    def test_reducible_modulus_rejected(self):
-        # x^2 over GF(2) factors, so GF(4) cannot be built on it
-        with pytest.raises(ParameterError, match="irreducible"):
-            GF(4, modulus=0b100)
-
-    def test_odd_modulus_must_be_integer_coefficients(self):
-        # a binary modulus is one integer; the manifest tests cover it
-        with pytest.raises(ParameterError, match="coefficient 2.0 is not an integer"):
-            GF(9, modulus=(2.0, 1))
-        with pytest.raises(ParameterError, match="modulus 7 is not a coefficient list"):
-            GF(9, modulus=7)
+    @pytest.mark.parametrize("modulus", [0b100, 0b101], ids=["x^2", "(x+1)^2"])
+    def test_a_modulus_without_a_generator_is_an_internal_error(self, monkeypatch, modulus):
+        # unreachable with the built-in moduli; the walk must still stop
+        monkeypatch.setitem(_BINARY_MODULI, 2, modulus)
+        with pytest.raises(FrepkitError, match=r"^no element generates GF\(4\)"):
+            GF(4)
 
 
 class TestDefaultField:
@@ -269,6 +288,24 @@ class TestNonIntegerElementsRejected:
         with pytest.raises(ParameterError, match=r"^coordinate position 1\.0 out of range$"):
             code.decode([(1.0, 1), (0, 2), (2, 3)])
 
+    def test_bool_is_not_an_element(self):
+        code = MdsCode(GF(16), 5, 2)
+        for call in (lambda: GF(16).add(True, 3), lambda: GF(5).neg(True),
+                     lambda: code.encode([True, 2])):
+            with pytest.raises(ParameterError, match=r"^True is not an element of GF\(\d+\)$"):
+                call()
+        with pytest.raises(ParameterError, match=r"^False is not an element of GF\(16\)$"):
+            code.decode([(0, False), (1, 1)])
+
+    def test_bool_is_not_a_position(self):
+        code = MdsCode(GF(16), 5, 2)
+        with pytest.raises(ParameterError, match=r"^coordinate position True out of range$"):
+            code.decode([(True, 1), (0, 1)])
+
+    def test_bool_is_not_an_exponent(self):
+        with pytest.raises(ParameterError, match=r"^exponent True is not an integer$"):
+            GF(16).pow(2, True)
+
     def test_code_parameters(self):
         with pytest.raises(ParameterError, match=r"^length 5\.0 is not an integer$"):
             MdsCode(field=GF(16), length=5.0, dimension=3)
@@ -351,7 +388,8 @@ def _digitwise(field: GF, a: int, b: int, sign: int = 1) -> int:
 
 
 class TestOddExtensionAddition:
-    @pytest.mark.parametrize("q", [9, 25, 27, 49, 81])
+    # prime fields add through the same Zech table
+    @pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 3, 5, 7])
     def test_add_and_neg_exhaustively_against_digits(self, q):
         f = GF(q)
         for a in range(q):

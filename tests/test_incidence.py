@@ -51,10 +51,6 @@ class TestGraph:
                                match=f"^edge endpoint {endpoint!r} is not an integer$"):
                 Graph(3, [(1, 2), edge])
 
-    def test_adjacency_masks(self):
-        g = Graph(v=3, edges=[(1, 2), (2, 3)])
-        assert g.adjacency_masks == (0b010, 0b101, 0b010)
-
 
 class TestFrCodeArguments:
     @pytest.mark.parametrize("field,value", [
