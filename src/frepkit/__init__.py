@@ -15,7 +15,6 @@ from .analyze import (
     girth,
     girth_file_size,
     has_k_clique,
-    improved_bound_profile,
     lemma7_flag,
     max_induced_edges,
     mbr_capacity,

@@ -57,7 +57,6 @@ __all__ = [
     "EXACT_CAGE_SIZES",
     "mbr_capacity",
     "fr_capacity_bound",
-    "improved_bound_profile",
     "turan_file_size",
     "td_file_size_lower_bound",
     "girth_file_size",
@@ -119,39 +118,11 @@ def fr_capacity_bound(n: int, k: int, alpha: int, rho: int) -> int:
     return phi
 
 
-def improved_bound_profile(known_caps: Sequence[int], n: int, alpha: int,
-                           rho: int) -> list[int]:
-    """Push caller-supplied capacity caps through one round of the recursion.
-
-    known_caps[i] is an upper bound on the capacity at k = i + 1 and must
-    start at alpha.  Each output entry is the recursion step applied to the
-    previous cap, clipped componentwise against the given cap; tighter
-    inputs never loosen the result.
-
-    The step is only monotone in its argument while rho <= n - k, so only
-    there may a cap stand in for the unknown exact capacity; past that
-    point (k > n - rho, beyond the usual reconstruction range) the step
-    degrades to the always-valid "one more node adds at most alpha".
-    """
-    caps = list(known_caps)
-    if not caps or caps[0] != alpha:
-        raise ParameterError(f"known_caps must start at alpha = {alpha}")
-    if len(caps) >= n:
-        raise ParameterError(f"the recursion needs k < n, got k={len(caps)}, n={n}")
-    improved = [alpha]
-    for k, cap in enumerate(caps[1:], start=1):
-        prev = caps[k - 1]
-        if n - k >= rho:
-            step = prev + alpha - _ceil_div(rho * prev - k * alpha, n - k)
-        else:
-            step = prev + alpha
-        improved.append(min(step, cap))
-    return improved
-
-
 def turan_file_size(n: int, r: int, k: int) -> int:
     """Closed-form file size of the (n, r)-Turan code: k*alpha - floor((r-1)k^2 / 2r)."""
-    if _integer(n, "n") % _integer(r, "r") != 0:
+    if not 2 <= _integer(r, "r") <= _integer(n, "n"):
+        raise ParameterError(f"need 2 <= r <= n, got r={r}, n={n}")
+    if n % r != 0:
         raise ParameterError(f"part count {r} does not divide {n}")
     if _integer(k, "k") < 1:
         raise ParameterError(f"k must be positive, got {k}")
@@ -201,7 +172,7 @@ def cage_size(d: int, g: int) -> tuple[int, bool]:
     Exact where the catalog knows the cage; otherwise the Moore bound
     serves as a conservative lower proxy and exact is False.
     """
-    if (d, g) in EXACT_CAGE_SIZES:
+    if (_integer(d, "d"), _integer(g, "g")) in EXACT_CAGE_SIZES:
         return EXACT_CAGE_SIZES[(d, g)], True
     return moore_bound(d, g), False
 

@@ -108,6 +108,8 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     report = validate(code)
     if not report.valid:
         raise ParameterError("refusing to store on an invalid FR code; run validate()")
+    if _integer(k, "k") < 1:
+        raise ParameterError(f"k must be positive, got {k}")
     if k > code.alpha:
         raise ParameterError(f"k = {k} exceeds alpha = {code.alpha}")
     m_size = file_size(code, k, budget=budget)

@@ -1,14 +1,13 @@
 """Finite-field arithmetic and the outer MDS (Reed-Solomon style) codec.
 
-Fields GF(p^m) are limited to characteristics {2, 3, 5, 7} and order at
-most 2^16.  Elements are plain integers 0..q-1: for p = 2 the integer is
-the coefficient bitmask of the representing polynomial, otherwise its
-base-p digits are the coefficients.  Multiplication and inversion go
-through exp/log tables built once per field.  Each order has exactly one
-field, on the built-in modulus below; the first element whose powers run
-through all q - 1 nonzero elements is the generator of the tables.  Addition
-is XOR for p = 2; for odd p it goes through a Zech-logarithm table,
-log(1 + g^n), built with them.
+Each supported order q has exactly one field, one row of the table below:
+2^1..2^16, 3^1..3^4, 5, 25, 7 and 49.  Elements are plain integers 0..q-1:
+for p = 2 the integer is the coefficient bitmask of the representing
+polynomial, otherwise its base-p digits are the coefficients.  Every
+modulus is primitive, so the exp table is just the q - 1 powers of x and
+x is the generator.  Multiplication and inversion go through the exp/log
+tables.  Addition is XOR for p = 2; for odd p it goes through a
+Zech-logarithm table, log(1 + x^n), built with them.
 
 The MDS codec evaluates its polynomial in Lagrange form and never builds the
 coefficients.  One kernel turns an erasure pattern (the sorted known
@@ -33,57 +32,39 @@ from typing import Iterable, Sequence
 
 from .errors import CorruptionError, FrepkitError, ParameterError
 
-__all__ = ["GF", "MdsCode", "default_field_for", "FIELD_CHARACTERISTICS"]
+__all__ = ["GF", "MdsCode", "default_field_for"]
 
-FIELD_CHARACTERISTICS = (2, 3, 5, 7)
-MAX_ORDER = 1 << 16
 _MEMO_CAP = 64  # erasure patterns whose recovery rows one MdsCode keeps
 
-# Irreducible (in fact primitive) polynomials over GF(2), degree -> bitmask.
-_BINARY_MODULI = {
-    2: 0b111,                # x^2 + x + 1
-    3: 0b1011,               # x^3 + x + 1
-    4: 0b10011,              # x^4 + x + 1
-    5: 0b100101,             # x^5 + x^2 + 1
-    6: 0b1000011,            # x^6 + x + 1
-    7: 0b10001001,           # x^7 + x^3 + 1
-    8: 0b100011101,          # x^8 + x^4 + x^3 + x^2 + 1
-    9: 0b1000010001,         # x^9 + x^4 + 1
-    10: 0b10000001001,       # x^10 + x^3 + 1
-    11: 0b100000000101,      # x^11 + x^2 + 1
-    12: 0b1000001010011,     # x^12 + x^6 + x^4 + x + 1
-    13: 0b10000000011011,    # x^13 + x^4 + x^3 + x + 1
-    14: 0b100010001000011,   # x^14 + x^10 + x^6 + x + 1
-    15: 0b1000000000000011,  # x^15 + x + 1
-    16: 0b10001000000001011, # x^16 + x^12 + x^3 + x + 1
+# The one field of each order, q -> (p, monic primitive modulus).  For p = 2
+# the modulus is a bitmask; for odd p it is the ascending coefficients below
+# the leading x^m.  A prime field's modulus x - g makes x the element g.
+_FIELDS = {
+    2: (2, 0b11),                    # x + 1
+    4: (2, 0b111),                   # x^2 + x + 1
+    8: (2, 0b1011),                  # x^3 + x + 1
+    16: (2, 0b10011),                # x^4 + x + 1
+    32: (2, 0b100101),               # x^5 + x^2 + 1
+    64: (2, 0b1000011),              # x^6 + x + 1
+    128: (2, 0b10001001),            # x^7 + x^3 + 1
+    256: (2, 0b100011101),           # x^8 + x^4 + x^3 + x^2 + 1
+    512: (2, 0b1000010001),          # x^9 + x^4 + 1
+    1024: (2, 0b10000001001),        # x^10 + x^3 + 1
+    2048: (2, 0b100000000101),       # x^11 + x^2 + 1
+    4096: (2, 0b1000001010011),      # x^12 + x^6 + x^4 + x + 1
+    8192: (2, 0b10000000011011),     # x^13 + x^4 + x^3 + x + 1
+    16384: (2, 0b100010001000011),   # x^14 + x^10 + x^6 + x + 1
+    32768: (2, 0b1000000000000011),  # x^15 + x + 1
+    65536: (2, 0b10001000000001011), # x^16 + x^12 + x^3 + x + 1
+    3: (3, (1,)),                    # x + 1: x = 2
+    9: (3, (2, 1)),                  # x^2 + x + 2
+    27: (3, (1, 2, 0)),              # x^3 + 2x + 1
+    81: (3, (2, 1, 0, 0)),           # x^4 + x + 2
+    5: (5, (3,)),                    # x + 3: x = 2
+    25: (5, (2, 1)),                 # x^2 + x + 2
+    7: (7, (4,)),                    # x + 4: x = 3
+    49: (7, (3, 1)),                 # x^2 + x + 3
 }
-
-# Irreducible monic polynomials over odd prime fields, (p, m) -> ascending
-# coefficients of the non-leading terms (degree m is implicitly 1).
-_ODD_MODULI = {
-    (3, 2): (2, 1),     # x^2 + x + 2
-    (3, 3): (1, 2, 0),  # x^3 + 2x + 1
-    (3, 4): (2, 1, 0, 0),  # x^4 + x + 2
-    (5, 2): (2, 1),     # x^2 + x + 2
-    (7, 2): (3, 1),     # x^2 + x + 3
-}
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ParameterError(f"field order must be at least 2, got {q}")
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            m = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                m += 1
-            if rest != 1:
-                raise ParameterError(f"{q} is not a power of {p}")
-            return p, m
-    raise ParameterError(
-        f"field order {q} has characteristic outside {FIELD_CHARACTERISTICS}")
 
 
 def _integer(value, what: str) -> int:
@@ -96,16 +77,12 @@ class GF:
     """The finite field with q = p^m elements."""
 
     def __init__(self, q: int):
-        p, m = _prime_power(_integer(q, "field order"))
-        if q > MAX_ORDER:
-            raise ParameterError(f"field order {q} exceeds the supported 2^16")
+        if _integer(q, "field order") not in _FIELDS:
+            raise ParameterError(f"GF({q}) is not a built-in field; orders are "
+                                 "2^1..2^16, 3^1..3^4, 5, 25, 7 and 49")
         self.q = q
-        self.p = p
-        self.m = m
-        self.modulus = (None if m == 1 else _BINARY_MODULI[m] if p == 2
-                        else _ODD_MODULI.get((p, m)))
-        if m > 1 and self.modulus is None:
-            raise ParameterError(f"no built-in modulus for GF({p}^{m})")
+        self.p, self.modulus = _FIELDS[q]
+        self.m = self.modulus.bit_length() - 1 if self.p == 2 else len(self.modulus)
         self._build_tables()
 
     # -- representation plumbing ------------------------------------------
@@ -123,58 +100,32 @@ class GF:
             value = value * self.p + d
         return value
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free polynomial product mod the modulus; used to bootstrap."""
-        if self.m == 1:
-            return a * b % self.p
+    def _times_x(self, a: int) -> int:
+        """Table-free a * x mod the modulus; used to bootstrap."""
         if self.p == 2:
-            result = 0
-            while b:
-                if b & 1:
-                    result ^= a
-                b >>= 1
-                a <<= 1
-                if a >> self.m:
-                    a ^= self.modulus
-            return result
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce: x^m = -(modulus tail)
-        for i in range(len(prod) - 1, self.m - 1, -1):
-            coeff = prod[i]
-            if coeff:
-                prod[i] = 0
-                for j, c in enumerate(self.modulus):
-                    prod[i - self.m + j] = (prod[i - self.m + j] - coeff * c) % self.p
-        return self._undigits(prod[: self.m])
+            a <<= 1
+            return a ^ self.modulus if a >> self.m else a
+        # x^m = -(modulus tail): the digit pushed past x^(m-1) folds back
+        top, rest = divmod(a * self.p, self.q)
+        return self._undigits([(d - top * c) % self.p
+                               for d, c in zip(self._digits(rest), self.modulus)])
 
     def _build_tables(self) -> None:
-        # The first g whose powers return to 1 after exactly q - 1 steps is a
-        # generator: no power before then is 1, so the q - 1 powers are
-        # distinct, and they are every nonzero element.
-        order = self.q - 1
-        for g in range(1, self.q):
-            powers = [1]
-            value = g
-            while value != 1 and len(powers) < order:
-                powers.append(value)
-                value = self._raw_mul(value, g)
-            if value == 1 and len(powers) == order:
-                break
-        else:
-            raise FrepkitError(f"no element generates GF({self.q})^* on its built-in modulus")
-        self.generator = g
+        # x^(q-1) = 1 with q - 1 distinct powers: x generates the nonzero
+        # elements, so the modulus really is primitive.
+        powers = [1]
+        for _ in range(self.q - 2):
+            powers.append(self._times_x(powers[-1]))
+        if self._times_x(powers[-1]) != 1 or len(set(powers)) != self.q - 1:
+            raise FrepkitError(f"x does not generate GF({self.q})^* on its built-in modulus")
+        self.generator = self._times_x(1)
         log = [0] * self.q
         for i, e in enumerate(powers):
             log[e] = i
         self._exp = powers * 2
         self._log = log
         if self.p != 2:
-            # Zech logarithms: zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.
+            # Zech logarithms: zech[n] = log(1 + x^n), or -1 where 1 + x^n = 0.
             # Adding 1 only changes the constant digit of an element.
             p = self.p
             self._zech = [log[s] if (s := e - e % p + (e + 1) % p) else -1
@@ -267,7 +218,7 @@ class GF:
 
     def spec(self) -> dict:
         """JSON-ready description, round-trips through from_spec()."""
-        modulus = self.modulus if self.p == 2 or self.m == 1 else list(self.modulus)
+        modulus = None if self.m == 1 else self.modulus if self.p == 2 else list(self.modulus)
         return {"p": self.p, "m": self.m, "q": self.q, "modulus": modulus}
 
     @classmethod

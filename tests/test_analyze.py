@@ -33,7 +33,6 @@ from frepkit import (
     girth,
     girth_file_size,
     has_k_clique,
-    improved_bound_profile,
     lemma7_flag,
     max_induced_edges,
     mbr_capacity,
@@ -76,52 +75,6 @@ class TestClosedForms:
             fr_capacity_bound(6, 6, 3, 2)
         with pytest.raises(ParameterError):
             fr_capacity_bound(6, 0, 3, 2)
-
-    def test_improved_bound_fixed_point(self):
-        phi = [fr_capacity_bound(6, k, 3, 2) for k in range(1, 4)]
-        assert improved_bound_profile(phi, 6, 3, 2) == phi
-
-    def test_improved_bound_with_injected_cap(self):
-        # phi for (n=8, alpha=3, rho=2) is 3,5,7,9,10; capping k=4 at 8 pulls
-        # the k=5 entry down to 10 via 8 + 3 - ceil((16-12)/4)
-        caps = [3, 5, 7, 8, 10]
-        assert improved_bound_profile(caps, 8, 3, 2)[4] == 10
-        caps_loose = [3, 5, 7, 9, 10]
-        assert improved_bound_profile(caps_loose, 8, 3, 2)[4] == 10
-
-    def test_improved_bound_monotone(self):
-        loose = [3, 5, 7, 9, 10]
-        tight = [3, 5, 7, 8, 10]
-        out_loose = improved_bound_profile(loose, 8, 3, 2)
-        out_tight = improved_bound_profile(tight, 8, 3, 2)
-        assert all(t <= l for t, l in zip(out_tight, out_loose))
-
-    def test_improved_bound_clipped_at_theta(self):
-        theta = 9
-        caps = [3, theta, theta]
-        out = improved_bound_profile(caps, 6, 3, 2)
-        assert all(v <= theta for v in out)
-
-    def test_improved_bound_requires_alpha_start(self):
-        with pytest.raises(ParameterError):
-            improved_bound_profile([4, 5], 6, 3, 2)
-
-    def test_improved_bound_stays_valid_past_monotone_range(self):
-        # complement design on 5 symbols: exact capacities are 4, 5, 5, 5;
-        # at k = 2 the raw step fed the loose-but-valid cap 6 would dip to 4,
-        # below the true capacity, so the guard must keep the bound at >= 5
-        code = FrCode(5, 5, 4, 4,
-                      [tuple(j for j in range(1, 6) if j != i) for i in range(1, 6)])
-        exact = [file_size(code, k) for k in range(1, 5)]
-        assert exact == [4, 5, 5, 5]
-        loose = [4, 6, 6, 6]
-        improved = improved_bound_profile(loose, 5, 4, 4)
-        for bound, true_value in zip(improved, exact):
-            assert bound >= true_value
-
-    def test_improved_bound_errors_at_k_equal_n(self):
-        with pytest.raises(ParameterError):
-            improved_bound_profile([3, 5, 7, 9, 10, 11], 6, 3, 2)
 
     def test_turan_file_size_examples(self):
         assert turan_file_size(6, 2, 3) == 7
@@ -304,12 +257,21 @@ def test_non_integer_budget_is_refused(search, budget):
     (lambda: girth_file_size(3, 5, True), "k True"),
     (lambda: girth_file_size(3, 5.0, 2), "g 5.0"),
     (lambda: moore_bound(3.0, 5), "d 3.0"),
+    (lambda: cage_size(3.0, 5), "d 3.0"),
+    (lambda: cage_size(3, True), "g True"),
 ], ids=["mbr-k", "mbr-alpha", "phi-k", "phi-n", "turan-k", "turan-r", "td-alpha",
-        "girth-k", "girth-g", "moore-d"])
+        "girth-k", "girth-g", "moore-d", "cage-d", "cage-g"])
 def test_closed_forms_refuse_non_integers(call, name):
     # a float or bool would otherwise give a float or a wrong integer
     with pytest.raises(ParameterError, match=f"^{re.escape(name)} is not an integer$"):
         call()
+
+
+@pytest.mark.parametrize("r", [0, -2, 1, 7])
+def test_turan_file_size_refuses_part_counts_outside_2_to_n(r):
+    # as construct.turan does: r = 0 divided by zero, r = -2 and r = 1 gave numbers
+    with pytest.raises(ParameterError, match=rf"^need 2 <= r <= n, got r={r}, n=6$"):
+        turan_file_size(6, r, 2)
 
 
 SMALL_CODES = (

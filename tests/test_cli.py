@@ -453,7 +453,7 @@ class TestInputErrors:
          None, "Is a directory"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{file}"], None, "File exists"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--field-q", "0"],
-         None, "field order must be at least 2, got 0"),
+         None, "GF(0) is not a built-in field"),
         (["repair", "--root", "{root}", "--failed", "1", "--dead", "99"], None,
          "node id 99 out of range 1..12"),
         (["repair", "--root", "{root}", "--failed", "1", "--dead", "0,-3"], None,

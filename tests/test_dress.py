@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import shutil
 from itertools import combinations
 from pathlib import Path
@@ -88,6 +89,17 @@ class TestStore:
         code = from_graph(turan(3, 3))
         with pytest.raises(ParameterError, match="exceeds alpha"):
             store(code, 3, [1, 2, 3], tmp_path / "sys")
+
+    @pytest.mark.parametrize("k,message", [
+        ("3", "k '3' is not an integer"), (None, "k None is not an integer"),
+        (2.0, "k 2.0 is not an integer"), (True, "k True is not an integer"),
+        (0, "k must be positive, got 0"), (-1, "k must be positive, got -1"),
+    ], ids=["str", "None", "float", "bool", "zero", "negative"])
+    def test_bad_k_rejected(self, tmp_path, k, message):
+        code = from_graph(turan(3, 3))
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            store(code, k, [1, 2, 3], tmp_path / "sys")
+        assert not (tmp_path / "sys").exists()
 
     def test_invalid_code_rejected(self, tmp_path):
         bad = FrCode(2, 3, 2, 2, [(1, 2), (2, 3)])

@@ -5,13 +5,14 @@ import pytest
 
 from conftest import lagrange_values, reference_decode
 from frepkit import GF, CorruptionError, FrepkitError, MdsCode, ParameterError, default_field_for
-from frepkit.galois import _BINARY_MODULI, _MEMO_CAP
+from frepkit.galois import _FIELDS, _MEMO_CAP
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9]
 LARGER_FIELDS = [16, 25, 27, 32, 49, 64, 81, 128, 256]
 # (p, m, spec() modulus, generator) of every supported order.  The generator
-# is the first element whose powers reach every nonzero element; in GF(7)
-# that skips 2, whose order is 3.
+# is x: the element 2 = x for p = 2, and p = x in odd extension fields; a
+# prime field's modulus x - g makes x the element g (1, 2, 2, 3), and its
+# spec() modulus is None.
 BUILT_IN_FIELDS = [
     (2, 1, None, 1),
     (2, 2, 0b111, 2),
@@ -53,7 +54,7 @@ class TestFieldConstruction:
 
     @pytest.mark.parametrize("q", [1, 6, 10, 11, 12, 121, 1 << 17])
     def test_rejected_orders(self, q):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=rf"^GF\({q}\) is not a built-in field; orders"):
             GF(q)
 
     def test_spec_round_trip(self):
@@ -111,12 +112,14 @@ class TestFieldAxioms:
         f = GF(256)
         assert _has_order(f, f.generator, 255)
 
-    @pytest.mark.parametrize("modulus", [0b100, 0b101], ids=["x^2", "(x+1)^2"])
-    def test_a_modulus_without_a_generator_is_an_internal_error(self, monkeypatch, modulus):
+    @pytest.mark.parametrize("q,row", [
+        (4, (2, 0b100)), (4, (2, 0b101)), (9, (3, (2, 0))), (9, (3, (1, 0))), (5, (5, (4,))),
+    ], ids=["x^2", "(x+1)^2", "(x+1)(x+2)", "x^2+1-not-primitive", "x+4-in-GF5"])
+    def test_a_modulus_without_a_generator_is_an_internal_error(self, monkeypatch, q, row):
         # unreachable with the built-in moduli; the walk must still stop
-        monkeypatch.setitem(_BINARY_MODULI, 2, modulus)
-        with pytest.raises(FrepkitError, match=r"^no element generates GF\(4\)"):
-            GF(4)
+        monkeypatch.setitem(_FIELDS, q, row)
+        with pytest.raises(FrepkitError, match=rf"^x does not generate GF\({q}\)"):
+            GF(q)
 
 
 class TestDefaultField:
