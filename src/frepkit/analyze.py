@@ -48,8 +48,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, ParameterError
-from .galois import _integer
+from .errors import BudgetExceededError, ParameterError, _integer
 from .incidence import FrCode, Graph, _edge_code
 
 __all__ = [

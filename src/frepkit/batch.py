@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analyze import _budget, _Profile, file_size
-from .errors import FrbDefinitionError, ParameterError
-from .galois import GF, _integer
+from .errors import FrbDefinitionError, ParameterError, _integer
 from .incidence import FrCode, validate
 from .matching import hall_witness, maximum_matching
 
@@ -182,9 +181,11 @@ def frb_certify(code: FrCode, k: int, budget: int | None = None) -> FrbCertifica
 
     Property 1: every node stores alpha symbols; property 2: every symbol
     sits on rho nodes; property 3: M is the exact minimum k-union (true by
-    construction here); property 4: every t-batch is retrievable (true by
-    construction of t).  A computed t exceeding M breaks the definition and
-    is raised, never clipped.
+    construction here); property 4: every t-batch is retrievable, checked
+    on t's certificate: t = theta with no witness, or t < theta with a
+    witness of t + 1 symbols for which retrieval_plan finds no plan.  A
+    computed t exceeding M breaks the definition and is raised, never
+    clipped.
 
     k may exceed alpha: the girth-based family is certified on the full
     validity range of its file-size formula, which runs past alpha.
@@ -198,10 +199,14 @@ def frb_certify(code: FrCode, k: int, budget: int | None = None) -> FrbCertifica
         raise FrbDefinitionError(
             f"computed t = {detail.t} exceeds file size M = {m_size} at k = {k}; "
             f"the FRB definition requires t <= M")
-    properties = (report.rows_uniform, report.columns_uniform, True, True)
+    t, witness = detail.t, detail.witness
+    t_certified = (witness is None if t == code.theta else
+                   witness is not None and len(witness) == t + 1
+                   and isinstance(retrieval_plan(code, witness), NoPlan))
+    properties = (report.rows_uniform, report.columns_uniform, True, t_certified)
     return FrbCertificate(rho=code.rho, n=code.n, file_size=m_size, k=k,
-                          alpha=code.alpha, t=detail.t,
-                          properties=properties, witness=detail.witness)
+                          alpha=code.alpha, t=t,
+                          properties=properties, witness=witness)
 
 
 def theorem5_predicted_t(family: str, **params) -> int:
@@ -226,6 +231,7 @@ def theorem5_predicted_t(family: str, **params) -> int:
             raise ParameterError(f"girth must be at least 3, got {g}")
         return 2 * g - g // 2 - 1
     if family == "resolvable_td":
+        from .galois import GF
         alpha = param("alpha")
         GF(alpha)  # raises unless alpha is a supported prime power
         return alpha * alpha - alpha - 1

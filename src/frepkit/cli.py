@@ -5,6 +5,9 @@ Exit status contract: 0 all checks pass; 1 domain refusal (bad parameters
 or command line, enumeration budget, unreadable input, failed
 certification); 2 internal cross-check mismatch between enumeration and the
 closed forms.
+
+Each command imports the modules it runs when it runs, so `reconstruct`
+loads no search code and `analyze` no field arithmetic.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import os
 import random
 import sys
 
-from . import analyze, batch, construct, dress, incidence
-from .errors import FrepkitError, ParameterError
-from .galois import GF, default_field_for
+from .errors import FrepkitError, ParameterError, _decimal
 
 BUDGET_ENV = "FREPKIT_BUDGET"
 
@@ -30,7 +31,7 @@ def _integers(fields, source: str) -> list[int]:
     values = []
     for field in fields:
         try:
-            values.append(int(field))
+            values.append(_decimal(field))
         except ValueError:
             raise ParameterError(f"{source}: {field!r} is not an integer") from None
     return values
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair", help="plan (and run) a single-node repair")
     p.add_argument("--root", required=True)
     p.add_argument("--failed", type=int, required=True)
-    p.add_argument("--policy", choices=list(dress.REPAIR_POLICIES), default="lowest")
+    p.add_argument("--policy", default="lowest", help="lowest or spread (the same plan)")
     p.add_argument("--dead", default="", help="additional dead node ids")
     p.add_argument("--plan-only", action="store_true")
 
@@ -114,6 +115,7 @@ def _require(args: argparse.Namespace, names: list[str]) -> list:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct, incidence
     if args.family == "turan":
         n, r = _require(args, ["n", "r"])
         code = incidence.from_graph(construct.turan(n, r))
@@ -133,6 +135,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analyze, incidence
     code = incidence.load(args.code)
     budget = _budget(args)
     profile = analyze.capacity_profile(code, k_max=args.k_max, budget=budget)
@@ -146,6 +149,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_store(args) -> int:
+    from . import analyze, dress, incidence
+    from .galois import GF, default_field_for
     code = incidence.load(args.code)
     field = GF(args.field_q) if args.field_q is not None else default_field_for(code.theta)
     budget = _budget(args)
@@ -167,6 +172,7 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import dress
     nodes = _parse_nodes(args.nodes, "--nodes")
     recovered = dress.reconstruct(dress.load_system(args.root), nodes)
     print("file:", " ".join(str(v) for v in recovered))
@@ -175,6 +181,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_repair(args) -> int:
+    from . import dress
     dead = _parse_nodes(args.dead, "--dead")
     system = dress.load_system(args.root)
     plan = dress.plan_repair(system, args.failed, policy=args.policy, dead=dead)
@@ -188,6 +195,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    from . import batch, incidence
     if args.t is not None and args.t < 1:
         raise ParameterError(f"--t: {args.t} is not a positive subset size")
     code = incidence.load(args.code)
@@ -215,6 +223,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_certify_frb(args) -> int:
+    from . import analyze, batch, incidence
     code = incidence.load(args.code)
     budget = _budget(args)
     cert = batch.frb_certify(code, args.k, budget=budget)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import analyze
-from .errors import FrepkitError, ParameterError
-from .galois import GF, _integer
+from .errors import FrepkitError, ParameterError, _integer
+from .galois import GF
 from .incidence import Design, Graph, TransversalDesign
 
 __all__ = [

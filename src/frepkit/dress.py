@@ -22,9 +22,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analyze import file_size
-from .errors import CorruptionError, FrepkitError, IrreparableError, ParameterError
-from .galois import GF, MdsCode, _integer, default_field_for
+from .errors import CorruptionError, FrepkitError, IrreparableError, ParameterError, _integer
+from .galois import GF, MdsCode, default_field_for
 from .incidence import FrCode, validate
 from .matching import maximum_matching
 
@@ -42,6 +41,13 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 REPAIR_POLICIES = ("lowest", "spread")
+
+
+def __getattr__(name: str):  # dress.file_size, read by the tracer's self-check
+    if name == "file_size":
+        from .analyze import file_size
+        return file_size
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -105,6 +111,7 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     The file must have exactly M = file_size(code, k, budget) symbols and k
     must stay within the reconstruction range k <= alpha.
     """
+    from .analyze import file_size  # only store searches; reading needs no search code
     report = validate(code)
     if not report.valid:
         raise ParameterError("refusing to store on an invalid FR code; run validate()")

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer checks the
+modules share."""
 
 
 class FrepkitError(Exception):
@@ -44,3 +45,17 @@ class CorruptionError(FrepkitError):
 
 class FrbDefinitionError(FrepkitError):
     """Computed FRB parameters violate the requirement t <= M."""
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _decimal(text: str) -> int:
+    """The value of an ASCII decimal field, -?[0-9]+.  Anything else raises
+    ValueError, also what int() reads: other scripts' digits, '_', a '+'."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)

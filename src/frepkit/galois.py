@@ -30,7 +30,7 @@ from functools import reduce
 from operator import xor
 from typing import Iterable, Sequence
 
-from .errors import CorruptionError, FrepkitError, ParameterError
+from .errors import CorruptionError, FrepkitError, ParameterError, _integer
 
 __all__ = ["GF", "MdsCode", "default_field_for"]
 
@@ -65,12 +65,6 @@ _FIELDS = {
     7: (7, (4,)),                    # x + 4: x = 3
     49: (7, (3, 1)),                 # x^2 + x + 3
 }
-
-
-def _integer(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterError(f"{what} {value!r} is not an integer")
-    return value
 
 
 class GF:

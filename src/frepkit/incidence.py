@@ -18,8 +18,7 @@ from operator import or_
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import FormatError, ParameterError
-from .galois import _integer
+from .errors import FormatError, ParameterError, _decimal, _integer
 
 __all__ = [
     "Graph",
@@ -369,7 +368,7 @@ def _int_fields(path, line_no: int, text: str, what: str) -> list[int]:
     values = []
     for f in fields:
         try:
-            values.append(int(f))
+            values.append(_decimal(f))
         except ValueError:
             raise FormatError(path, line_no, f"{what}: {f!r} is not an integer") from None
     return values

@@ -70,6 +70,37 @@ def brute_batch_t_detail(code: FrCode) -> BatchTResult:
     return BatchTResult(t=code.theta, witness=None, witness_nodes=None)
 
 
+def rho2_batch_t(code: FrCode) -> int:
+    """Reference batch parameter of a code storing each symbol on two nodes.
+
+    The symbols are then the edges of a simple graph on the nodes, and s
+    symbols are deficient when they touch fewer than s nodes, so t is the
+    smallest vertex count of a subgraph with more edges than vertices (theta
+    when there is none).  A smallest one is connected with one edge to
+    spare: the union of two distinct cycles that meet, or of two disjoint
+    cycles and a shortest path between them.  networkx lists the cycles of
+    length up to L for L = 3, 4, ... and measures the paths; a subgraph of at
+    most L vertices has no longer cycle, so the first size <= L is exact.
+    """
+    edges = [tuple(h) for h in code.nodes_of_symbol]
+    assert all(len(e) == 2 for e in edges) and len(set(edges)) == len(edges)
+    G = nx.Graph(edges)
+    dist = dict(nx.all_pairs_shortest_path_length(G))
+
+    def vertices(a, b):
+        if a & b:
+            return len(a | b)
+        gap = min(dist[u].get(w, code.n) for u in a for w in b)
+        return len(a) + len(b) + gap - 1
+
+    for bound in range(3, code.n + 1):
+        cycles = [frozenset(c) for c in nx.simple_cycles(G, length_bound=bound)]
+        best = min((vertices(a, b) for a, b in combinations(cycles, 2)), default=code.theta)
+        if best <= bound:
+            return best
+    return code.theta
+
+
 def smallest_admitted_budget(run) -> int:
     """Smallest budget at which run(budget) is not refused, by doubling and
     bisection: a search refuses exactly when it opens more nodes than the

@@ -1,8 +1,9 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
-from conftest import brute_batch_t_detail, brute_hall_ok, smallest_admitted_budget
+from conftest import brute_batch_t_detail, brute_hall_ok, rho2_batch_t, smallest_admitted_budget
 
 from frepkit import (
     BatchPlan,
@@ -10,6 +11,7 @@ from frepkit import (
     FrbDefinitionError,
     FrepkitError,
     FrCode,
+    Graph,
     NoPlan,
     ParameterError,
     batch_t,
@@ -322,6 +324,36 @@ class TestBatchTAgainstOracle:
         petersen = batch_t_detail(from_graph(cage("petersen")))
         assert (petersen.witness, petersen.witness_nodes) == (
             (1, 2, 3, 4, 6, 7, 8, 11), (1, 2, 3, 4, 5, 6, 8))
+
+
+def _nx_code(graph):
+    return from_graph(Graph(v=graph.number_of_nodes(),
+                            edges=sorted((u + 1, w + 1) for u, w in graph.edges)))
+
+
+# rho = 2 codes and their exact t
+GRAPH_CODES = {
+    "k33": (lambda: from_graph(turan(6, 2)), 5),
+    "petersen": (lambda: _nx_code(nx.petersen_graph()), 7),
+    "heawood": (lambda: _nx_code(nx.heawood_graph()), 8),
+    "pappus": (lambda: _nx_code(nx.pappus_graph()), 9),
+    "desargues": (lambda: _nx_code(nx.desargues_graph()), 9),
+}
+
+
+class TestBatchTAgainstGraphOracle:
+    """On rho = 2 codes t has a graph form: networkx's cycles against both
+    the dual min-union search and the node-side scan."""
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["as-built", "relabelled"])
+    @pytest.mark.parametrize("name", sorted(GRAPH_CODES))
+    def test_graph_codes(self, name, relabel):
+        make, t = GRAPH_CODES[name]
+        code = make()
+        if relabel:
+            code = _relabel_nodes(_relabel_symbols(code, seed=len(name)), seed=len(name))
+        assert rho2_batch_t(code) == t
+        assert batch_t_detail(code).t == brute_batch_t_detail(code).t == t
 
 
 class TestBudgetContract:

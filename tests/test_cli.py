@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import json
 import shutil
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from frepkit import batch, load_system, plan_repair, verify_integrity
+from frepkit import BatchPlan, batch, load_system, plan_repair, verify_integrity
 from frepkit.cli import main
 
 
@@ -299,6 +301,30 @@ class TestBatchCommands:
         assert status == 1
         assert "t = 5 exceeds" in err
 
+    @pytest.mark.parametrize("wrong", ["no witness", "t symbols", "a plannable set"])
+    def test_certify_frb_checks_the_maximality_witness(self, capsys, k33_frc, monkeypatch,
+                                                       wrong):
+        # property 4 holds only when t's witness is t + 1 symbols without a plan
+        exact = batch.batch_t_detail
+
+        def wrong_detail(code, budget=None):
+            detail = exact(code, budget)
+            plannable = next(request for request in combinations(range(1, code.theta + 1),
+                                                                 detail.t + 1)
+                             if isinstance(batch.retrieval_plan(code, request), BatchPlan))
+            witness = {"no witness": None, "t symbols": detail.witness[1:],
+                       "a plannable set": plannable}[wrong]
+            return dataclasses.replace(detail, witness=witness)
+
+        monkeypatch.setattr(batch, "batch_t_detail", wrong_detail)
+        status, out, _ = run(capsys, "certify-frb", str(k33_frc), "--k", "3")
+        assert status == 1
+        assert "property: every t-batch retrievable: FAIL\n" in out
+        assert out.count("pass") == 3
+        status, out, _ = run(capsys, "certify-frb", str(k33_frc), "--k", "3", "--format", "json")
+        assert status == 1
+        assert json.loads(out)["frb"]["properties"]["every_t_batch_retrievable"] is False
+
     def test_certify_frb_json_joins_capacity_report(self, capsys, td34_frc):
         status, out, _ = run(capsys, "certify-frb", str(td34_frc), "--k", "4",
                              "--format", "json")
@@ -458,9 +484,19 @@ class TestInputErrors:
          "node id 99 out of range 1..12"),
         (["repair", "--root", "{root}", "--failed", "1", "--dead", "0,-3"], None,
          "node id 0 out of range 1..12"),
+        # int() reads all three; an integer field is ASCII decimal only
+        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,\u0667"], None,
+         "--nodes: '\u0667'"),
+        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,0_4"], None, "--nodes: '0_4'"),
+        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,+4"], None, "--nodes: '+4'"),
+        (["analyze", "{frc}"], "1_000", "FREPKIT_BUDGET: '1_000'"),
+        (["repair", "--root", "{root}", "--failed", "1", "--dead", "+4"], None, "--dead: '+4'"),
+        (["analyze", "{plus}"], None, "plus.frc:2: node line: '+2' is not an integer"),
     ], ids=["budget-env", "nodes", "dead", "store-file", "batch-t-0", "batch-t-negative",
             "non-ascii-frc", "directory-frc", "store-file-directory", "store-root-file",
-            "field-q-0", "dead-99", "dead-0-and-negative"])
+            "field-q-0", "dead-99", "dead-0-and-negative", "nodes-arabic-indic-digit",
+            "nodes-underscore", "nodes-plus", "budget-env-underscore", "dead-plus",
+            "frc-plus"])
     def test_exits_1_naming_the_value(self, capsys, tmp_path, monkeypatch, td34_frc,
                                       argv, budget, source):
         if budget is not None:
@@ -469,9 +505,11 @@ class TestInputErrors:
         payload.write_text("1 2 3x 4\n")
         latin1 = tmp_path / "latin1.frc"
         latin1.write_bytes(b"FRC 3 3 2 2\n1 2 \xe9\n1 3\n2 3\n")
+        plus = tmp_path / "plus.frc"
+        plus.write_text("FRC 3 3 2 2\n+2 +3\n1 3\n1 2\n")
         (tmp_path / "dir").mkdir()
         paths = {"frc": td34_frc, "root": copy_store(tmp_path), "new": tmp_path / "new",
-                 "file": payload, "latin1": latin1, "dir": tmp_path / "dir"}
+                 "file": payload, "latin1": latin1, "plus": plus, "dir": tmp_path / "dir"}
         status, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
         assert status == 1
         assert out == ""

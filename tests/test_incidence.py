@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from frepkit import (
@@ -248,6 +250,23 @@ class TestSaveLoad:
             with pytest.raises(FormatError, match=message) as err:
                 load(path)
             assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("line,field", [("0_1 3", "0_1"), ("+1 +3", "+1")],
+                             ids=["underscore", "plus"])
+    def test_symbol_fields_are_ascii_decimal(self, tmp_path, line, field):
+        # int() reads both as 1 3; non-ASCII digits never get past the decoder
+        path = tmp_path / "bad.frc"
+        path.write_text(f"FRC 3 3 2 2\n1 2\n{line}\n2 3\n")
+        with pytest.raises(FormatError, match=re.escape(f"node line: '{field}' is not")) as err:
+            load(path)
+        assert err.value.line_no == 3
+
+    def test_header_fields_are_ascii_decimal(self, tmp_path):
+        path = tmp_path / "bad.frc"
+        path.write_text("FRC 3 3 2 +2\n1 2\n1 3\n2 3\n")
+        with pytest.raises(FormatError, match="header: '\\+2' is not an integer") as err:
+            load(path)
+        assert err.value.line_no == 1
 
     def test_symbol_masks_ignore_a_repeated_symbol(self):
         code = FrCode(3, 3, 2, 2, [(1, 1), (2, 3), (1, 3)])
