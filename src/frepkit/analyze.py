@@ -40,13 +40,11 @@ k*d - C(k, 2) + 1, the cap of has_k_clique's one search.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, ParameterError, _integer
 from .incidence import FrCode, Graph, _edge_code
@@ -601,8 +599,7 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
 # ---------------------------------------------------------------------------
 # Capacity profiles
 
-@dataclass(frozen=True)
-class CapacityRow:
+class CapacityRow(NamedTuple):
     k: int
     exact: int
     phi: int
@@ -613,8 +610,7 @@ class CapacityRow:
     k_optimal: bool
 
 
-@dataclass(frozen=True)
-class CapacityProfile:
+class CapacityProfile(NamedTuple):
     n: int
     theta: int
     alpha: int
@@ -661,6 +657,7 @@ class CapacityProfile:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # here, so that a text report loads no json
         rows = []
         for r in self.rows:
             caps = {"rho2": r.rho2_cap, "lemma7": r.lemma7_cap}

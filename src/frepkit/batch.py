@@ -17,7 +17,7 @@ of `analyze` decides each size, with its floors, proven symmetry and budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analyze import _budget, _Profile, file_size
 from .errors import FrbDefinitionError, ParameterError, _integer
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BatchPlan:
+class BatchPlan(NamedTuple):
     """An injective symbol -> node assignment covering the whole request."""
 
     symbols: tuple[int, ...]
@@ -49,8 +48,7 @@ class BatchPlan:
         return "\n".join(f"{j} -> node {i}" for j, i in self.assignment) + "\n"
 
 
-@dataclass(frozen=True)
-class NoPlan:
+class NoPlan(NamedTuple):
     """Proof that the request is not retrievable one-symbol-per-node.
 
     The witness symbols jointly touch fewer nodes than their count, so no
@@ -85,8 +83,7 @@ def retrieval_plan(code: FrCode, symbols) -> BatchPlan | NoPlan:
                   neighborhood=tuple(neighborhood))
 
 
-@dataclass(frozen=True)
-class BatchTResult:
+class BatchTResult(NamedTuple):
     t: int
     # smallest Hall-violating symbol set (size t + 1) and its node
     # neighborhood, absent when t = theta and no violation exists
@@ -134,8 +131,7 @@ def batch_t(code: FrCode, budget: int | None = None) -> int:
     return batch_t_detail(code, budget=budget).t
 
 
-@dataclass(frozen=True)
-class FrbCertificate:
+class FrbCertificate(NamedTuple):
     """The rho-(n, M, k, alpha, t) parameter tuple with per-property checks."""
 
     rho: int

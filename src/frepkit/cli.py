@@ -13,7 +13,6 @@ loads no search code and `analyze` no field arithmetic.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -49,33 +48,41 @@ def _parse_nodes(text: str, flag: str) -> list[int]:
     return _integers(text.replace(",", " ").split(), flag)
 
 
+def _int_option(text: str) -> int:
+    """The type of every integer option: ASCII decimal, as in .frc files."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="frepkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate a code family and write a .frc file")
     p.add_argument("family", choices=["turan", "td", "cage", "plane"])
-    p.add_argument("--n", type=int, help="vertex count (turan)")
-    p.add_argument("--r", type=int, help="part count (turan)")
-    p.add_argument("--rho", type=int, help="block size / group count (td)")
-    p.add_argument("--alpha", type=int, help="group size (td)")
+    p.add_argument("--n", type=_int_option, help="vertex count (turan)")
+    p.add_argument("--r", type=_int_option, help="part count (turan)")
+    p.add_argument("--rho", type=_int_option, help="block size / group count (td)")
+    p.add_argument("--alpha", type=_int_option, help="group size (td)")
     p.add_argument("--name", help="cage name (cage)")
-    p.add_argument("--q", type=int, help="plane order (plane)")
+    p.add_argument("--q", type=_int_option, help="plane order (plane)")
     p.add_argument("--out", required=True, help="output .frc path")
 
     p = sub.add_parser("analyze", help="capacity profile of a .frc code")
     p.add_argument("code")
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=_int_option, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_option, default=None)
 
     p = sub.add_parser("store", help="encode and persist a file as a DRESS system")
     p.add_argument("--code", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--root", required=True)
-    p.add_argument("--seed", type=int, default=None, help="seed for a random file")
+    p.add_argument("--seed", type=_int_option, default=None, help="seed for a random file")
     p.add_argument("--file", default=None, help="path holding M whitespace-separated symbols")
-    p.add_argument("--field-q", type=int, default=None)
+    p.add_argument("--field-q", type=_int_option, default=None)
 
     p = sub.add_parser("reconstruct", help="recover the file from k nodes")
     p.add_argument("--root", required=True)
@@ -83,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repair", help="plan (and run) a single-node repair")
     p.add_argument("--root", required=True)
-    p.add_argument("--failed", type=int, required=True)
+    p.add_argument("--failed", type=_int_option, required=True)
     p.add_argument("--policy", default="lowest", help="lowest or spread (the same plan)")
     p.add_argument("--dead", default="", help="additional dead node ids")
     p.add_argument("--plan-only", action="store_true")
@@ -92,13 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--max-t", action="store_true")
-    group.add_argument("--t", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    group.add_argument("--t", type=_int_option, default=None)
+    p.add_argument("--budget", type=_int_option, default=None)
 
     p = sub.add_parser("certify-frb", help="FRB parameter tuple with property checks")
     p.add_argument("code")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--k", type=_int_option, required=True)
+    p.add_argument("--budget", type=_int_option, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     return parser
@@ -228,6 +235,7 @@ def _cmd_certify_frb(args) -> int:
     budget = _budget(args)
     cert = batch.frb_certify(code, args.k, budget=budget)
     if args.format == "json":
+        import json  # here, so that a text certificate loads no json
         # the certification block joins the capacity report in one document
         profile = analyze.capacity_profile(code, budget=budget)
         doc = json.loads(profile.to_json())

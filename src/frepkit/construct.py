@@ -10,7 +10,7 @@ generically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import analyze
 from .errors import FrepkitError, ParameterError, _integer
@@ -45,8 +45,7 @@ def turan(n: int, r: int) -> Graph:
     return Graph(v=n, edges=edges)
 
 
-@dataclass(frozen=True)
-class CageInfo:
+class CageInfo(NamedTuple):
     """Catalog entry for a (degree, girth)-cage."""
 
     name: str

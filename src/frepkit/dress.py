@@ -19,8 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorruptionError, FrepkitError, IrreparableError, ParameterError, _integer
 from .galois import GF, MdsCode, default_field_for
@@ -50,26 +50,21 @@ def __getattr__(name: str):  # dress.file_size, read by the tracer's self-check
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass
 class StoredSystem:
     """A DRESS instance persisted under root; single-writer, multi-reader."""
 
-    code: FrCode
-    field: GF
-    mds: MdsCode
-    k: int
-    m_size: int
-    root: Path
-    file_sha256: str
-    checksums: dict[str, str]  # node file name -> SHA-256 of its bytes
-    seed: int | None = None
+    def __init__(self, code: FrCode, field: GF, mds: MdsCode, k: int, m_size: int,
+                 root: Path, file_sha256: str, checksums: dict[str, str],
+                 seed: int | None = None):
+        self.code, self.field, self.mds, self.k, self.m_size = code, field, mds, k, m_size
+        self.root, self.file_sha256, self.seed = root, file_sha256, seed
+        self.checksums = checksums  # node file name -> SHA-256 of its bytes
 
     def node_path(self, i: int) -> Path:
         return self.root / f"node_{i}.dat"
 
 
-@dataclass(frozen=True)
-class RepairPlan:
+class RepairPlan(NamedTuple):
     """Donor assignment for one failed node: one symbol per transfer."""
 
     failed: int
@@ -109,7 +104,9 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     """Encode file_symbols and persist the system under root.
 
     The file must have exactly M = file_size(code, k, budget) symbols and k
-    must stay within the reconstruction range k <= alpha.
+    must stay within the reconstruction range k <= alpha.  A root that
+    already holds a manifest is refused: rewriting a system in place would
+    leave neither file recoverable if the store were cut off midway.
     """
     from .analyze import file_size  # only store searches; reading needs no search code
     report = validate(code)
@@ -119,6 +116,9 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
         raise ParameterError(f"k must be positive, got {k}")
     if k > code.alpha:
         raise ParameterError(f"k = {k} exceeds alpha = {code.alpha}")
+    root = Path(root)
+    if (root / MANIFEST_NAME).exists():
+        raise ParameterError(f"{root} already holds a stored system; store into a new root")
     m_size = file_size(code, k, budget=budget)
     file_symbols = list(file_symbols)
     if len(file_symbols) != m_size:
@@ -127,7 +127,6 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     field = field if field is not None else default_field_for(code.theta)
     mds = MdsCode(field=field, length=code.theta, dimension=m_size)
     codeword = mds.encode(file_symbols)
-    root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     contents = {i: {j: codeword[j - 1] for j in code.node_sets[i - 1]}
                 for i in range(1, code.n + 1)}

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the integer checks the
-modules share."""
+"""Exception types shared across the toolkit, and the integer checks and
+the immutable-value base class the modules share."""
 
 
 class FrepkitError(Exception):
@@ -59,3 +59,32 @@ def _decimal(text: str) -> int:
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ValueError(text)
     return int(text)
+
+
+class _Frozen:
+    """Base of the immutable value types.  Equality, hash and repr read the
+    attributes named in _fields; __init__ sets them with object.__setattr__,
+    and no attribute can be set or deleted after that."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")

@@ -23,14 +23,12 @@ its row, on a memo hit as on a miss.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from collections import OrderedDict
 from functools import reduce
 from operator import xor
 from typing import Iterable, Sequence
 
-from .errors import CorruptionError, FrepkitError, ParameterError, _integer
+from .errors import CorruptionError, FrepkitError, ParameterError, _Frozen, _integer
 
 __all__ = ["GF", "MdsCode", "default_field_for"]
 
@@ -218,6 +216,7 @@ class GF:
     @classmethod
     def from_spec(cls, spec: dict) -> "GF":
         """GF(spec["q"]), refused unless spec is exactly that field's spec()."""
+        import json  # here, so that building a field loads no json
         field = cls(spec["q"])
         if json.dumps(spec, sort_keys=True) != json.dumps(field.spec(), sort_keys=True):
             raise ParameterError(f"field spec {spec!r} is not GF({field.q})'s {field.spec()!r}")
@@ -241,8 +240,7 @@ def default_field_for(theta: int) -> GF:
     return GF(1 << m)
 
 
-@dataclasses.dataclass(frozen=True)
-class MdsCode:
+class MdsCode(_Frozen):
     """A systematic (length, dimension) MDS code by polynomial evaluation.
 
     Position p is evaluated at the field element p.  The encoding
@@ -250,22 +248,24 @@ class MdsCode:
     codeword carries the message verbatim in its first dimension coordinates.
     """
 
+    _fields = ("field", "length", "dimension")  # the memo is not part of the value
     field: GF
     length: int
     dimension: int
-    # sorted known positions -> recovery rows (see _rows), oldest evicted first
-    _memo: OrderedDict = dataclasses.field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _integer(self.length, "length")
-        _integer(self.dimension, "dimension")
-        if not 1 <= self.dimension <= self.length:
+    def __init__(self, field: GF, length: int, dimension: int):
+        _integer(length, "length")
+        _integer(dimension, "dimension")
+        if not 1 <= dimension <= length:
             raise ParameterError(
-                f"need 1 <= dimension <= length, got ({self.dimension}, {self.length})")
-        if self.length > self.field.q:
-            raise ParameterError(
-                f"length {self.length} exceeds field order {self.field.q}")
+                f"need 1 <= dimension <= length, got ({dimension}, {length})")
+        if length > field.q:
+            raise ParameterError(f"length {length} exceeds field order {field.q}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "dimension", dimension)
+        # sorted known positions -> recovery rows (see _rows), oldest evicted first
+        object.__setattr__(self, "_memo", OrderedDict())
 
     def _rows(self, positions: tuple[int, ...]) -> list[tuple[int, list[int]]]:
         """Recovery rows for the sorted known positions, memoised per pattern.

@@ -12,13 +12,12 @@ in the public data types; bit positions inside masks are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import FormatError, ParameterError, _decimal, _integer
+from .errors import FormatError, ParameterError, _decimal, _Frozen, _integer
 
 __all__ = [
     "Graph",
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """Simple undirected graph on vertices 1..v.
 
     Edges are stored canonically: each as (u, w) with u < w, sorted
@@ -43,6 +41,7 @@ class Graph:
     FR code derived from the graph.
     """
 
+    _fields = ("v", "edges")
     v: int
     edges: tuple[tuple[int, int], ...]
 
@@ -81,16 +80,17 @@ class Graph:
         return deg[1:]
 
 
-@dataclass(frozen=True)
-class FrCode:
+class FrCode(_Frozen):
     """An (n, alpha, rho) FR code over theta symbols.
 
     The declared parameters are stored as given; whether the node sets
     actually satisfy the uniformity invariants is the job of validate(),
     so that structurally suspect inputs can be loaded and then reported on
-    rather than rejected at parse time.
+    rather than rejected at parse time.  Its derived tables are computed
+    once per instance, which is sound because an FrCode cannot change.
     """
 
+    _fields = ("n", "theta", "alpha", "rho", "node_sets")
     n: int
     theta: int
     alpha: int
@@ -162,10 +162,10 @@ class FrCode:
         return best
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(_Frozen):
     """A plain point/block incidence structure, points labeled 1..points."""
 
+    _fields = ("points", "blocks")
     points: int
     blocks: tuple[tuple[int, ...], ...]
 
@@ -185,7 +185,6 @@ class Design:
         object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in blks))
 
 
-@dataclass(frozen=True)
 class TransversalDesign(Design):
     """A transversal design: ell groups of h points, blocks of size ell.
 
@@ -194,6 +193,7 @@ class TransversalDesign(Design):
     the structure violates, or returns None.
     """
 
+    _fields = ("points", "blocks", "groups")
     groups: tuple[tuple[int, ...], ...]
 
     def __init__(self, points: int, blocks: Iterable[Iterable[int]],
@@ -248,8 +248,7 @@ class TransversalDesign(Design):
         return None
 
 
-@dataclass(frozen=True)
-class CodeReport:
+class CodeReport(NamedTuple):
     """Per-invariant validation result for an FrCode."""
 
     rows_uniform: bool
@@ -262,11 +261,6 @@ class CodeReport:
     def valid(self) -> bool:
         return (self.rows_uniform and self.columns_uniform
                 and self.counting_consistent and self.symbols_valid)
-
-    @property
-    def universal_goodness_compatible(self) -> bool:
-        """Pairwise intersections stay at most 1, the universally-good regime."""
-        return self.max_intersection <= 1
 
 
 def validate(code: FrCode) -> CodeReport:

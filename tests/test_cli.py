@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -314,7 +313,7 @@ class TestBatchCommands:
                              if isinstance(batch.retrieval_plan(code, request), BatchPlan))
             witness = {"no witness": None, "t symbols": detail.witness[1:],
                        "a plannable set": plannable}[wrong]
-            return dataclasses.replace(detail, witness=witness)
+            return detail._replace(witness=witness)
 
         monkeypatch.setattr(batch, "batch_t_detail", wrong_detail)
         status, out, _ = run(capsys, "certify-frb", str(k33_frc), "--k", "3")
@@ -478,6 +477,8 @@ class TestInputErrors:
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{dir}"],
          None, "Is a directory"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{file}"], None, "File exists"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{root}"], None,
+         "already holds a stored system"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--field-q", "0"],
          None, "GF(0) is not a built-in field"),
         (["repair", "--root", "{root}", "--failed", "1", "--dead", "99"], None,
@@ -494,9 +495,9 @@ class TestInputErrors:
         (["analyze", "{plus}"], None, "plus.frc:2: node line: '+2' is not an integer"),
     ], ids=["budget-env", "nodes", "dead", "store-file", "batch-t-0", "batch-t-negative",
             "non-ascii-frc", "directory-frc", "store-file-directory", "store-root-file",
-            "field-q-0", "dead-99", "dead-0-and-negative", "nodes-arabic-indic-digit",
-            "nodes-underscore", "nodes-plus", "budget-env-underscore", "dead-plus",
-            "frc-plus"])
+            "store-over-a-system", "field-q-0", "dead-99", "dead-0-and-negative",
+            "nodes-arabic-indic-digit", "nodes-underscore", "nodes-plus",
+            "budget-env-underscore", "dead-plus", "frc-plus"])
     def test_exits_1_naming_the_value(self, capsys, tmp_path, monkeypatch, td34_frc,
                                       argv, budget, source):
         if budget is not None:
@@ -516,6 +517,37 @@ class TestInputErrors:
         assert err.startswith("error: ") and source in err
         assert "Traceback" not in err
         assert not (tmp_path / "new").exists()
+
+    # int() reads each form; argparse's own error names the option
+    @pytest.mark.parametrize("value", ["+4", "٣", " 2", "1_0"],
+                             ids=["plus", "arabic-indic-digit", "space", "underscore"])
+    def test_every_integer_option_is_ascii_decimal(self, capsys, tmp_path, td34_frc, value):
+        frc, root = str(td34_frc), str(copy_store(tmp_path))
+        valid = {
+            "construct": ["construct", "td", "--rho", "3", "--alpha", "4",
+                          "--out", str(tmp_path / "new.frc")],
+            "analyze": ["analyze", frc],
+            "store": ["store", "--code", frc, "--k", "4", "--root", str(tmp_path / "new")],
+            "repair": ["repair", "--root", root, "--failed", "1", "--plan-only"],
+            "batch": ["batch", frc, "--t", "1"],
+            "certify-frb": ["certify-frb", frc, "--k", "4"],
+        }
+        options = {
+            "construct": ["--n", "--r", "--rho", "--alpha", "--q"],
+            "analyze": ["--k-max", "--budget"],
+            "store": ["--k", "--seed", "--field-q"],
+            "repair": ["--failed"],
+            "batch": ["--t", "--budget"],
+            "certify-frb": ["--k", "--budget"],
+        }
+        for command, flags in options.items():
+            for flag in flags:
+                status, out, err = run(capsys, *valid[command], flag, value)
+                assert status == 1, (flag, out)
+                assert out == ""
+                assert f"error: argument {flag}: {value!r} is not an integer" in err
+        assert not (tmp_path / "new").exists()
+        assert not (tmp_path / "new.frc").exists()
 
 
 class TestStoreBudget:

@@ -7,11 +7,15 @@ other exception, and never a wrong file.  A failed repair leaves neither the
 node file nor a temporary file behind.  Seeds are fixed; every run checks
 the same cases.  The readers are chosen to touch the damaged node file:
 the reconstruction includes it and the failed node shares a symbol with it.
+A store or repair cut off at any one of its renames leaves the same choice:
+the original file, or a FrepkitError.
 """
 
 import json
+import os
 import random
 import shutil
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,7 @@ import pytest
 from frepkit import (
     CorruptionError,
     FrepkitError,
+    ParameterError,
     execute_repair,
     from_design,
     load_system,
@@ -113,6 +118,72 @@ def test_damaged_store_gives_the_original_or_refuses(pristine, tmp_path, capsys,
         if got == REFUSED:
             assert not repaired.exists(), (seed, failed)
         assert not list(root.glob("*.tmp")), seed
+
+
+def interrupt_replace(monkeypatch, at):
+    """os.replace raises at its call number `at`, counted from 0, as a crash
+    at that rename would stop the writer; the earlier renames happen."""
+    calls, replace = [], os.replace
+
+    def interrupted(src, dst):
+        calls.append(dst)
+        if len(calls) == at + 1:
+            raise OSError(f"interrupted at rename {at}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    return calls
+
+
+STORE_RENAMES = CODE.n + 1  # the node files, then the manifest
+READERS = list(combinations(range(1, CODE.n + 1), 4))[::23]
+
+
+@pytest.mark.parametrize("at", range(STORE_RENAMES + 1))
+def test_an_interrupted_store_loses_no_file(pristine, tmp_path, monkeypatch, at):
+    # over a stored system store writes nothing; into a new root it leaves
+    # no manifest until its last rename, so readers refuse until then
+    source, old_file = pristine
+    new_file = [(v + 1) % 16 for v in old_file]
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    shutil.copytree(source, over)
+    calls = interrupt_replace(monkeypatch, at)
+    with pytest.raises(ParameterError, match="already holds a stored system"):
+        store(CODE, 4, new_file, over)
+    assert calls == []
+    if at < STORE_RENAMES:
+        with pytest.raises(OSError, match="interrupted"):
+            store(CODE, 4, new_file, fresh)
+    else:
+        store(CODE, 4, new_file, fresh)
+    monkeypatch.undo()
+    assert len(calls) == min(at + 1, STORE_RENAMES)
+    for readers in READERS:
+        assert outcome(lambda: reconstruct(load_system(over), readers)) == old_file
+        got = outcome(lambda: reconstruct(load_system(fresh), readers))
+        assert got == (new_file if at == STORE_RENAMES else REFUSED), readers
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_an_interrupted_repair_loses_no_file(pristine, tmp_path, monkeypatch, at):
+    source, file_symbols = pristine
+    root = tmp_path / "sys"
+    shutil.copytree(source, root)
+    (root / "node_5.dat").unlink()
+    system = load_system(root)
+    plan = plan_repair(system, 5)
+    calls = interrupt_replace(monkeypatch, at)
+    if at == 0:
+        with pytest.raises(OSError, match="interrupted"):
+            execute_repair(system, plan)
+    else:
+        execute_repair(system, plan)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    for readers in READERS:
+        got = outcome(lambda: reconstruct(load_system(root), readers))
+        lost = at == 0 and 5 in readers
+        assert got == (REFUSED if lost else file_symbols), readers
 
 
 @pytest.mark.parametrize("block,key,value,message", [

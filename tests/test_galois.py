@@ -379,6 +379,8 @@ class TestRecoveryMemo:
         assert a._memo and not b._memo
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "_memo" not in repr(a)
+        with pytest.raises(AttributeError):
+            a.length = 8
 
 
 def _digitwise(field: GF, a: int, b: int, sign: int = 1) -> int:

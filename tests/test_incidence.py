@@ -101,7 +101,6 @@ class TestValidate:
         report = validate(code)
         assert report.valid
         assert report.max_intersection == 1
-        assert report.universal_goodness_compatible
 
     def test_single_node_degenerate_code(self):
         report = validate(FrCode(1, 1, 1, 1, [(1,)]))
@@ -113,7 +112,6 @@ class TestValidate:
         report = validate(code)
         assert report.valid  # uniform weights still hold
         assert report.max_intersection == 2
-        assert not report.universal_goodness_compatible
 
     def test_nonuniform_rows_flagged(self):
         code = FrCode(2, 3, 2, 2, [(1, 2, 3), (1,)])
@@ -192,6 +190,36 @@ class TestFromDesign:
                                    groups=paper_td34.groups)
         with pytest.raises(ParameterError, match="block count"):
             from_design(broken)
+
+
+class TestValueTypes:
+    # equality, hash and repr read the fields; no field can change
+    @pytest.mark.parametrize("make,text", [
+        (lambda: Graph(3, [(2, 1), (3, 2)]), "Graph(v=3, edges=((1, 2), (2, 3)))"),
+        (lambda: FrCode(2, 2, 1, 1, [(1,), (2,)]),
+         "FrCode(n=2, theta=2, alpha=1, rho=1, node_sets=((1,), (2,)))"),
+        (lambda: Design(3, [(3, 1), (2, 1)]), "Design(points=3, blocks=((1, 3), (1, 2)))"),
+        (lambda: TransversalDesign(2, [(1, 2)], [(1,), (2,)]),
+         "TransversalDesign(points=2, blocks=((1, 2),), groups=((1,), (2,)))"),
+    ], ids=["graph", "code", "design", "transversal-design"])
+    def test_equal_by_fields_and_immutable(self, make, text):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and repr(a) == text
+        field = text[text.index("(") + 1:text.index("=")]
+        with pytest.raises(AttributeError):
+            setattr(a, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == b
+
+    def test_a_design_never_equals_a_transversal_design(self):
+        assert Design(2, [(1, 2)]) != TransversalDesign(2, [(1, 2)], [(1,), (2,)])
+        assert Design(2, [(1, 2)]) != TransversalDesign(2, [(1, 2)], [])
+
+    def test_derived_tables_stay_out_of_equality(self):
+        a, b = petersen_code(), petersen_code()
+        assert a.symbol_masks and a._file_sizes == {}
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 class TestSaveLoad:

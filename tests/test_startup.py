@@ -2,7 +2,9 @@
 
 `import frepkit` loads no submodule; each CLI command imports the modules it
 runs.  The module sets are read in a fresh interpreter per command, with no
-bytecode written, as a user's command runs.
+bytecode written, as a user's command runs.  No command loads `dataclasses`
+or `inspect`, and only the DRESS commands, which read or write a manifest,
+load `json`; these are counted beyond what a bare interpreter has loaded.
 """
 
 import ast
@@ -21,11 +23,10 @@ from frepkit import batch, from_design, save, transversal_design
 SRC = Path(__file__).resolve().parent.parent / "src"
 STORED = Path(__file__).resolve().parent / "data" / "td34_k4_seed0"
 
-# runs `python -m frepkit ARGS` and prints the frepkit modules loaded, last
+# runs `python -m frepkit ARGS` and prints the modules loaded, last
 RUN_CLI = """
 import atexit, runpy, sys
-atexit.register(lambda: print(" ".join(sorted(
-    m for m in sys.modules if m == "frepkit" or m.startswith("frepkit.")))))
+atexit.register(lambda: print(" ".join(sorted(sys.modules))))
 sys.argv = ["frepkit", *sys.argv[1:]]
 runpy.run_module("frepkit", run_name="__main__", alter_sys=True)
 """
@@ -47,6 +48,18 @@ def workdir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def bare(workdir) -> set[str]:
+    """The modules a bare interpreter has loaded here; `site` may import some."""
+    proc = _python(workdir, "-c", "import sys; print(sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout))
+
+
+# standard-library modules whose import, or whose own imports, a command run pays for
+COSTLY = {"dataclasses", "inspect", "json"}
+
+
 DRESS_READ = {"cli", "errors", "dress", "galois", "incidence", "matching"}
 BATCH = {"cli", "errors", "incidence", "analyze", "matching", "batch"}
 
@@ -64,11 +77,14 @@ BATCH = {"cli", "errors", "incidence", "analyze", "matching", "batch"}
     (["certify-frb", "td34.frc", "--k", "4"], BATCH),
 ], ids=["help", "construct", "analyze", "store", "reconstruct", "repair", "batch",
         "certify-frb"])
-def test_each_command_loads_only_its_modules(workdir, argv, modules):
+def test_each_command_loads_only_its_modules(workdir, bare, argv, modules):
     proc = _python(workdir, "-c", RUN_CLI, *argv)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1].split()
-    assert set(loaded) == {"frepkit", *(f"frepkit.{m}" for m in modules)}
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert {m for m in loaded if m.split(".")[0] == "frepkit"} == {
+        "frepkit", *(f"frepkit.{m}" for m in modules)}
+    manifest = {"json"} if "dress" in modules else set()
+    assert (loaded - bare) & COSTLY == manifest - bare
 
 
 def test_import_frepkit_loads_no_submodule(tmp_path):
