@@ -10,10 +10,10 @@ Budget rule: each exact request is one _Profile, whose min-union searches
 share its budget (DEFAULT_BUDGET unless given) and refuse with
 BudgetExceededError as soon as they have together opened more search nodes
 than it, counted in their fixed order.  A node is one call of the min-union
-recursion, the one search kernel, which answers file_size,
-capacity_profile, max_induced_edges, has_k_clique and, on the dual code,
-the batch parameter.  The polynomial set-up (greedy incumbent, floors) is
-not charged, so a code that set-up settles runs at any budget.
+recursion, the one search kernel, which answers file_size (and through it
+max_induced_edges and has_k_clique), capacity_profile and, on the dual
+code, the batch parameter.  The polynomial set-up (greedy incumbent,
+floors) is not charged, so a code that set-up settles runs at any budget.
 
 Symmetry rule for M(k): at depth d, once it has picked the first d nodes
 of discovery's first path, the search skips a child i when automorphisms,
@@ -32,10 +32,6 @@ share one greedy pass and one discovery, paid by the nodes the profile has
 opened so far.  A refusal depends only on (code, k_max, budget).  The
 profile neither reads nor writes the per-code memo; only file_size, a
 search of its own with no rows below it, uses that.
-
-Clique rule: k vertices S store k*d - e(S) symbols in a graph's edge code,
-d the largest degree, so S is a clique exactly when that is below
-k*d - C(k, 2) + 1, the cap of has_k_clique's one search.
 """
 
 from __future__ import annotations
@@ -228,21 +224,12 @@ def girth(g: Graph) -> int | float:
 
 
 def has_k_clique(g: Graph, k: int) -> bool:
-    """Exact clique decision: one capped min-union search on the edge code.
-
-    Lemma: with d the largest degree, k vertices S store k*d - e(S) symbols
-    there, and e(S) <= C(k, 2) with equality only for a clique, so S is a
-    clique exactly when its union is below the cap k*d - C(k, 2) + 1.  It
-    refuses once it opens more than DEFAULT_BUDGET search nodes.
+    """Exact clique decision, Lemma 2 read off Lemma 1: k vertices induce at
+    most C(k, 2) edges, with equality only for a clique, so g has a k-clique
+    exactly when max_induced_edges(g, k) is C(k, 2).  It refuses as that
+    search does at DEFAULT_BUDGET.
     """
-    if _integer(k, "k") < 1:
-        raise ParameterError(f"k must be positive, got {k}")
-    if k > g.v:
-        return False
-    code = _edge_code(g)
-    profile = _Profile(code, 1, DEFAULT_BUDGET,
-                       f"clique search over {k}-subsets of {g.v} vertices")
-    return profile.search(k, cap=k * code.alpha - k * (k - 1) // 2 + 1) is not None
+    return _integer(k, "k") <= g.v and max_induced_edges(g, k) == k * (k - 1) // 2
 
 
 def max_induced_edges(g: Graph, k: int, budget: int | None = None) -> int:

@@ -13,13 +13,10 @@ loads no search code and `analyze` no field arithmetic.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
 from .errors import FrepkitError, ParameterError, _decimal
-
-BUDGET_ENV = "FREPKIT_BUDGET"
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -34,14 +31,6 @@ def _integers(fields, source: str) -> list[int]:
         except ValueError:
             raise ParameterError(f"{source}: {field!r} is not an integer") from None
     return values
-
-
-def _budget(args) -> int | None:
-    """--budget, else FREPKIT_BUDGET (store has no flag), else the default."""
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    raw = os.environ.get(BUDGET_ENV)
-    return _integers([raw], BUDGET_ENV)[0] if raw else None
 
 
 def _parse_nodes(text: str, flag: str) -> list[int]:
@@ -80,9 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--root", required=True)
-    p.add_argument("--seed", type=_int_option, default=None, help="seed for a random file")
-    p.add_argument("--file", default=None, help="path holding M whitespace-separated symbols")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--seed", type=_int_option, default=None, help="seed for a random file")
+    group.add_argument("--file", default=None, help="path holding M whitespace-separated symbols")
     p.add_argument("--field-q", type=_int_option, default=None)
+    p.add_argument("--budget", type=_int_option, default=None)
 
     p = sub.add_parser("reconstruct", help="recover the file from k nodes")
     p.add_argument("--root", required=True)
@@ -144,8 +135,7 @@ def _cmd_construct(args) -> int:
 def _cmd_analyze(args) -> int:
     from . import analyze, incidence
     code = incidence.load(args.code)
-    budget = _budget(args)
-    profile = analyze.capacity_profile(code, k_max=args.k_max, budget=budget)
+    profile = analyze.capacity_profile(code, k_max=args.k_max, budget=args.budget)
     sys.stdout.write(profile.to_json() if args.format == "json" else profile.to_text())
     problems = profile.cross_check()
     if problems:
@@ -160,8 +150,7 @@ def _cmd_store(args) -> int:
     from .galois import GF, default_field_for
     code = incidence.load(args.code)
     field = GF(args.field_q) if args.field_q is not None else default_field_for(code.theta)
-    budget = _budget(args)
-    m_size = analyze.file_size(code, args.k, budget=budget)
+    m_size = analyze.file_size(code, args.k, budget=args.budget)
     if args.file is not None:
         with open(args.file, encoding="ascii", errors="replace") as fh:
             symbols = _integers(fh.read().split(), args.file)
@@ -171,7 +160,7 @@ def _cmd_store(args) -> int:
         rng = random.Random(seed)
         symbols = [rng.randrange(field.q) for _ in range(m_size)]
     system = dress.store(code, args.k, symbols, args.root, field=field, seed=seed,
-                         budget=budget)
+                         budget=args.budget)
     print(f"stored {system.m_size} symbols over GF({system.field.q}) in "
           f"{system.code.n} node files of {system.code.alpha} symbols each "
           f"under {args.root}")
@@ -208,8 +197,7 @@ def _cmd_batch(args) -> int:
     code = incidence.load(args.code)
     if args.t is not None and args.t > code.theta:
         raise ParameterError(f"--t: {args.t} exceeds the code's theta = {code.theta} symbols")
-    budget = _budget(args)
-    detail = batch.batch_t_detail(code, budget=budget)
+    detail = batch.batch_t_detail(code, budget=args.budget)
     if args.max_t:
         print(f"t = {detail.t}")
         print(f"certificate: no deficient symbol set of size <= {detail.t} exists, "
@@ -232,12 +220,11 @@ def _cmd_batch(args) -> int:
 def _cmd_certify_frb(args) -> int:
     from . import analyze, batch, incidence
     code = incidence.load(args.code)
-    budget = _budget(args)
-    cert = batch.frb_certify(code, args.k, budget=budget)
+    cert = batch.frb_certify(code, args.k, budget=args.budget)
     if args.format == "json":
         import json  # here, so that a text certificate loads no json
         # the certification block joins the capacity report in one document
-        profile = analyze.capacity_profile(code, budget=budget)
+        profile = analyze.capacity_profile(code, budget=args.budget)
         doc = json.loads(profile.to_json())
         doc["frb"] = cert.to_json_dict()
         print(json.dumps(doc, sort_keys=True, indent=2))

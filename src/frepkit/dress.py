@@ -93,10 +93,15 @@ def _node_text(i: int, contents: dict[int, int], alpha: int) -> str:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace path by data in one rename; a crash leaves the old file whole."""
+    """Replace path by data in one rename; a crash leaves the old file whole.
+    A write or rename that raises removes the temporary file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,

@@ -214,8 +214,6 @@ class TransversalDesign(Design):
         covered = sorted(p for g in self.groups for p in g)
         if covered != list(range(1, self.points + 1)) or any(len(g) != h for g in self.groups):
             return "groups must partition the points into equal-size classes"
-        if self.points != ell * h:
-            return f"point count {self.points} is not ell*h = {ell * h}"
         if len(self.blocks) != h * h:
             return f"block count {len(self.blocks)} is not h^2 = {h * h}"
         replication = [0] * (self.points + 1)

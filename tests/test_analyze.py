@@ -174,7 +174,7 @@ class TestCliques:
         with pytest.raises(BudgetExceededError) as refused:
             run(b - 1)
         assert str(refused.value) == (
-            f"clique search over 3-subsets of 10 vertices needs more than {b - 1} "
+            f"file-size search over 3-subsets of 10 nodes needs more than {b - 1} "
             f"search nodes; raise the budget to run this exactly")
 
     @pytest.mark.parametrize("graph", SMALL_GRAPHS, ids=lambda g: f"n{g.v}e{g.e}")

@@ -130,21 +130,17 @@ class TestAnalyze:
         assert status == 2
         assert "cross-check failed" in err
 
-    def test_budget_exceeded_exits_1(self, capsys, td34_frc, monkeypatch):
-        monkeypatch.setenv("FREPKIT_BUDGET", "3")
-        status, _, err = run(capsys, "analyze", str(td34_frc))
-        assert status == 1
-        assert "budget" in err
-
     def test_budget_flag_overrides(self, capsys, td34_frc):
         status, _, err = run(capsys, "analyze", str(td34_frc), "--budget", "3")
         assert status == 1
         assert "budget" in err
 
-    def test_budget_flag_wins_over_the_environment(self, capsys, td34_frc, monkeypatch):
+    def test_the_environment_sets_no_budget(self, capsys, td34_frc, monkeypatch):
+        # --budget 3 refuses td34 (above); the variable its flag replaced is ignored
+        report = run(capsys, "analyze", str(td34_frc))
+        assert report[0] == 0 and report[1].startswith("FR code:")
         monkeypatch.setenv("FREPKIT_BUDGET", "3")
-        status, out, _ = run(capsys, "analyze", str(td34_frc), "--budget", "10000000")
-        assert status == 0 and out.startswith("FR code:")
+        assert run(capsys, "analyze", str(td34_frc)) == report
 
     def test_budget_is_shared_by_the_profile_rows(self, capsys, tmp_path):
         # Tutte-Coxeter's k <= 8 searches open 10,290 nodes together
@@ -464,44 +460,39 @@ class TestCorruptStore:
 
 
 class TestInputErrors:
-    @pytest.mark.parametrize("argv,budget,source", [
-        (["analyze", "{frc}"], "abc", "FREPKIT_BUDGET: 'abc'"),
-        (["reconstruct", "--root", "{root}", "--nodes", "1,x"], None, "--nodes: 'x'"),
-        (["repair", "--root", "{root}", "--failed", "1", "--dead", "y"], None, "--dead: 'y'"),
+    @pytest.mark.parametrize("argv,source", [
+        (["reconstruct", "--root", "{root}", "--nodes", "1,x"], "--nodes: 'x'"),
+        (["repair", "--root", "{root}", "--failed", "1", "--dead", "y"], "--dead: 'y'"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{file}"],
-         None, "payload.txt: '3x'"),
-        (["batch", "{frc}", "--t", "0"], None, "--t: 0"),
-        (["batch", "{frc}", "--t", "-1"], None, "--t: -1"),
-        (["analyze", "{latin1}"], None, "latin1.frc:2: bytes outside ASCII"),
-        (["analyze", "{dir}"], None, "Is a directory"),
+         "payload.txt: '3x'"),
+        (["batch", "{frc}", "--t", "0"], "--t: 0"),
+        (["batch", "{frc}", "--t", "-1"], "--t: -1"),
+        (["analyze", "{latin1}"], "latin1.frc:2: bytes outside ASCII"),
+        (["analyze", "{dir}"], "Is a directory"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{dir}"],
-         None, "Is a directory"),
-        (["store", "--code", "{frc}", "--k", "4", "--root", "{file}"], None, "File exists"),
-        (["store", "--code", "{frc}", "--k", "4", "--root", "{root}"], None,
+         "Is a directory"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{file}"], "File exists"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{root}"],
          "already holds a stored system"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--field-q", "0"],
-         None, "GF(0) is not a built-in field"),
-        (["repair", "--root", "{root}", "--failed", "1", "--dead", "99"], None,
+         "GF(0) is not a built-in field"),
+        (["repair", "--root", "{root}", "--failed", "1", "--dead", "99"],
          "node id 99 out of range 1..12"),
-        (["repair", "--root", "{root}", "--failed", "1", "--dead", "0,-3"], None,
+        (["repair", "--root", "{root}", "--failed", "1", "--dead", "0,-3"],
          "node id 0 out of range 1..12"),
         # int() reads all three; an integer field is ASCII decimal only
-        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,\u0667"], None,
+        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,\u0667"],
          "--nodes: '\u0667'"),
-        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,0_4"], None, "--nodes: '0_4'"),
-        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,+4"], None, "--nodes: '+4'"),
-        (["analyze", "{frc}"], "1_000", "FREPKIT_BUDGET: '1_000'"),
-        (["repair", "--root", "{root}", "--failed", "1", "--dead", "+4"], None, "--dead: '+4'"),
-        (["analyze", "{plus}"], None, "plus.frc:2: node line: '+2' is not an integer"),
-    ], ids=["budget-env", "nodes", "dead", "store-file", "batch-t-0", "batch-t-negative",
+        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,0_4"], "--nodes: '0_4'"),
+        (["reconstruct", "--root", "{root}", "--nodes", "1,2,3,+4"], "--nodes: '+4'"),
+        (["repair", "--root", "{root}", "--failed", "1", "--dead", "+4"], "--dead: '+4'"),
+        (["analyze", "{plus}"], "plus.frc:2: node line: '+2' is not an integer"),
+    ], ids=["nodes", "dead", "store-file", "batch-t-0", "batch-t-negative",
             "non-ascii-frc", "directory-frc", "store-file-directory", "store-root-file",
             "store-over-a-system", "field-q-0", "dead-99", "dead-0-and-negative",
             "nodes-arabic-indic-digit", "nodes-underscore", "nodes-plus",
-            "budget-env-underscore", "dead-plus", "frc-plus"])
-    def test_exits_1_naming_the_value(self, capsys, tmp_path, monkeypatch, td34_frc,
-                                      argv, budget, source):
-        if budget is not None:
-            monkeypatch.setenv("FREPKIT_BUDGET", budget)
+            "dead-plus", "frc-plus"])
+    def test_exits_1_naming_the_value(self, capsys, tmp_path, td34_frc, argv, source):
         payload = tmp_path / "payload.txt"
         payload.write_text("1 2 3x 4\n")
         latin1 = tmp_path / "latin1.frc"
@@ -535,7 +526,7 @@ class TestInputErrors:
         options = {
             "construct": ["--n", "--r", "--rho", "--alpha", "--q"],
             "analyze": ["--k-max", "--budget"],
-            "store": ["--k", "--seed", "--field-q"],
+            "store": ["--k", "--seed", "--field-q", "--budget"],
             "repair": ["--failed"],
             "batch": ["--t", "--budget"],
             "certify-frb": ["--k", "--budget"],
@@ -548,6 +539,17 @@ class TestInputErrors:
                 assert f"error: argument {flag}: {value!r} is not an integer" in err
         assert not (tmp_path / "new").exists()
         assert not (tmp_path / "new.frc").exists()
+
+    def test_store_takes_a_seed_or_a_file_not_both(self, capsys, tmp_path, td34_frc):
+        payload = tmp_path / "payload.txt"
+        payload.write_text("1 " * 11 + "\n")  # M = 11: the file alone is stored
+        status, out, err = run(capsys, "store", "--code", str(td34_frc), "--k", "4",
+                               "--root", str(tmp_path / "new"), "--file", str(payload),
+                               "--seed", "5")
+        assert status == 1
+        assert out == ""
+        assert "argument --seed: not allowed with argument --file" in err
+        assert not (tmp_path / "new").exists()
 
 
 class TestStoreBudget:
@@ -564,11 +566,9 @@ class TestStoreBudget:
         assert "57 node files of 8 symbols" in out
         verify_integrity(tmp_path / "sys")
 
-    def test_budget_of_1_refuses_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
-                                                    td34_frc):
-        monkeypatch.setenv("FREPKIT_BUDGET", "1")
+    def test_budget_of_1_refuses_and_writes_nothing(self, capsys, tmp_path, td34_frc):
         status, _, err = run(capsys, "store", "--code", str(td34_frc), "--k", "4",
-                             "--root", str(tmp_path / "sys"))
+                             "--root", str(tmp_path / "sys"), "--budget", "1")
         assert status == 1
         assert "budget" in err
         assert not (tmp_path / "sys").exists()

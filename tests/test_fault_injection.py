@@ -8,7 +8,8 @@ node file nor a temporary file behind.  Seeds are fixed; every run checks
 the same cases.  The readers are chosen to touch the damaged node file:
 the reconstruction includes it and the failed node shares a symbol with it.
 A store or repair cut off at any one of its renames leaves the same choice:
-the original file, or a FrepkitError.
+the original file, or a FrepkitError; a write or rename that raises leaves
+no temporary file.
 """
 
 import json
@@ -158,6 +159,7 @@ def test_an_interrupted_store_loses_no_file(pristine, tmp_path, monkeypatch, at)
         store(CODE, 4, new_file, fresh)
     monkeypatch.undo()
     assert len(calls) == min(at + 1, STORE_RENAMES)
+    assert not [*over.glob("*.tmp"), *fresh.glob("*.tmp")]
     for readers in READERS:
         assert outcome(lambda: reconstruct(load_system(over), readers)) == old_file
         got = outcome(lambda: reconstruct(load_system(fresh), readers))
@@ -180,10 +182,26 @@ def test_an_interrupted_repair_loses_no_file(pristine, tmp_path, monkeypatch, at
         execute_repair(system, plan)
     monkeypatch.undo()
     assert len(calls) == 1
+    assert not list(root.glob("*.tmp"))
     for readers in READERS:
         got = outcome(lambda: reconstruct(load_system(root), readers))
         lost = at == 0 and 5 in readers
         assert got == (REFUSED if lost else file_symbols), readers
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # a full disk stops the first node file's write partway
+    write = Path.write_bytes
+
+    def full(path, data):
+        write(path, data[:len(data) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", full)
+    with pytest.raises(OSError, match="No space"):
+        store(CODE, 4, [0] * 11, tmp_path / "sys")
+    monkeypatch.undo()
+    assert list((tmp_path / "sys").iterdir()) == []
 
 
 @pytest.mark.parametrize("block,key,value,message", [
