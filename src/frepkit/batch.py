@@ -186,8 +186,6 @@ def frb_certify(code: FrCode, k: int, budget: int | None = None) -> FrbCertifica
     k may exceed alpha: the girth-based family is certified on the full
     validity range of its file-size formula, which runs past alpha.
     """
-    if not 1 <= _integer(k, "k") <= code.n:
-        raise ParameterError(f"need 1 <= k <= n = {code.n}, got k={k}")
     report = validate(code)
     m_size = file_size(code, k, budget=budget)
     detail = batch_t_detail(code, budget=budget)

@@ -259,10 +259,7 @@ def main(argv=None) -> int:
         return EXIT_REFUSED if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except FrepkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except OSError as exc:
+    except (FrepkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
 

@@ -6,6 +6,11 @@ uniform symbol repetition rho.  Codes are derived from regular graphs
 (giving rho = 2) or from point/block designs (giving rho = block size), and
 round-trip through a plain-text interchange format.
 
+Each invariant is checked once, where the data enters, and nothing that
+other checks imply is checked: FrCode refuses a node set that is not a set,
+and check_axioms() checks the TD axioms that imply the rest.  The two
+counting proofs are in the FrCode and check_axioms docstrings.
+
 Conventions: symbols and nodes are 1-based in every external artifact and
 in the public data types; bit positions inside masks are 0-based.
 """
@@ -13,6 +18,7 @@ in the public data types; bit positions inside masks are 0-based.
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from itertools import combinations
 from operator import or_
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -83,11 +89,14 @@ class Graph(_Frozen):
 class FrCode(_Frozen):
     """An (n, alpha, rho) FR code over theta symbols.
 
-    The declared parameters are stored as given; whether the node sets
-    actually satisfy the uniformity invariants is the job of validate(),
-    so that structurally suspect inputs can be loaded and then reported on
-    rather than rejected at parse time.  Its derived tables are computed
-    once per instance, which is sound because an FrCode cannot change.
+    Each node set is a set of symbols in 1..theta; anything else is
+    refused here.  Whether every node holds alpha symbols and every symbol
+    rho nodes is left to validate(), so that a code with non-uniform
+    weights can be loaded and reported on.  With no repeats, sum |S_i| over
+    nodes and sum |holders(j)| over symbols both count the (node, symbol)
+    incidences, so uniform rows and columns give n*alpha = theta*rho.
+    Derived tables are computed once per instance, which is sound because
+    an FrCode cannot change.
     """
 
     _fields = ("n", "theta", "alpha", "rho", "node_sets")
@@ -112,6 +121,9 @@ class FrCode(_Frozen):
                 if not 1 <= j <= theta:
                     raise ParameterError(
                         f"node {i} references symbol {j}, outside 1..{theta}")
+            if len(set(s)) < len(s):
+                repeated = next(j for j in s if s.count(j) > 1)
+                raise ParameterError(f"node {i} repeats symbol {repeated}")
         sets = tuple(tuple(sorted(s)) for s in sets)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "theta", theta)
@@ -129,7 +141,7 @@ class FrCode(_Frozen):
         """For each symbol j (index j-1), the ascending node ids storing it."""
         holders: list[list[int]] = [[] for _ in range(self.theta)]
         for i, s in enumerate(self.node_sets, start=1):
-            for j in set(s):
+            for j in s:
                 holders[j - 1].append(i)
         return tuple(tuple(h) for h in holders)
 
@@ -210,74 +222,51 @@ class TransversalDesign(Design):
         return len(self.groups[0]) if self.groups else 0
 
     def check_axioms(self) -> str | None:
+        """Checked: ell >= 2, the groups partition the points into classes
+        of h, there are h^2 blocks, each meets each group once, and the
+        blocks cover h^2*C(ell, 2) distinct pairs.  The rest follows by
+        counting: each block covers C(ell, 2) cross-group pairs, so that many
+        distinct pairs means no pair twice, and it is all h^2*C(ell, 2)
+        cross-group pairs, so each lies in exactly one block.  Then for a
+        point p and another group G, the blocks through p meet G once each,
+        one for each point of G: p lies in exactly h blocks.
+        """
         ell, h = self.ell, self.h
+        if ell < 2:
+            return f"group count must be at least 2, got {ell}"
         covered = sorted(p for g in self.groups for p in g)
         if covered != list(range(1, self.points + 1)) or any(len(g) != h for g in self.groups):
             return "groups must partition the points into equal-size classes"
         if len(self.blocks) != h * h:
             return f"block count {len(self.blocks)} is not h^2 = {h * h}"
-        replication = [0] * (self.points + 1)
-        for b in self.blocks:
-            for p in b:
-                replication[p] += 1
-        if any(r != h for r in replication[1:]):
-            return "some point does not lie in exactly h blocks"
-        group_of = {}
-        for gi, g in enumerate(self.groups):
-            for p in g:
-                group_of[p] = gi
+        group_of = {p: gi for gi, g in enumerate(self.groups) for p in g}
         for b in self.blocks:
             if sorted(group_of[p] for p in b) != list(range(ell)):
                 return "some block does not meet each group in exactly one point"
-        pair_count: dict[tuple[int, int], int] = {}
-        for b in self.blocks:
-            for x in range(len(b)):
-                for y in range(x + 1, len(b)):
-                    key = (b[x], b[y])
-                    pair_count[key] = pair_count.get(key, 0) + 1
-        for gi, g in enumerate(self.groups):
-            for gj in range(gi + 1, ell):
-                for p in g:
-                    for q in self.groups[gj]:
-                        key = (p, q) if p < q else (q, p)
-                        if pair_count.get(key, 0) != 1:
-                            return ("some cross-group point pair is not contained "
-                                    "in exactly one block")
+        if len({pair for b in self.blocks for pair in combinations(b, 2)}) != (
+                h * h * ell * (ell - 1) // 2):
+            return "some cross-group point pair is not contained in exactly one block"
         return None
 
 
 class CodeReport(NamedTuple):
-    """Per-invariant validation result for an FrCode."""
+    """Per-invariant validation result for an FrCode.  FrCode refuses a
+    repeated symbol, so uniform rows and columns also give n*alpha =
+    theta*rho (see FrCode) and are all there is to check."""
 
     rows_uniform: bool
     columns_uniform: bool
-    counting_consistent: bool
-    symbols_valid: bool
-    max_intersection: int
 
     @property
     def valid(self) -> bool:
-        return (self.rows_uniform and self.columns_uniform
-                and self.counting_consistent and self.symbols_valid)
+        return self.rows_uniform and self.columns_uniform
 
 
 def validate(code: FrCode) -> CodeReport:
     """Check every FrCode invariant; a failing code yields a failing report."""
-    rows_uniform = all(len(s) == code.alpha for s in code.node_sets)
-    # FrCode already refuses a symbol outside 1..theta; only a repeat is left
-    symbols_valid = all(len(set(s)) == len(s) for s in code.node_sets)
-    column_weight = [0] * (code.theta + 1)
-    for s in code.node_sets:
-        for j in set(s):
-            column_weight[j] += 1
-    columns_uniform = all(w == code.rho for w in column_weight[1:])
-    counting_consistent = code.n * code.alpha == code.rho * code.theta
     return CodeReport(
-        rows_uniform=rows_uniform,
-        columns_uniform=columns_uniform,
-        counting_consistent=counting_consistent,
-        symbols_valid=symbols_valid,
-        max_intersection=code.max_pairwise_intersection,
+        rows_uniform=all(len(s) == code.alpha for s in code.node_sets),
+        columns_uniform=all(len(h) == code.rho for h in code.nodes_of_symbol),
     )
 
 
@@ -322,7 +311,7 @@ def from_design(d: Design) -> FrCode:
     """Derive the code whose incidence matrix is the design's.
 
     Point i becomes node i; block j (in construction order) becomes symbol
-    j.  Transversal designs are checked against all five axioms first; a
+    j.  Transversal designs are checked against their axioms first; a
     plain design only needs uniform point degree and block size.
     """
     if isinstance(d, TransversalDesign):

@@ -7,6 +7,7 @@ the checked GF methods for the MDS codec.  Expected values frozen in the
 tests were computed with these.
 """
 
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -211,6 +212,24 @@ def reference_decode(field: GF, dimension: int, coords) -> tuple[list[int], bool
     message = lagrange_values(field, xs, ys, range(dimension))
     consistent = lagrange_values(field, xs, ys, rest) == [known[x] for x in rest]
     return message, consistent
+
+
+def td_axioms_hold(d: TransversalDesign) -> bool:
+    """Reference transversal design definition, by plain counting: at least
+    two groups of one size partition the points, every block meets every
+    group in exactly one point, and each pair of points from different
+    groups is counted in exactly one block."""
+    groups = [list(g) for g in d.groups]
+    listed = Counter(p for g in groups for p in g)
+    if len(groups) < 2 or listed != Counter(range(1, d.points + 1)):
+        return False
+    if len({len(g) for g in groups}) != 1:
+        return False
+    if any(sum(p in g for p in b) != 1 for b in d.blocks for g in groups):
+        return False
+    pairs = Counter(frozenset(pair) for b in d.blocks for pair in combinations(b, 2))
+    return all(pairs[frozenset((p, q))] == 1
+               for g1, g2 in combinations(groups, 2) for p in g1 for q in g2)
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -274,6 +274,23 @@ def test_turan_file_size_refuses_part_counts_outside_2_to_n(r):
         turan_file_size(6, r, 2)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: mbr_capacity(0, 3), "k must be positive, got 0"),
+    (lambda: turan_file_size(6, 2, 0), "k must be positive, got 0"),
+    (lambda: td_file_size_lower_bound(4, 3, 0), "k and rho must be positive"),
+    (lambda: td_file_size_lower_bound(4, 0, 2), "k and rho must be positive"),
+    (lambda: girth_file_size(3, 5, 0), "k must be positive, got 0"),
+    (lambda: moore_bound(1, 5), "need d >= 2 and g >= 3, got d=1, g=5"),
+    (lambda: moore_bound(3, 2), "need d >= 2 and g >= 3, got d=3, g=2"),
+    (lambda: capacity_profile(from_graph(turan(6, 2)), 0), "need 1 <= k_max <= 6, got 0"),
+    (lambda: capacity_profile(from_graph(turan(6, 2)), 7), "need 1 <= k_max <= 6, got 7"),
+], ids=["mbr-k", "turan-k", "td-k", "td-rho", "girth-k", "moore-d", "moore-g",
+        "profile-k_max-0", "profile-k_max-7"])
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 SMALL_CODES = (
     [from_graph(g) for g in SMALL_GRAPHS]
     + [from_design(transversal_design(2, 2)),
@@ -726,6 +743,19 @@ class TestCapacityProfile:
         code = FrCode(6, 9, 3, 3, from_graph(turan(6, 2)).node_sets)
         profile = capacity_profile(code)
         assert any("phi" in p for p in profile.cross_check())
+
+    # K33: M = 3, 5, 7 meets phi and the rho=2 cap at every k <= alpha
+    @pytest.mark.parametrize("k,exact,problem", [
+        (2, 2, "M(2) = 2 decreased below M(1) = 3"),
+        (2, 6, "M(2) = 6 exceeds the rho=2 cap 5"),
+        (3, 10, "M(3) = 10 exceeds theta = 9"),
+    ], ids=["decrease", "rho2-cap", "theta"])
+    def test_cross_check_catches_planted_rows(self, k, exact, problem):
+        profile = capacity_profile(from_graph(turan(6, 2)))
+        assert [r.exact for r in profile.rows] == [3, 5, 7] and profile.cross_check() == []
+        rows = list(profile.rows)
+        rows[k - 1] = rows[k - 1]._replace(exact=exact)
+        assert problem in profile._replace(rows=tuple(rows)).cross_check()
 
 
 class TestReferenceCycles:

@@ -215,6 +215,11 @@ class TestTheorem5:
             with pytest.raises(ParameterError, match="needs the parameter"):
                 theorem5_predicted_t(family)
 
+    @pytest.mark.parametrize("g", [2, 0, -1])
+    def test_girth_below_three_is_refused(self, g):
+        with pytest.raises(ParameterError, match=f"^girth must be at least 3, got {g}$"):
+            theorem5_predicted_t("girth", g=g)
+
     @pytest.mark.parametrize("family,name,value", [
         ("girth", "g", 7.0),
         ("girth", "g", True),

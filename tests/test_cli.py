@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from frepkit import BatchPlan, batch, load_system, plan_repair, verify_integrity
+from frepkit import BatchPlan, analyze, batch, load_system, plan_repair, verify_integrity
 from frepkit.cli import main
 
 
@@ -129,6 +129,19 @@ class TestAnalyze:
         status, _, err = run(capsys, "analyze", str(lying))
         assert status == 2
         assert "cross-check failed" in err
+
+    def test_a_failed_cross_check_exits_2(self, capsys, monkeypatch, k33_frc):
+        real = analyze.capacity_profile
+
+        def planted(code, **kwargs):
+            profile = real(code, **kwargs)
+            rows = (profile.rows[0], profile.rows[1]._replace(exact=2), *profile.rows[2:])
+            return profile._replace(rows=rows)
+
+        monkeypatch.setattr(analyze, "capacity_profile", planted)
+        status, out, err = run(capsys, "analyze", str(k33_frc))
+        assert status == 2 and out.startswith("FR code:")
+        assert err == "cross-check failed: M(2) = 2 decreased below M(1) = 3\n"
 
     def test_budget_flag_overrides(self, capsys, td34_frc):
         status, _, err = run(capsys, "analyze", str(td34_frc), "--budget", "3")
@@ -295,6 +308,10 @@ class TestBatchCommands:
         status, _, err = run(capsys, "certify-frb", str(k33_frc), "--k", "1")
         assert status == 1
         assert "t = 5 exceeds" in err
+
+    def test_certify_frb_k_beyond_n_exits_1(self, capsys, td34_frc):
+        assert run(capsys, "certify-frb", str(td34_frc), "--k", "13") == (
+            1, "", "error: need 1 <= k <= 12, got k=13\n")
 
     @pytest.mark.parametrize("wrong", ["no witness", "t symbols", "a plannable set"])
     def test_certify_frb_checks_the_maximality_witness(self, capsys, k33_frc, monkeypatch,

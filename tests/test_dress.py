@@ -13,6 +13,7 @@ from frepkit import (
     BudgetExceededError,
     CorruptionError,
     FrCode,
+    FrepkitError,
     IrreparableError,
     ParameterError,
     execute_repair,
@@ -153,6 +154,27 @@ class TestReconstruct:
         system, _ = td34_system
         with pytest.raises(ParameterError, match="^node id .* is not an integer$"):
             reconstruct(system, nodes)
+
+    @pytest.mark.parametrize("nodes,bad", [([0, 2, 3, 4], 0), ([1, 2, 3, 13], 13)],
+                             ids=["zero", "beyond-n"])
+    def test_node_out_of_range_refused(self, td34_system, nodes, bad):
+        system, _ = td34_system
+        with pytest.raises(ParameterError, match=f"^node id {bad} out of range 1..12$"):
+            reconstruct(system, nodes)
+
+    def test_nodes_holding_fewer_than_m_coordinates_are_refused(self, td34_system):
+        # a manifest claiming M = 16 = theta: one node from each group and a
+        # fourth hold fewer than 16 distinct coordinates
+        system, _ = td34_system
+        path = system.root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["M"] = 16
+        path.write_text(json.dumps(manifest))
+        held = set().union(*(system.code.node_sets[i - 1] for i in (1, 2, 5, 9)))
+        assert len(held) == 12
+        with pytest.raises(FrepkitError, match=r"^nodes \[1, 2, 5, 9\] jointly hold 12 "
+                           r"coordinates, fewer than M = 16: "):
+            reconstruct(load_system(system.root), [1, 5, 9, 2])
 
     def test_nodes_may_be_a_generator(self, td34_system):
         system, file_symbols = td34_system
@@ -432,6 +454,7 @@ CORRUPT_MANIFESTS = {
     "n-is-a-string": lambda text: text.replace('"n": 12', '"n": "12"'),
     "field-is-a-number": lambda text: text.replace('"field": {', '"field": 16, "x": {'),
     "checksums-is-a-list": lambda text: text.replace('"checksums": {', '"checksums": [], "x": {'),
+    "repeated-symbol": lambda text: text.replace('[\n        1,\n        2,', '[\n        1,\n        1,'),
 }
 
 

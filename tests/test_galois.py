@@ -108,6 +108,13 @@ class TestFieldAxioms:
         with pytest.raises(ZeroDivisionError):
             GF(8).inv(0)
 
+    @pytest.mark.parametrize("q", [2, 9, 16])
+    def test_powers_of_zero(self, q):
+        f = GF(q)
+        assert f.pow(0, 0) == 1 and f.pow(0, 1) == f.pow(0, q) == 0
+        with pytest.raises(ZeroDivisionError, match="^zero has no negative powers$"):
+            f.pow(0, -1)
+
     def test_default_gf256_generator_order(self):
         f = GF(256)
         assert _has_order(f, f.generator, 255)
@@ -257,6 +264,12 @@ class TestMds:
     def test_length_beyond_field_rejected(self):
         with pytest.raises(ParameterError):
             MdsCode(field=GF(8), length=9, dimension=3)
+
+    @pytest.mark.parametrize("length,dimension", [(5, 0), (5, 6)], ids=["zero", "above-length"])
+    def test_dimension_outside_1_to_length_rejected(self, length, dimension):
+        message = rf"^need 1 <= dimension <= length, got \({dimension}, {length}\)$"
+        with pytest.raises(ParameterError, match=message):
+            MdsCode(field=GF(8), length=length, dimension=dimension)
 
     def test_wrong_message_length_rejected(self):
         code = MdsCode(field=GF(8), length=8, dimension=3)

@@ -1,6 +1,9 @@
+import random
 import re
+from collections import Counter
 
 import pytest
+from conftest import td_axioms_hold
 
 from frepkit import (
     Design,
@@ -54,6 +57,23 @@ class TestGraph:
                 Graph(3, [(1, 2), edge])
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: Graph(0, []), "vertex count must be positive, got 0"),
+    (lambda: FrCode(2, 0, 1, 1, [(1,), (2,)]), "theta must be a positive integer, got 0"),
+    (lambda: FrCode(3, 3, 2, 2, [(1, 2), (2, 3)]), "expected 3 node sets, got 2"),
+    (lambda: FrCode(2, 3, 2, 2, [(1, 2), (3, 4)]), "node 2 references symbol 4, outside 1..3"),
+    (lambda: Design(0, []), "point count must be positive, got 0"),
+    (lambda: from_graph(Graph(3, [])), "graph has no edges, cannot derive a code"),
+    (lambda: from_design(Design(3, [])), "design has no blocks, cannot derive a code"),
+    (lambda: from_design(Design(3, [(1, 2), (1, 2, 3)])), "blocks have non-uniform size"),
+    (lambda: from_design(Design(3, [(1, 2), (1, 3)])), "points have non-uniform block degree"),
+], ids=["graph-v", "code-theta", "code-node-count", "code-symbol-range", "design-points",
+        "edgeless-graph", "blockless-design", "block-sizes", "point-degrees"])
+def test_refusals_name_the_broken_invariant(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestFrCodeArguments:
     @pytest.mark.parametrize("field,value", [
         ("n", 2.0), ("theta", True), ("alpha", "2"), ("rho", 1.5),
@@ -94,24 +114,94 @@ class TestDesign:
             Design(3, [(1, 4)])
 
 
+# TD(ell, h) for h = 2, 3, 4, 5, 7 and 2 <= ell <= min(5, h + 1)
+SWEPT_DESIGNS = [transversal_design(ell, h) for h in (2, 3, 4, 5, 7)
+                 for ell in range(2, min(5, h + 1) + 1)]
+AXIOM_MESSAGES = ("group count must be at least 2", "groups must partition", "block count",
+                  "some block does not meet", "some cross-group point pair")
+
+
+def _mutant(rng: random.Random, d: TransversalDesign) -> TransversalDesign:
+    """One or two seeded random edits of d.  A relabelling keeps every axiom;
+    the other edits may break one.  An edit that puts a point twice in a
+    block is refused by the constructor (ParameterError)."""
+    blocks = [list(b) for b in d.blocks]
+    groups = [list(g) for g in d.groups]
+    for _ in range(rng.choice((1, 1, 2))):
+        edit = rng.randrange(10)
+        block = rng.choice(blocks)
+        i = rng.randrange(len(block))
+        a, b = rng.sample(range(len(groups)), 2) if len(groups) > 1 else (0, 0)
+        if edit == 0:  # any point in place of a block point
+            block[i] = rng.randint(1, d.points)
+        elif edit == 1:  # a point of the same group: the block stays transversal
+            block[i] = rng.choice(next((g for g in groups if block[i] in g), [block[i]]))
+        elif edit == 2 and len(blocks) > 1:
+            blocks.remove(block)
+        elif edit == 3:
+            blocks.append(list(block))
+        elif edit == 4 and groups[a]:  # a point moves to another group
+            groups[b].append(groups[a].pop(rng.randrange(len(groups[a]))))
+        elif edit == 5 and groups[a] and groups[b]:  # two groups trade a point
+            x, y = rng.randrange(len(groups[a])), rng.randrange(len(groups[b]))
+            groups[a][x], groups[b][y] = groups[b][y], groups[a][x]
+        elif edit == 6:
+            if len(block) > 1:
+                block.pop(i)
+            else:
+                block.append(rng.randint(1, d.points))
+        elif edit == 7:  # relabel the points, reorder the blocks and the groups
+            label = dict(zip(range(1, d.points + 1), rng.sample(range(1, d.points + 1), d.points)))
+            blocks = [[label[p] for p in blk] for blk in rng.sample(blocks, len(blocks))]
+            groups = [[label[p] for p in g] for g in rng.sample(groups, len(groups))]
+        elif edit == 8:
+            groups = [list(range(1, d.points + 1))]
+        elif edit == 9 and len(groups) > 1:
+            del groups[a]
+    return TransversalDesign(d.points, blocks, groups)
+
+
+class TestTransversalAxioms:
+    def test_check_axioms_agrees_with_the_definition(self):
+        rng = random.Random(24)
+        seen: Counter = Counter()
+        for _ in range(6000):
+            try:
+                d = _mutant(rng, rng.choice(SWEPT_DESIGNS))
+            except ParameterError:  # a block repeats a point
+                continue
+            verdict = d.check_axioms()
+            assert (verdict is None) == td_axioms_hold(d), (d, verdict)
+            seen[verdict and next((m for m in AXIOM_MESSAGES if verdict.startswith(m)),
+                                  verdict)] += 1
+        assert sum(seen.values()) >= 5000
+        assert set(seen) == {None, *AXIOM_MESSAGES}
+
+    def test_one_group_is_refused(self):
+        # each point on h = 2 blocks: only ell >= 2 rules this one out
+        d = TransversalDesign(2, [(1,), (1,), (2,), (2,)], [(1, 2)])
+        assert d.check_axioms() == "group count must be at least 2, got 1"
+        assert not td_axioms_hold(d)
+        with pytest.raises(ParameterError, match="^invalid transversal design: group count"):
+            from_design(d)
+
+
 class TestValidate:
     def test_td34_code_passes_with_intersection_one(self, paper_td34):
         code = from_design(paper_td34)
         assert (code.n, code.theta, code.alpha, code.rho) == (12, 16, 4, 3)
-        report = validate(code)
-        assert report.valid
-        assert report.max_intersection == 1
+        assert validate(code).valid
+        assert code.max_pairwise_intersection == 1
 
     def test_single_node_degenerate_code(self):
-        report = validate(FrCode(1, 1, 1, 1, [(1,)]))
-        assert report.valid
-        assert report.max_intersection == 0
+        code = FrCode(1, 1, 1, 1, [(1,)])
+        assert validate(code).valid
+        assert code.max_pairwise_intersection == 0
 
     def test_duplicated_node_set_fails_goodness(self):
         code = FrCode(4, 4, 2, 2, [(1, 2), (1, 2), (3, 4), (3, 4)])
-        report = validate(code)
-        assert report.valid  # uniform weights still hold
-        assert report.max_intersection == 2
+        assert validate(code).valid  # uniform weights still hold
+        assert code.max_pairwise_intersection == 2
 
     def test_nonuniform_rows_flagged(self):
         code = FrCode(2, 3, 2, 2, [(1, 2, 3), (1,)])
@@ -120,8 +210,11 @@ class TestValidate:
         assert not report.valid
 
     def test_counting_inconsistency_flagged(self):
+        # n*alpha = 4 != theta*rho = 6: uniform rows, so the columns must fail
         code = FrCode(2, 3, 2, 2, [(1, 2), (2, 3)])
-        assert not validate(code).counting_consistent
+        report = validate(code)
+        assert report.rows_uniform and not report.columns_uniform
+        assert not report.valid
 
 
 class TestFromGraph:
@@ -296,10 +389,23 @@ class TestSaveLoad:
             load(path)
         assert err.value.line_no == 1
 
-    def test_symbol_masks_ignore_a_repeated_symbol(self):
-        code = FrCode(3, 3, 2, 2, [(1, 1), (2, 3), (1, 3)])
-        assert code.symbol_masks == (0b001, 0b110, 0b101)
-        assert not validate(code).symbols_valid
+    def test_a_repeated_symbol_is_refused(self):
+        # load refuses the repeat with its line; FrCode refuses it naming the node
+        with pytest.raises(ParameterError, match="^node 1 repeats symbol 1$"):
+            FrCode(3, 3, 2, 2, [(1, 1), (2, 3), (1, 3)])
+        with pytest.raises(ParameterError, match="^node 2 repeats symbol 3$"):
+            FrCode(2, 3, 2, 2, [(1, 2), [3, 1, 3]])
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        ("FRC 3 0 2 2\n1 2\n1 3\n2 3\n", "header parameters must be positive"),
+    ], ids=["empty", "zero-theta"])
+    def test_refused_on_line_one(self, tmp_path, text, message):
+        path = tmp_path / "bad.frc"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message) as err:
+            load(path)
+        assert err.value.line_no == 1
 
     def test_wrong_line_count(self, tmp_path):
         path = tmp_path / "bad.frc"
