@@ -670,11 +670,13 @@ def capacity_profile(code: FrCode, k_max: int | None = None,
                      budget: int | None = None) -> CapacityProfile:
     """Exact file sizes and every applicable bound for k = 1..k_max.
 
-    Defaults to k_max = alpha, the full reconstruction range.  The verdicts
-    need the whole range k <= alpha; with a smaller k_max they come back
-    None rather than guessed.
+    Defaults to k_max = min(alpha, n), the full reconstruction range: no
+    k-set of nodes exists beyond n, and alpha can exceed n.  The verdicts
+    need that whole range; with a smaller k_max they come back None rather
+    than guessed.
     """
-    k_max = code.alpha if k_max is None else k_max
+    full = min(code.alpha, code.n)
+    k_max = full if k_max is None else k_max
     if not 1 <= _integer(k_max, "k_max") <= code.n:
         raise ParameterError(f"need 1 <= k_max <= {code.n}, got {k_max}")
     profile = _Profile(code, k_max, _budget(budget),
@@ -696,8 +698,8 @@ def capacity_profile(code: FrCode, k_max: int | None = None,
         rows.append(CapacityRow(k=k, exact=exact, phi=phi, mbr=mbr,
                                 rho2_cap=rho2_cap, lemma7_cap=l7_cap,
                                 lemma7_exact=l7_exact, k_optimal=exact == upper))
-    if k_max >= code.alpha:
-        recon = rows[: code.alpha]
+    if k_max >= full:
+        recon = rows[:full]
         universally_good = all(r.exact >= r.mbr for r in recon)
         optimal = all(r.k_optimal for r in recon)
     else:

@@ -44,9 +44,6 @@ class BatchPlan(NamedTuple):
     symbols: tuple[int, ...]
     assignment: tuple[tuple[int, int], ...]  # (symbol, node) pairs, symbol-ascending
 
-    def to_text(self) -> str:
-        return "\n".join(f"{j} -> node {i}" for j, i in self.assignment) + "\n"
-
 
 class NoPlan(NamedTuple):
     """Proof that the request is not retrievable one-symbol-per-node.

@@ -13,7 +13,6 @@ loads no search code and `analyze` no field arithmetic.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from .errors import FrepkitError, ParameterError, _decimal
@@ -146,22 +145,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    from . import analyze, dress, incidence
-    from .galois import GF, default_field_for
+    from . import dress, incidence
+    from .galois import GF
     code = incidence.load(args.code)
-    field = GF(args.field_q) if args.field_q is not None else default_field_for(code.theta)
-    m_size = analyze.file_size(code, args.k, budget=args.budget)
+    field = GF(args.field_q) if args.field_q is not None else None
+    symbols = None
     if args.file is not None:
         with open(args.file, encoding="ascii", errors="replace") as fh:
             symbols = _integers(fh.read().split(), args.file)
-        seed = None
-    else:
-        seed = args.seed if args.seed is not None else 0
-        rng = random.Random(seed)
-        symbols = [rng.randrange(field.q) for _ in range(m_size)]
-    system = dress.store(code, args.k, symbols, args.root, field=field, seed=seed,
+    system = dress.store(code, args.k, symbols, args.root, field=field, seed=args.seed,
                          budget=args.budget)
-    print(f"stored {system.m_size} symbols over GF({system.field.q}) in "
+    print(f"stored {system.mds.dimension} symbols over GF({system.mds.field.q}) in "
           f"{system.code.n} node files of {system.code.alpha} symbols each "
           f"under {args.root}")
     return EXIT_OK

@@ -53,10 +53,9 @@ def __getattr__(name: str):  # dress.file_size, read by the tracer's self-check
 class StoredSystem:
     """A DRESS instance persisted under root; single-writer, multi-reader."""
 
-    def __init__(self, code: FrCode, field: GF, mds: MdsCode, k: int, m_size: int,
-                 root: Path, file_sha256: str, checksums: dict[str, str],
-                 seed: int | None = None):
-        self.code, self.field, self.mds, self.k, self.m_size = code, field, mds, k, m_size
+    def __init__(self, code: FrCode, mds: MdsCode, k: int, root: Path, file_sha256: str,
+                 checksums: dict[str, str], seed: int | None = None):
+        self.code, self.mds, self.k = code, mds, k  # M and the field are mds's
         self.root, self.file_sha256, self.seed = root, file_sha256, seed
         self.checksums = checksums  # node file name -> SHA-256 of its bytes
 
@@ -109,9 +108,13 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     """Encode file_symbols and persist the system under root.
 
     The file must have exactly M = file_size(code, k, budget) symbols and k
-    must stay within the reconstruction range k <= alpha.  A root that
-    already holds a manifest is refused: rewriting a system in place would
-    leave neither file recoverable if the store were cut off midway.
+    must stay within the reconstruction range k <= alpha.  With
+    file_symbols None the file is M field elements drawn by
+    random.Random(seed), seed 0 when seed is None, and the manifest records
+    that seed.  A root that already holds a manifest is refused: rewriting a
+    system in place would leave neither file recoverable if the store were
+    cut off midway.  Every refusal of the code, k or root comes before the
+    search for M.
     """
     from .analyze import file_size  # only store searches; reading needs no search code
     report = validate(code)
@@ -125,11 +128,16 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     if (root / MANIFEST_NAME).exists():
         raise ParameterError(f"{root} already holds a stored system; store into a new root")
     m_size = file_size(code, k, budget=budget)
+    field = field if field is not None else default_field_for(code.theta)
+    if file_symbols is None:
+        import random  # here, so that reading a system loads no random
+        seed = 0 if seed is None else seed
+        rng = random.Random(seed)
+        file_symbols = [rng.randrange(field.q) for _ in range(m_size)]
     file_symbols = list(file_symbols)
     if len(file_symbols) != m_size:
         raise ParameterError(
             f"file length {len(file_symbols)} differs from M = {m_size} for k = {k}")
-    field = field if field is not None else default_field_for(code.theta)
     mds = MdsCode(field=field, length=code.theta, dimension=m_size)
     codeword = mds.encode(file_symbols)
     root.mkdir(parents=True, exist_ok=True)
@@ -154,7 +162,7 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     }
     _write_atomic(root / MANIFEST_NAME,
                   (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("ascii"))
-    return StoredSystem(code=code, field=field, mds=mds, k=k, m_size=m_size, root=root,
+    return StoredSystem(code=code, mds=mds, k=k, root=root,
                         file_sha256=manifest["file_sha256"], checksums=checksums, seed=seed)
 
 
@@ -179,9 +187,8 @@ def load_system(root) -> StoredSystem:
     if manifest.get("mds") != _mds_block(code.theta):
         raise CorruptionError(f"{manifest_path}: outer code {manifest.get('mds')!r} "
                               f"is not systematic at points 0..theta-1")
-    return StoredSystem(code=code, field=field, mds=mds, k=k, m_size=mds.dimension,
-                        root=root, file_sha256=file_sha256, checksums=checksums,
-                        seed=manifest.get("seed"))
+    return StoredSystem(code=code, mds=mds, k=k, root=root, file_sha256=file_sha256,
+                        checksums=checksums, seed=manifest.get("seed"))
 
 
 def _read_node(system: StoredSystem, i: int) -> dict[int, int] | None:
@@ -241,10 +248,10 @@ def reconstruct(system: StoredSystem, nodes) -> list[int]:
         for j, v in node_map.items():
             coords.append((j - 1, v))
             covered.add(j)
-    if len(covered) < system.m_size:
+    if len(covered) < system.mds.dimension:
         raise FrepkitError(
             f"nodes {chosen} jointly hold {len(covered)} coordinates, fewer than "
-            f"M = {system.m_size}: the stored system violates its own contract")
+            f"M = {system.mds.dimension}: the stored system violates its own contract")
     recovered = system.mds.decode(coords)
     if file_digest(recovered) != system.file_sha256:
         raise CorruptionError("recovered file does not match the stored digest")

@@ -182,9 +182,6 @@ class GF:
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- unchecked log-domain helpers for the MDS kernel -------------------
 
     def _log_diffs(self, t: int, xs: Iterable[int]) -> list[int]:

@@ -239,6 +239,22 @@ def to_networkx(g: Graph) -> nx.Graph:
     return G
 
 
+class SearchReached(Exception):
+    """Raised by the no_search fixture when an exact search starts."""
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make every exact search (analyze._Profile.search, behind file_size,
+    capacity_profile and batch_t_detail) raise SearchReached, so a test
+    shows that a refusal comes before any search."""
+
+    def search(self, k, cap=None):
+        raise SearchReached(f"a search for k = {k} started")
+
+    monkeypatch.setattr(analyze._Profile, "search", search)
+
+
 @pytest.fixture
 def paper_td34() -> TransversalDesign:
     """The TD(3,4) block list as published: 12 points in 3 groups, 16 blocks."""

@@ -178,6 +178,27 @@ class TestAnalyze:
         status, _, err = run(capsys, "analyze", str(tmp_path / "nope.frc"))
         assert status == 1
 
+    # the doubled triangle: each pair of its 3 nodes shares two symbols, so alpha = 4 > n
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["analyze", "--format", "json"],
+        ["certify-frb", "--k", "2", "--format", "json"],
+    ], ids=["text", "json", "certify-frb-json"])
+    def test_alpha_above_n_profiles_k_up_to_n(self, capsys, tmp_path, argv):
+        path = tmp_path / "doubled.frc"
+        path.write_text("FRC 3 6 4 2\n1 2 3 4\n1 2 5 6\n3 4 5 6\n")
+        status, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (status, err) == (0, "")
+        if "json" not in argv:
+            assert out.splitlines()[2:] == [
+                "  1     4     4     4     4  k-optimal",
+                "  2     6     6     7     7  k-optimal",
+                "  3     6     6     9    10  k-optimal",
+                "universally_good=no optimal=yes"]
+            return
+        doc = json.loads(out)
+        assert [row["M"] for row in doc["rows"]] == [4, 6, 6]
+        assert doc["verdicts"] == {"universally_good": False, "optimal": True}
+
 
 class TestLifecycle:
     def test_store_kill_repair_reconstruct(self, capsys, td34_frc, tmp_path):
@@ -377,6 +398,28 @@ class TestStoredFormat:
         assert status == 0
         for path in SYSTEM_V1.iterdir():
             assert (root / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_store_without_a_seed_draws_with_seed_0(self, capsys, td34_frc, tmp_path):
+        root = tmp_path / "sysroot"
+        status, _, _ = run(capsys, "store", "--code", str(td34_frc), "--k", "4",
+                           "--root", str(root))
+        assert status == 0
+        for path in SYSTEM_V1.iterdir():
+            assert (root / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_store_from_file_records_no_seed(self, capsys, td34_frc, tmp_path):
+        status, out, _ = run(capsys, "reconstruct", "--root", str(SYSTEM_V1),
+                             "--nodes", "1,2,3,4")
+        assert status == 0
+        payload = tmp_path / "payload.txt"
+        payload.write_text(out.splitlines()[0].removeprefix("file: ") + "\n")
+        root = tmp_path / "sysroot"
+        status, _, _ = run(capsys, "store", "--code", str(td34_frc), "--k", "4",
+                           "--root", str(root), "--file", str(payload))
+        assert status == 0
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert manifest == {**json.loads((SYSTEM_V1 / "manifest.json").read_text()),
+                            "seed": None}
 
     def test_store_over_gf25_matches_pinned_manifest(self, capsys, td34_frc, tmp_path):
         # the manifest lists every node file's SHA-256, so its digest pins
@@ -589,3 +632,36 @@ class TestStoreBudget:
         assert status == 1
         assert "budget" in err
         assert not (tmp_path / "sys").exists()
+
+
+class TestRefusalsBeforeSearch:
+    """Each refusal exits 1 with its own message before any exact search."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["store", "--code", "{uneven}", "--k", "1", "--root", "{new}"],
+         "refusing to store on an invalid FR code"),
+        (["store", "--code", "{frc}", "--k", "0", "--root", "{new}"],
+         "k must be positive, got 0"),
+        (["store", "--code", "{frc}", "--k", "5", "--root", "{new}"],
+         "k = 5 exceeds alpha = 4"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{root}", "--budget", "1"],
+         "already holds a stored system"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{missing}"],
+         "No such file or directory"),
+        (["batch", "{frc}", "--t", "17"], "--t: 17 exceeds the code's theta = 16 symbols"),
+        (["analyze", "{frc}", "--k-max", "13"], "need 1 <= k_max <= 12, got 13"),
+        (["analyze", "{frc}", "--k-max", "0"], "need 1 <= k_max <= 12, got 0"),
+    ], ids=["store-non-uniform-code", "store-k-0", "store-k-above-alpha",
+            "store-occupied-root", "store-missing-file", "batch-t-above-theta",
+            "analyze-k-max-above-n", "analyze-k-max-0"])
+    def test_exits_1_with_its_own_message(self, capsys, tmp_path, td34_frc, no_search,
+                                          argv, message):
+        uneven = tmp_path / "uneven.frc"
+        uneven.write_text("FRC 2 3 2 2\n1 2\n2 3\n")  # symbols 1 and 3 on one node each
+        paths = {"frc": td34_frc, "uneven": uneven, "root": copy_store(tmp_path),
+                 "new": tmp_path / "new", "missing": tmp_path / "missing.txt"}
+        status, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "new").exists()

@@ -63,14 +63,14 @@ class TestStore:
         for path in node_files:
             lines = path.read_text().splitlines()
             assert len(lines) == 1 + 4  # header plus alpha symbol lines
-        assert system.field.q == 16
-        assert system.m_size == 11
+        assert system.mds.field.q == 16
+        assert system.mds.dimension == 11
 
     def test_k33_over_gf16(self, tmp_path):
         code = from_graph(turan(6, 2))
         file_symbols = random_file(7, 16, seed=5)
         system = store(code, 3, file_symbols, tmp_path / "sys", field=GF(16))
-        assert system.m_size == 7
+        assert system.mds.dimension == 7
         assert reconstruct(system, [1, 2, 3]) == file_symbols
 
     def test_triangle_smallest(self, tmp_path):
@@ -113,7 +113,7 @@ class TestStore:
             store(code, 4, random_file(11, 16, seed=42), tmp_path / "sys", budget=3)
         assert not (tmp_path / "sys").exists()
         system = store(code, 4, random_file(11, 16, seed=42), tmp_path / "sys", budget=10**6)
-        assert system.m_size == 11
+        assert system.mds.dimension == 11
 
     def test_store_is_byte_deterministic(self, tmp_path):
         code = from_design(transversal_design(3, 4))
@@ -516,7 +516,7 @@ class TestStoredFormat:
     def test_checked_in_store_loads_and_reconstructs(self):
         verify_integrity(SYSTEM_V1)
         system = load_system(SYSTEM_V1)
-        assert system.k == 4 and system.m_size == 11 and system.seed == 0
+        assert system.k == 4 and system.mds.dimension == 11 and system.seed == 0
         manifest = json.loads((SYSTEM_V1 / "manifest.json").read_text())
         assert system.file_sha256 == manifest["file_sha256"]
         assert system.checksums == manifest["checksums"]
@@ -531,6 +531,14 @@ class TestStoredFormat:
         new = store(old.code, 4, recovered, tmp_path / "sys", seed=0)
         assert new.file_sha256 == old.file_sha256
         assert new.checksums == old.checksums
+        for path in SYSTEM_V1.iterdir():
+            assert (new.root / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("seed", [{}, {"seed": 0}], ids=["no-seed", "seed-0"])
+    def test_drawn_file_rewrites_checked_in_store_byte_for_byte(self, tmp_path, seed):
+        code = from_design(transversal_design(3, 4))
+        new = store(code, 4, None, tmp_path / "sys", **seed)
+        assert new.seed == 0
         for path in SYSTEM_V1.iterdir():
             assert (new.root / path.name).read_bytes() == path.read_bytes(), path.name
 

@@ -9,13 +9,16 @@ the same cases.  The readers are chosen to touch the damaged node file:
 the reconstruction includes it and the failed node shares a symbol with it.
 A store or repair cut off at any one of its renames leaves the same choice:
 the original file, or a FrepkitError; a write or rename that raises leaves
-no temporary file.
+no temporary file.  Mutated .frc files of TD(3,4) and Petersen go through
+load, validate, the capacity profile and the batch parameter; each step
+returns or raises a FrepkitError.
 """
 
 import json
 import os
 import random
 import shutil
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -25,13 +28,20 @@ from frepkit import (
     CorruptionError,
     FrepkitError,
     ParameterError,
+    batch_t_detail,
+    cage,
+    capacity_profile,
     execute_repair,
     from_design,
+    from_graph,
+    load,
     load_system,
     plan_repair,
     reconstruct,
+    save,
     store,
     transversal_design,
+    validate,
     verify_integrity,
 )
 from frepkit.cli import main
@@ -262,3 +272,61 @@ def refused_as_unreadable(tmp_path, capsys, change, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "unreadable manifest" in captured.err
+
+
+FRC_MUTATIONS = ["flip", "truncate", "digit", "space", "newline", "copy-line"]
+FRC_MUTANTS = 1000
+CLI_MUTANTS = 20  # the first mutants also run through `frepkit analyze`
+
+
+def mutate_frc(data: bytes, how: str, rng: random.Random) -> bytes:
+    if how == "copy-line":
+        lines = data.split(b"\n")
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+        return b"\n".join(lines)
+    pos = rng.randrange(len(data))
+    if how == "flip":
+        return data[:pos] + bytes([data[pos] ^ rng.randrange(1, 256)]) + data[pos + 1:]
+    if how == "truncate":
+        return data[:pos]
+    inserted = {"digit": str(rng.randrange(10)), "space": " ", "newline": "\n"}[how]
+    return data[:pos] + inserted.encode("ascii") + data[pos:]
+
+
+def analyse_frc(path) -> str:
+    """"valid" or "invalid", validate's verdict on a code analysed to the
+    end, or the class name of the FrepkitError that refused path."""
+    try:
+        code = load(path)
+        report = validate(code)
+        capacity_profile(code, k_max=min(3, code.n), budget=10**5)
+        batch_t_detail(code, budget=10**5)
+    except FrepkitError as exc:
+        return type(exc).__name__
+    return "valid" if report.valid else "invalid"
+
+
+def test_a_mutated_frc_file_is_analysed_or_refused(tmp_path, capsys):
+    sources = {}
+    for name, code in (("td34", CODE), ("petersen", from_graph(cage("petersen")))):
+        save(code, tmp_path / f"{name}.frc")
+        sources[name] = (tmp_path / f"{name}.frc").read_bytes()
+    rng = random.Random(7)
+    path = tmp_path / "mutant.frc"
+    outcomes = Counter()
+    for i in range(FRC_MUTANTS):
+        name, how = rng.choice(sorted(sources)), rng.choice(FRC_MUTATIONS)
+        data = mutate_frc(sources[name], how, rng)
+        path.write_bytes(data)
+        try:
+            outcome = analyse_frc(path)
+        except Exception as exc:
+            pytest.fail(f"{how} mutant {i} of {name}, {data!r}, raised {exc!r}")
+        outcomes[outcome] += 1
+        if i < CLI_MUTANTS:
+            # a header that lies about the code (say rho = 82) fails the
+            # profile's cross-check, exit 2, as a lying header always does
+            allowed = (0, 1, 2) if outcome == "invalid" else (0, 1)
+            assert main(["analyze", str(path)]) in allowed, (i, data)
+            capsys.readouterr()
+    assert outcomes["valid"] and outcomes["invalid"] and outcomes["FormatError"], outcomes

@@ -75,7 +75,7 @@ class TestFieldAxioms:
     @pytest.mark.parametrize("q", SMALL_FIELDS)
     def test_all_axioms_exhaustively(self, q):
         f = GF(q)
-        elems = list(f.elements())
+        elems = range(f.q)
         for a, b in product(elems, repeat=2):
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
