@@ -21,10 +21,13 @@ each checked against the incidence and each fixing those d nodes, map a
 smaller node to i; at d = 0 that is any automorphism.  Discovery verifies
 and records these orbits itself, deepest path level first, and skips a
 leaf search when a node of the same proven orbit has already failed one at
-that level; it runs only when the greedy incumbent misses the floor, and
-the search pays for it: between depth-0 branches it may do one unit of
-work per _NODES_PER_DISCOVERY_UNIT nodes opened.  It is not charged to the
-budget and depends only on (code, k), so a refusal does too.
+that level.  It runs only when the greedy incumbent misses the floor: first
+unpaced until its first path is known, before the search opens a node, then
+paid by the search as it goes.  Before each child of a path node it may do
+one unit of work per _NODES_PER_DISCOVERY_UNIT nodes opened, before each
+depth-0 branch one per three times that, and the child is tested against
+the orbits recorded by then.  It is not charged to the budget and depends
+only on (code, k), so a refusal does too.
 
 Profile rule: capacity_profile finds M(1..k_max) in one pass, k ascending,
 and bounds each row's search by the exact rows below it.  Its searches
@@ -332,12 +335,14 @@ class _Profile:
 
         The node at depth d below an empty root picks a set's d-th smallest
         node.  Once it has picked path[:d], it opens only the children that
-        chain[d] does not join to a smaller node.  Lemma: the automorphisms
-        behind chain[d] fix path[:d] (see _discover_orbits).  If a product g
-        of them maps i' < i to the child i, g^-1 maps each set that picks
-        path[:d] and then i to a set of equal union holding path[:d] and i',
-        d + 1 nodes below i: a lexicographically smaller set.  So the
-        lex-least set of least union is never skipped, under any subgroup.
+        chain[d] does not join to a smaller node; chain[d] may be recorded
+        while the children are tried, and then filters those after it.
+        Lemma: the automorphisms behind chain[d] fix path[:d] (see
+        _discover_orbits).  If a product g of them maps i' < i to the child
+        i, g^-1 maps each set that picks path[:d] and then i to a set of
+        equal union holding path[:d] and i', d + 1 nodes below i: a
+        lexicographically smaller set.  So the lex-least set of least union
+        is never skipped, under any subgroup, the trivial one included.
 
         A node with union U of u symbols, first free node s and r >= 2 nodes
         still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:
@@ -395,9 +400,7 @@ class _Profile:
                     if ns >= limit or rest and ns + rest - (nu & suffix[i + 1]).bit_count() >= best:
                         continue
                     if i == on:  # i extends the path prefix: chain[depth + 1] filters its children
-                        kids = range(i + 1, min(stop, n))
-                        if roots := chain.get(depth + 1):
-                            kids = [c for c in kids if roots[c] == c]
+                        kids = (c for c in range(i + 1, stop) if live(c, depth + 1))
                         if descend(kids, depth + 1, nu, ns, path[depth + 1]):
                             return True
                     elif descend(range(i + 1, stop), depth + 1, nu, ns, -1):
@@ -405,16 +408,20 @@ class _Profile:
                     limit = best - tail[depth + 1]
                 return False
 
-            def live(j: int) -> bool:
-                """Paces discovery, then tells whether branch j is a root of chain[0]."""
-                while self._spent * _NODES_PER_DISCOVERY_UNIT < opened + nodes:
+            def live(c: int, depth: int) -> bool:
+                """Paces discovery, 3x slower at depth 0, then tells whether the
+                child c is a root of chain[depth], if that is recorded by now."""
+                rate = _NODES_PER_DISCOVERY_UNIT * (3 if depth == 0 else 1)
+                while self._spent * rate < opened + nodes:
                     self._spent += next(self._units, math.inf)
-                return chain[0][j] == j
+                roots = chain.get(depth)
+                return roots is None or roots[c] == c
 
-            live(0)  # so the root reads path[0] as branch 0 would
+            while path[0] < 0 and self._spent < math.inf:  # the first path, unpaced
+                self._spent += next(self._units, math.inf)
             nodes = -1  # the root is not a search node
             try:
-                descend((j for j in range(n - k + 1) if live(j)), 0, 0, 0, path[0])
+                descend((j for j in range(n - k + 1) if live(j, 0)), 0, 0, 0, path[0])
             finally:
                 descend = None  # it refers to itself: free the code without the cyclic collector
         self.opened += nodes
@@ -426,9 +433,14 @@ class _Profile:
 # ---------------------------------------------------------------------------
 # Verified symmetry for the file-size search
 
-# Search nodes that pay for one unit of discovery work.  A unit (a splitter,
-# count slice or cell fragment of a refinement) takes about two nodes' time.
-_NODES_PER_DISCOVERY_UNIT = 3
+# Search nodes that pay for one unit of discovery work before a child of a
+# path node, once discovery has found its first path unpaced before the first
+# node; a depth-0 branch pays three times as many, since only level-0 orbits
+# help there (on TD(5,7) one failed level-0 leaf search costs 16,896 of the
+# 24,240 units).  A unit (a splitter, count slice or cell fragment of a
+# refinement) takes about two nodes' time.  0 runs discovery to its end once
+# the search has opened a node.
+_NODES_PER_DISCOVERY_UNIT = 1
 
 
 def _bits(m: int) -> list[int]:

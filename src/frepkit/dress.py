@@ -113,8 +113,8 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     random.Random(seed), seed 0 when seed is None, and the manifest records
     that seed.  A root that already holds a manifest is refused: rewriting a
     system in place would leave neither file recoverable if the store were
-    cut off midway.  Every refusal of the code, k or root comes before the
-    search for M.
+    cut off midway, and so is a root that is, or lies under, a file.  Every
+    refusal of the code, k or root comes before the search for M.
     """
     from .analyze import file_size  # only store searches; reading needs no search code
     report = validate(code)
@@ -127,6 +127,9 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     root = Path(root)
     if (root / MANIFEST_NAME).exists():
         raise ParameterError(f"{root} already holds a stored system; store into a new root")
+    built_on = next(p for p in (root, *root.parents) if p.exists())  # what mkdir builds on
+    if not built_on.is_dir():
+        raise ParameterError(f"{built_on} is not a directory; store into a new root")
     m_size = file_size(code, k, budget=budget)
     field = field if field is not None else default_field_for(code.theta)
     if file_symbols is None:

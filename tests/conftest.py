@@ -37,6 +37,26 @@ def profile_sizes(code: FrCode, k_max: int) -> list[tuple[int, int]]:
     return sizes
 
 
+def search_cost(code: FrCode, k: int) -> tuple[int, int, int]:
+    """(M(k), search nodes opened, discovery units spent) of the search that
+    file_size runs at the default budget.  The units are those discovery has
+    done by the end of the search, the incidence graph's first payment
+    included; run to its end, discovery has done them all."""
+    profile = analyze._Profile(code, k, analyze.DEFAULT_BUDGET, "file-size search")
+    units = profile._spent
+    work = profile._units
+
+    def counted():
+        nonlocal units
+        for unit in work:
+            units += unit
+            yield unit
+
+    profile._units = counted()
+    profile.search(k)
+    return profile.rows[0], profile.opened, units
+
+
 def brute_max_edges(g: Graph, k: int) -> int:
     """Reference induced-edge maximum: plain scan over vertex subsets."""
     best = 0

@@ -13,6 +13,7 @@ from conftest import (
     discovered,
     profile_sizes,
     proven_orbits,
+    search_cost,
     smallest_admitted_budget,
     to_networkx,
 )
@@ -459,16 +460,29 @@ class TestSymmetryPruning:
                                             [], {0: list(range(code.n))})) == units
 
     @pytest.mark.parametrize("code,k,expected", [
-        (from_graph(cage("tuttecoxeter")), 6, (13, 3990)),
-        (from_design(transversal_design(5, 7)), 6, (28, 3545)),
-        (from_design(transversal_design(5, 7)), 7, (30, 11374)),
-        (from_graph(cage("mcgee")), 9, (18, 57989)),
-    ], ids=["tuttecoxeter-k6", "td57-k6", "td57-k7", "mcgee-k9"])
+        (from_graph(cage("tuttecoxeter")), 6, (13, 1542, 1305)),
+        (from_design(transversal_design(5, 7)), 6, (28, 2542, 1025)),
+        (from_design(transversal_design(5, 7)), 7, (30, 5346, 2907)),
+        (from_graph(cage("mcgee")), 9, (18, 53932, 908)),
+        (from_design(transversal_design(7, 7)), 9, (33, 291853, 7413)),
+    ], ids=["tuttecoxeter-k6", "td57-k6", "td57-k7", "mcgee-k9", "td77-k9"])
     def test_the_discovery_schedule_is_pinned(self, code, k, expected):
-        # (M(k), search nodes opened): the node count moves with any change
-        # to when discovery runs, what it charges, or which orbits it proves
-        file_size(code, k)
-        assert code._file_sizes[k] == expected
+        # (M(k), search nodes opened, discovery units spent): both sides of
+        # the trade move with any change to when discovery runs, what it
+        # charges, or which orbits it proves.  Tutte-Coxeter, McGee and
+        # TD(7,7) run discovery to its end (1,305, 908 and 7,413 units);
+        # without the eager first path TD(7,7) k = 9 opens 2,797,171 nodes
+        assert search_cost(code, k) == expected
+
+    def test_the_first_branch_prunes_as_if_discovery_had_finished(self):
+        # the eager first path and the per-node pace land every snapshot
+        # that Tutte-Coxeter's k = 6 search needs before it needs it
+        code = from_graph(cage("tuttecoxeter"))
+        profile = analyze._Profile(code, 6, analyze.DEFAULT_BUDGET, "file-size search")
+        for _ in profile._units:
+            pass
+        profile.search(6)
+        assert (profile.rows[0], profile.opened) == search_cost(code, 6)[:2] == (13, 1542)
 
     def test_a_capped_k1_search_after_discovery_ran_to_its_end(self):
         # a child list filtered by the chain stops at node n - 1, also where a
@@ -664,10 +678,10 @@ class TestCapacityProfile:
 
     @pytest.mark.parametrize("make,expected", [
         (lambda: from_graph(cage("tuttecoxeter")),
-         [(3, 0), (5, 0), (7, 44), (9, 647), (11, 1680), (13, 2116), (15, 3039),
+         [(3, 0), (5, 0), (7, 44), (9, 647), (11, 1010), (13, 791), (15, 3039),
           (16, 2764), (18, 8625), (20, 24782)]),
         (lambda: from_graph(cage("mcgee")),
-         [(3, 0), (5, 0), (7, 35), (9, 403), (11, 1038), (13, 1548), (14, 492),
+         [(3, 0), (5, 0), (7, 35), (9, 403), (11, 865), (13, 1017), (14, 492),
           (16, 1746), (18, 5156), (19, 2285), (21, 7220), (22, 3645)]),
     ], ids=["tuttecoxeter", "mcgee"])
     def test_the_profile_schedule_is_pinned(self, make, expected):
@@ -678,8 +692,8 @@ class TestCapacityProfile:
         That no k-search of the profile opens more nodes than the standalone
         file_size search is an observed regression check, not a theorem:
         discovery is paid per node opened, so a search that opens fewer nodes
-        early may prove its orbits later (TD(5,7) at k = 6 opens 3,775 nodes
-        in the profile and 3,545 alone)."""
+        early may prove its orbits later (TD(5,7) at k = 6 opens 2,940 nodes
+        in the profile and 2,542 alone)."""
         sizes = profile_sizes(make(), len(expected))
         assert sizes == expected
         for k, (_, nodes) in enumerate(sizes, start=1):
@@ -689,10 +703,10 @@ class TestCapacityProfile:
 
     @pytest.mark.parametrize("make,expected", [
         (lambda: from_design(transversal_design(5, 7)),
-         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 3775), (30, 8131),
+         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 2940), (30, 2328),
           (31, 7136), (34, 101727)]),
         (lambda: from_design(projective_plane(5)),
-         [(6, 0), (11, 0), (15, 0), (18, 0), (20, 0), (21, 0), (23, 23741),
+         [(6, 0), (11, 0), (15, 0), (18, 0), (20, 0), (21, 0), (23, 4954),
           (24, 1569), (25, 4511)]),
     ], ids=["td57", "pg5"])
     def test_the_design_profile_schedule_is_pinned(self, make, expected):
@@ -716,15 +730,15 @@ class TestCapacityProfile:
             return from_graph(cage("tuttecoxeter"))
 
         sizes = profile_sizes(make(), 8)
-        assert [nodes for _, nodes in sizes] == [0, 0, 44, 647, 1680, 2116, 3039, 2764]
+        assert [nodes for _, nodes in sizes] == [0, 0, 44, 647, 1010, 791, 3039, 2764]
         total = sum(nodes for _, nodes in sizes)
-        assert total == 10290
+        assert total == 8295
         assert len(capacity_profile(make(), 8, budget=total).rows) == 8
         with pytest.raises(BudgetExceededError) as refused:
             capacity_profile(make(), 8, budget=total - 1)
         assert str(refused.value) == (
             "capacity-profile search over k-subsets of 30 nodes, k <= 8 needs more "
-            "than 10289 search nodes; raise the budget to run this exactly")
+            "than 8294 search nodes; raise the budget to run this exactly")
 
     def test_a_search_needs_exactly_the_rows_below_it(self):
         # the floor reads rows[-1] as M(k - 1) and the rows-below cut reads

@@ -156,14 +156,14 @@ class TestAnalyze:
         assert run(capsys, "analyze", str(td34_frc)) == report
 
     def test_budget_is_shared_by_the_profile_rows(self, capsys, tmp_path):
-        # Tutte-Coxeter's k <= 8 searches open 10,290 nodes together
+        # Tutte-Coxeter's k <= 8 searches open 8,295 nodes together
         frc = tmp_path / "tc.frc"
         run(capsys, "construct", "cage", "--name", "tuttecoxeter", "--out", str(frc))
-        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "10290")
+        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "8295")
         assert status == 0 and len(out.splitlines()) == 11
-        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "10289")
+        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "8294")
         assert status == 1 and out == ""
-        assert "needs more than 10289 search nodes" in err
+        assert "needs more than 8294 search nodes" in err
 
     def test_repeated_symbol_on_a_node_line_exits_1(self, capsys, tmp_path):
         path = tmp_path / "repeat.frc"
@@ -531,7 +531,8 @@ class TestInputErrors:
         (["analyze", "{dir}"], "Is a directory"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{dir}"],
          "Is a directory"),
-        (["store", "--code", "{frc}", "--k", "4", "--root", "{file}"], "File exists"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{file}"],
+         "payload.txt is not a directory; store into a new root"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{root}"],
          "already holds a stored system"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--field-q", "0"],
@@ -646,13 +647,18 @@ class TestRefusalsBeforeSearch:
          "k = 5 exceeds alpha = 4"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{root}", "--budget", "1"],
          "already holds a stored system"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{frc}"],
+         "{frc} is not a directory; store into a new root"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{frc}/sub"],
+         "{frc} is not a directory; store into a new root"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{missing}"],
          "No such file or directory"),
         (["batch", "{frc}", "--t", "17"], "--t: 17 exceeds the code's theta = 16 symbols"),
         (["analyze", "{frc}", "--k-max", "13"], "need 1 <= k_max <= 12, got 13"),
         (["analyze", "{frc}", "--k-max", "0"], "need 1 <= k_max <= 12, got 0"),
     ], ids=["store-non-uniform-code", "store-k-0", "store-k-above-alpha",
-            "store-occupied-root", "store-missing-file", "batch-t-above-theta",
+            "store-occupied-root", "store-root-is-a-file", "store-root-under-a-file",
+            "store-missing-file", "batch-t-above-theta",
             "analyze-k-max-above-n", "analyze-k-max-0"])
     def test_exits_1_with_its_own_message(self, capsys, tmp_path, td34_frc, no_search,
                                           argv, message):
@@ -663,5 +669,5 @@ class TestRefusalsBeforeSearch:
         status, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
         assert status == 1
         assert out == ""
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message.format(**paths) in err
         assert not (tmp_path / "new").exists()

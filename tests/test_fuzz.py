@@ -226,6 +226,78 @@ def test_stabilizer_chain_keeps_batch_t(monkeypatch):
     assert any(prefix and prefix[0] for prefix in prefixes)
 
 
+class _LoggedChain(dict):
+    """A chain that logs each lookup of chain[d], d >= 1, and each child
+    tested against a snapshot, with whether the snapshot filtered it."""
+
+    def __init__(self, n, log):
+        super().__init__({0: list(range(n))})
+        self.log = log
+
+    def __setitem__(self, d, roots):
+        super().__setitem__(d, _LoggedRoots(roots, d, self.log))
+
+    def get(self, d, default=None):
+        roots = super().get(d, default)
+        if d:
+            self.log.append(("get", d, roots is not None))
+        return roots
+
+
+class _LoggedRoots(list):
+    """A recorded chain[d]; reading a child's root logs whether it filters the child."""
+
+    def __init__(self, roots, d, log):
+        super().__init__(roots)
+        self.d, self.log = d, log
+
+    def __getitem__(self, c):
+        root = super().__getitem__(c)
+        self.log.append(("test", self.d, root != c))
+        return root
+
+
+def _filtered_by_a_late_snapshot(log):
+    """Whether, within one search, a lookup of chain[d] found nothing and a
+    later one filtered a child.  A search has at most one node that has
+    picked path[:d], so both lookups are that node's."""
+    absent = set()
+    for event, *args in log:
+        if event == "search":
+            absent = set()
+        elif event == "get" and not args[1]:
+            absent.add(args[0])
+        elif event == "test" and args[1] and args[0] in absent:
+            return True
+    return False
+
+
+def test_stabilizer_chain_landing_mid_list_keeps_file_size_and_batch_t(monkeypatch):
+    # at the shipped rate discovery records chain[d] while the node that has
+    # picked path[:d] tries its children, so the filter starts partway
+    # through the list
+    log = []
+    init, search = analyze._Profile.__init__, analyze._Profile.search
+
+    def logged_init(self, code, *args):
+        init(self, code, *args)
+        self.chain = _LoggedChain(code.n, log)
+        self._units = analyze._discover_orbits(code.symbol_masks, code.holder_masks,
+                                               self.path, self.chain)
+
+    def logged_search(self, *args, **kwargs):
+        log.append(("search",))
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(analyze._Profile, "__init__", logged_init)
+    monkeypatch.setattr(analyze._Profile, "search", logged_search)
+    for code in _stabilizer_cases(1515):
+        assert [file_size(code, k) for k in range(1, code.n + 1)] == \
+            [brute_min_union(code, k) for k in range(1, code.n + 1)], code.node_sets
+        assert batch_t_detail(code).t == brute_batch_t_detail(code).t, code.node_sets
+    assert _filtered_by_a_late_snapshot(log)
+
+
 def test_any_admitted_budget_gives_the_exact_answer_on_random_codes():
     # a budget only decides whether a search runs, never what it returns
     rng = random.Random(505)
