@@ -5,13 +5,15 @@ by uncoded transfer.
 On disk a stored system is a directory holding manifest.json plus one
 node_<i>.dat per node.  A node file starts with "i alpha" and then lists
 "j value" lines in ascending symbol order.  load_system reads only the
-manifest.  An operation reads just the node files it uses (reconstruct its
-k nodes, a repair its donors) and checks each against the manifest's SHA-256
-before using a value; reconstruct also checks the decoded file against the
-manifest's file digest.  Repairs copy symbol values from donors without
-field arithmetic and write the file only once its bytes match the manifest
-checksum.  Every write goes to a temporary name and is renamed into place,
-so readers never see a partly written file.
+manifest.  An operation reads just the node files it uses (reconstruct its k
+nodes, a repair its donors) and hashes each one before it parses it: a file
+that matches the manifest's SHA-256 and store's layout is split into its
+values at once, and only a file that fails that fast path goes through the
+line parser, so that the fault is named.  reconstruct also checks the
+decoded file against the manifest's file digest.  Repairs copy symbol values
+from donors without field arithmetic and write the file only once its bytes
+match the manifest checksum.  Every write goes to a temporary name and is
+renamed into place, so readers never see a partly written file.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,6 +44,8 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 REPAIR_POLICIES = ("lowest", "spread")
+# the node-file layout _node_text writes: "a b" lines of ASCII decimals
+_NODE_LAYOUT = re.compile(rb"(?:[0-9]+ [0-9]+\n)+")
 
 
 def __getattr__(name: str):  # dress.file_size, read by the tracer's self-check
@@ -92,8 +97,10 @@ def _node_text(i: int, contents: dict[int, int], alpha: int) -> str:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace path by data in one rename; a crash leaves the old file whole.
-    A write or rename that raises removes the temporary file."""
+    """Replace path by data in one rename: a process killed at any point
+    leaves the old file or the new one whole.  Nothing calls fsync, so after
+    a power loss the file system may keep the rename without the data.  A
+    write or rename that raises removes the temporary file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(data)
@@ -114,7 +121,7 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     that seed.  A root that already holds a manifest is refused: rewriting a
     system in place would leave neither file recoverable if the store were
     cut off midway, and so is a root that is, or lies under, a file.  Every
-    refusal of the code, k or root comes before the search for M.
+    refusal of the code, k, field or root comes before the search for M.
     """
     from .analyze import file_size  # only store searches; reading needs no search code
     report = validate(code)
@@ -130,8 +137,10 @@ def store(code: FrCode, k: int, file_symbols, root, field: GF | None = None,
     built_on = next(p for p in (root, *root.parents) if p.exists())  # what mkdir builds on
     if not built_on.is_dir():
         raise ParameterError(f"{built_on} is not a directory; store into a new root")
-    m_size = file_size(code, k, budget=budget)
     field = field if field is not None else default_field_for(code.theta)
+    if code.theta > field.q:  # MdsCode's own check, made here before the search
+        raise ParameterError(f"length {code.theta} exceeds field order {field.q}")
+    m_size = file_size(code, k, budget=budget)
     if file_symbols is None:
         import random  # here, so that reading a system loads no random
         seed = 0 if seed is None else seed
@@ -196,12 +205,35 @@ def load_system(root) -> StoredSystem:
 
 def _read_node(system: StoredSystem, i: int) -> dict[int, int] | None:
     """Node i's {symbol: value} map, or None when its file is missing; the
-    one node-file reader, which parses and hashes the bytes it read."""
-    path = system.node_path(i)
+    one node-file reader.  A file that matches its checksum and store's layout
+    is what store wrote, so one split parses it; _parse_node names the fault
+    of any other."""
+    data = b""
     try:
-        data = path.read_bytes()
+        fd = os.open(os.path.join(system.root, f"node_{i}.dat"), os.O_RDONLY)
+        try:
+            while chunk := os.read(fd, 1 << 16):
+                data += chunk
+        finally:
+            os.close(fd)
     except FileNotFoundError:
         return None
+    except OSError as exc:  # os.read names no file; name it as open() would
+        exc.filename = str(system.node_path(i))
+        raise
+    digest = hashlib.sha256(data).hexdigest()
+    if digest == system.checksums[f"node_{i}.dat"] and _NODE_LAYOUT.fullmatch(data):
+        values = list(map(int, data.split()))
+        if values[0] == i:
+            return dict(zip(values[2::2], values[3::2]))
+    return _parse_node(system, i, data, digest)
+
+
+def _parse_node(system: StoredSystem, i: int, data: bytes, actual: str) -> dict[int, int]:
+    """Node i's map from data, whose SHA-256 is actual, line by line: the
+    first fault of a line, an empty file, the node id or the checksum raises
+    CorruptionError, and a file with none (say, tab-separated) gives its map."""
+    path = system.node_path(i)
     rows = []
     for line_no, line in enumerate(data.splitlines(), start=1):
         try:
@@ -215,7 +247,7 @@ def _read_node(system: StoredSystem, i: int) -> dict[int, int] | None:
     (node_id, _alpha), *rows = rows
     if node_id != i:
         raise CorruptionError(f"{path} claims node id {node_id}")
-    expected, actual = system.checksums[path.name], hashlib.sha256(data).hexdigest()
+    expected = system.checksums[path.name]
     if actual != expected:
         raise CorruptionError(f"{path} checksum mismatch: manifest {expected}, file {actual}")
     return dict(rows)

@@ -7,13 +7,22 @@ the checked GF methods for the MDS codec.  Expected values frozen in the
 tests were computed with these.
 """
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from frepkit import GF, BudgetExceededError, FrCode, Graph, TransversalDesign, analyze
+from frepkit import (
+    GF,
+    BudgetExceededError,
+    CorruptionError,
+    FrCode,
+    Graph,
+    TransversalDesign,
+    analyze,
+)
 from frepkit.batch import BatchTResult
 
 
@@ -232,6 +241,34 @@ def reference_decode(field: GF, dimension: int, coords) -> tuple[list[int], bool
     message = lagrange_values(field, xs, ys, range(dimension))
     consistent = lagrange_values(field, xs, ys, rest) == [known[x] for x in rest]
     return message, consistent
+
+
+def reference_read_node(system, i: int) -> dict[int, int] | None:
+    """Reference node-file reader: split the bytes into lines, parse every
+    line, then compare the SHA-256 with the manifest; the reader dress used
+    before its hash-first fast path, kept verbatim."""
+    path = system.node_path(i)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    rows = []
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        try:
+            a, b = map(int, line.split())
+        except ValueError:
+            raise CorruptionError(
+                f"{path}:{line_no}: expected two integers, got {line!r}") from None
+        rows.append((a, b))
+    if not rows:
+        raise CorruptionError(f"{path}: empty node file")
+    (node_id, _alpha), *rows = rows
+    if node_id != i:
+        raise CorruptionError(f"{path} claims node id {node_id}")
+    expected, actual = system.checksums[path.name], hashlib.sha256(data).hexdigest()
+    if actual != expected:
+        raise CorruptionError(f"{path} checksum mismatch: manifest {expected}, file {actual}")
+    return dict(rows)
 
 
 def td_axioms_hold(d: TransversalDesign) -> bool:

@@ -653,12 +653,14 @@ class TestRefusalsBeforeSearch:
          "{frc} is not a directory; store into a new root"),
         (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--file", "{missing}"],
          "No such file or directory"),
+        (["store", "--code", "{frc}", "--k", "4", "--root", "{new}", "--field-q", "8"],
+         "length 16 exceeds field order 8"),
         (["batch", "{frc}", "--t", "17"], "--t: 17 exceeds the code's theta = 16 symbols"),
         (["analyze", "{frc}", "--k-max", "13"], "need 1 <= k_max <= 12, got 13"),
         (["analyze", "{frc}", "--k-max", "0"], "need 1 <= k_max <= 12, got 0"),
     ], ids=["store-non-uniform-code", "store-k-0", "store-k-above-alpha",
             "store-occupied-root", "store-root-is-a-file", "store-root-under-a-file",
-            "store-missing-file", "batch-t-above-theta",
+            "store-missing-file", "store-field-below-theta", "batch-t-above-theta",
             "analyze-k-max-above-n", "analyze-k-max-0"])
     def test_exits_1_with_its_own_message(self, capsys, tmp_path, td34_frc, no_search,
                                           argv, message):

@@ -7,6 +7,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from conftest import reference_read_node
 
 from frepkit import (
     GF,
@@ -16,6 +17,7 @@ from frepkit import (
     FrepkitError,
     IrreparableError,
     ParameterError,
+    dress,
     execute_repair,
     file_size,
     from_design,
@@ -438,6 +440,126 @@ class TestCorruptNodeFile:
         system.node_path(1).unlink()
         with pytest.raises(CorruptionError, match="does not hold symbol 1"):
             execute_repair(system, plan_repair(system, 1, policy="lowest"))
+
+
+def _splice(rng, data: bytes, pattern: bytes, cut: int, insert: bytes) -> bytes:
+    """data with the cut bytes at a random match of pattern replaced by
+    insert; data itself when pattern never matches."""
+    starts = [m.start() for m in re.finditer(pattern, data)]
+    if not starts:
+        return data
+    at = rng.choice(starts)
+    return data[:at] + insert + data[at + cut:]
+
+
+def _flip(rng, data: bytes) -> bytes:
+    if not data:
+        return data
+    at = rng.randrange(len(data))
+    return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+
+
+# Damage to a node file, from its bytes and those of another node of the system.
+NODE_MUTATIONS = {
+    "byte-flip": lambda rng, data, other: _flip(rng, data),
+    "drop-newline": lambda rng, data, other: _splice(rng, data, rb"\n", 1, b""),
+    "double-newline": lambda rng, data, other: _splice(rng, data, rb"\n", 0, b"\n"),
+    "drop-space": lambda rng, data, other: _splice(rng, data, rb" ", 1, b""),
+    "double-space": lambda rng, data, other: _splice(rng, data, rb" ", 0, b" "),
+    "tab": lambda rng, data, other: _splice(rng, data, rb" ", 1, b"\t"),
+    "crlf": lambda rng, data, other: _splice(rng, data, rb"\n", 1, b"\r\n"),
+    "leading-zero": lambda rng, data, other: _splice(rng, data, rb"\b[0-9]", 0, b"0"),
+    "sign": lambda rng, data, other: _splice(rng, data, rb"\b[0-9]", 0,
+                                             rng.choice([b"+", b"-"])),
+    "third-token": lambda rng, data, other: _splice(rng, data, rb"\n", 0,
+                                                    b" %d" % rng.randrange(100)),
+    "swapped": lambda rng, data, other: other,
+    "truncated": lambda rng, data, other: data[:rng.randrange(len(data))],
+    "empty": lambda rng, data, other: b"",
+}
+
+
+def read_outcome(read, system, i):
+    """What a node reader gives: its map, or the message of its CorruptionError;
+    any other exception propagates."""
+    try:
+        return read(system, i)
+    except CorruptionError as exc:
+        return f"CorruptionError: {exc}"
+
+
+def spy_on_line_parser(monkeypatch) -> list[int]:
+    """The node ids that dress._parse_node is called on from now on."""
+    calls, parse = [], dress._parse_node
+
+    def spy(system, i, *rest):
+        calls.append(i)
+        return parse(system, i, *rest)
+
+    monkeypatch.setattr(dress, "_parse_node", spy)
+    return calls
+
+
+class TestNodeReader:
+    @pytest.mark.parametrize("ell,h,k", [(3, 4, 4), (5, 7, 3)], ids=["td34", "td57"])
+    def test_damaged_files_read_as_the_reference_reads_them(self, tmp_path, ell, h, k):
+        # each mutation is read under the stored checksum and under one
+        # recomputed for the mutated bytes, which lets it reach the fast path
+        system = store(from_design(transversal_design(ell, h)), k, None, tmp_path / "sys")
+        n = system.code.n
+        originals = {i: system.node_path(i).read_bytes() for i in range(1, n + 1)}
+        stored = dict(system.checksums)
+        rng = random.Random(ell * 100 + h)
+        kinds = list(NODE_MUTATIONS.items())
+        accepted = refused = 0  # damaged files taken, and refused
+        for trial in range(520):
+            kind, mutate = kinds[trial % len(kinds)]
+            i = rng.randrange(1, n + 1)
+            other = originals[i % n + 1]
+            data = mutate(rng, originals[i], other)
+            name = f"node_{i}.dat"
+            system.node_path(i).write_bytes(data)
+            for checksum in (stored[name], hashlib.sha256(data).hexdigest()):
+                system.checksums[name] = checksum
+                want = read_outcome(reference_read_node, system, i)
+                assert read_outcome(dress._read_node, system, i) == want, (kind, data)
+                refused += isinstance(want, str)
+                accepted += not isinstance(want, str) and data != originals[i]
+            system.node_path(i).write_bytes(originals[i])
+            system.checksums[name] = stored[name]
+        assert accepted and refused, (accepted, refused)
+
+    def test_a_directory_in_place_of_a_node_file_is_named(self, td34_system):
+        system, _ = td34_system
+        system.node_path(5).unlink()
+        system.node_path(5).mkdir()
+        with pytest.raises(IsADirectoryError) as want:
+            reference_read_node(system, 5)
+        with pytest.raises(IsADirectoryError) as got:
+            dress._read_node(system, 5)
+        assert str(got.value) == str(want.value) and str(system.node_path(5)) in str(got.value)
+
+    def test_an_intact_system_never_reaches_the_line_parser(self, td34_system, monkeypatch):
+        system, file_symbols = td34_system
+        calls = spy_on_line_parser(monkeypatch)
+        assert reconstruct(system, [1, 5, 9, 12]) == file_symbols
+        system.node_path(7).unlink()
+        execute_repair(system, plan_repair(system, 7))
+        verify_integrity(system.root)
+        assert calls == []
+
+    def test_a_forged_tab_separated_file_is_read_by_the_line_parser(self, td34_system,
+                                                                    monkeypatch):
+        system, _ = td34_system
+        path = system.node_path(5)
+        data = path.read_bytes().replace(b" ", b"\t")
+        path.write_bytes(data)
+        system.checksums[path.name] = hashlib.sha256(data).hexdigest()
+        calls = spy_on_line_parser(monkeypatch)
+        got = dress._read_node(system, 5)
+        assert calls == [5]
+        assert got == reference_read_node(system, 5)
+        assert sorted(got) == list(system.code.node_sets[4])
 
 
 # Edits of the manifest text: broken JSON, a missing key, a wrong type.
