@@ -58,7 +58,14 @@ class NoPlan(NamedTuple):
 
 
 def retrieval_plan(code: FrCode, symbols) -> BatchPlan | NoPlan:
-    """Plan a parallel retrieval of the requested symbols, or explain why none exists."""
+    """Plan a parallel retrieval of the requested symbols, or explain why none exists.
+
+    The matching runs on the symbols' holder masks; its greedy pass gives
+    each symbol, in ascending order, its smallest free holder, so a request
+    whose smallest holders are distinct gets exactly them.  The assignment
+    is deterministic; a NoPlan's witness touches fewer nodes than it has
+    symbols.
+    """
     request = tuple(symbols)
     for j in request:
         if type(j) is not int:
@@ -68,16 +75,16 @@ def retrieval_plan(code: FrCode, symbols) -> BatchPlan | NoPlan:
     request = tuple(sorted(request))
     if len(set(request)) != len(request):
         raise ParameterError("requested symbols must be distinct")
-    holders = code.nodes_of_symbol
-    neighbors = [holders[j - 1] for j in request]
-    match = maximum_matching(neighbors)
-    if all(node is not None for node in match):
+    holders = code.holder_masks
+    masks = [holders[j - 1] for j in request]
+    match = maximum_matching(masks)
+    if None not in match:
         return BatchPlan(symbols=request,
-                         assignment=tuple(zip(request, match)))
-    witness_idx, neighborhood = hall_witness(neighbors, match)
+                         assignment=tuple((j, r + 1) for j, r in zip(request, match)))
+    witness_idx, neighborhood = hall_witness(masks, match)
     return NoPlan(symbols=request,
                   witness=tuple(request[i] for i in witness_idx),
-                  neighborhood=tuple(neighborhood))
+                  neighborhood=tuple(r + 1 for r in neighborhood))
 
 
 class BatchTResult(NamedTuple):

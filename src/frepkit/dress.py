@@ -297,37 +297,44 @@ def plan_repair(system: StoredSystem, failed: int, policy: str = "lowest",
                 dead=()) -> RepairPlan:
     """Pick one donor per lost symbol among the surviving replicas.
 
-    A maximum matching assigns the donors, so no donor serves two symbols
-    whenever a system of distinct donors exists, and otherwise the reuse
-    reported is the minimum possible.  The matching scans each symbol's
-    donors in ascending order, so it takes the smallest donors whenever they
-    are distinct.  Both policies, "lowest" and "spread", name this one plan.
+    A maximum matching on the donor masks (holder_masks without the failed
+    and dead nodes) assigns the donors, so d, the number of distinct donors,
+    is the largest possible, and no donor serves two symbols whenever a
+    system of distinct donors exists.  Otherwise every donor's capacity is
+    raised to b = 2, 3, ... and the matching extended until each symbol is
+    placed; extending never drops a donor, so d stays the largest and beta
+    is the least possible.  The greedy pass scans each symbol's donors in
+    ascending order, so it takes the smallest donors whenever they are
+    distinct.  Both policies, "lowest" and "spread", name this one plan.
     Extra dead nodes model multi-failure and make symbols without survivors
     irreparable.
     """
     if policy not in REPAIR_POLICIES:
         raise ParameterError(f"unknown policy {policy!r}; choose from {REPAIR_POLICIES}")
-    dead = tuple(dead)
+    unavailable = 0
     for i in (failed, *dead):
         if type(i) is not int:
             _integer(i, "node id")
         if not 1 <= i <= system.code.n:
             raise ParameterError(f"node id {i} out of range 1..{system.code.n}")
-    unavailable = {failed} | set(dead)
+        unavailable |= 1 << (i - 1)
+    n, holders = system.code.n, system.code.holder_masks
     lost = system.code.node_sets[failed - 1]
-    candidates = []
+    masks = []
     for j in lost:
-        donors = [i for i in system.code.nodes_of_symbol[j - 1] if i not in unavailable]
+        donors = holders[j - 1] & ~unavailable
         if not donors:
             raise IrreparableError(
                 f"symbol {j} of node {failed} has no surviving replica")
-        candidates.append(donors)
-    matched = maximum_matching(candidates)
-    # an unmatched symbol only has already-used donors (else the matching
-    # would extend), so falling back to the smallest keeps reuse minimal
-    assignment = [m if m is not None else min(c)
-                  for m, c in zip(matched, candidates)]
-    transfers = tuple(zip(lost, assignment))
+        masks.append(donors)
+    match = maximum_matching(masks)
+    # capacity b is b copies of each donor's bit, copy c of node i at bit c*n + i - 1
+    wide, copies = masks, 1
+    while None in match:
+        wide = [w | m << copies * n for w, m in zip(wide, masks)]
+        copies += 1
+        match = maximum_matching(wide, match)
+    transfers = tuple((j, r % n + 1) for j, r in zip(lost, match))
     per_donor: dict[int, int] = {}
     for _, donor in transfers:
         per_donor[donor] = per_donor.get(donor, 0) + 1

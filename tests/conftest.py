@@ -9,7 +9,8 @@ tests were computed with these.
 
 import hashlib
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
+from typing import Hashable, Sequence
 
 import networkx as nx
 import pytest
@@ -19,6 +20,7 @@ from frepkit import (
     BudgetExceededError,
     CorruptionError,
     FrCode,
+    FrepkitError,
     Graph,
     TransversalDesign,
     analyze,
@@ -211,6 +213,85 @@ def brute_hall_ok(code: FrCode, symbols) -> bool:
             if len(neighborhood) < len(sub):
                 return False
     return True
+
+
+def reference_maximum_matching(neighbors: Sequence[Sequence[Hashable]]) -> list:
+    """Reference matcher: the recursive Kuhn search over adjacency lists that
+    frepkit.matching ran before its bitmask rewrite, kept verbatim.  Returns
+    match[i] = right partner of left vertex i, or None if unmatched."""
+    match_left: list = [None] * len(neighbors)
+    match_right: dict = {}
+
+    def augment(left: int, visited: set) -> bool:
+        for right in neighbors[left]:
+            if right in visited:
+                continue
+            visited.add(right)
+            owner = match_right.get(right)
+            if owner is None or augment(owner, visited):
+                match_left[left] = right
+                match_right[right] = left
+                return True
+        return False
+
+    for left in range(len(neighbors)):
+        augment(left, set())
+    return match_left
+
+
+def reference_hall_witness(neighbors: Sequence[Sequence[Hashable]],
+                           match_left: Sequence) -> tuple[list[int], list]:
+    """Reference Hall witness over adjacency lists, kept verbatim from the
+    same matcher: the left vertices reachable by alternating paths from the
+    first unmatched one, and their joint right neighbourhood."""
+    match_right = {r: i for i, r in enumerate(match_left) if r is not None}
+    start = next(i for i, r in enumerate(match_left) if r is None)
+    zone = {start}
+    frontier = [start]
+    reached_right: set = set()
+    while frontier:
+        left = frontier.pop()
+        for right in neighbors[left]:
+            if right in reached_right:
+                continue
+            reached_right.add(right)
+            owner = match_right.get(right)
+            if owner is not None and owner not in zone:
+                zone.add(owner)
+                frontier.append(owner)
+    witness = sorted(zone)
+    neighborhood = sorted(reached_right)
+    if len(neighborhood) >= len(witness):
+        raise FrepkitError("witness extraction from a non-deficient matching")
+    return witness, neighborhood
+
+
+def reference_repair_transfers(code: FrCode, failed: int, dead=()) -> tuple | None:
+    """Reference repair plan: the reference Kuhn matching over each lost
+    symbol's surviving holders, an unmatched symbol falling back to its
+    smallest donor, as plan_repair did before the bitmask rewrite; None
+    when some lost symbol has no surviving holder."""
+    unavailable = {failed, *dead}
+    lost = code.node_sets[failed - 1]
+    candidates = [[i for i in code.nodes_of_symbol[j - 1] if i not in unavailable]
+                  for j in lost]
+    if not all(candidates):
+        return None
+    matched = reference_maximum_matching(candidates)
+    return tuple(zip(lost, (m if m is not None else min(c)
+                            for m, c in zip(matched, candidates))))
+
+
+def brute_repair_d_beta(donor_lists) -> tuple[int, int]:
+    """Reference repair optimum: over every choice of one donor per lost
+    symbol, the largest number of distinct donors d and, separately, the
+    least largest per-donor load beta."""
+    best_d, best_beta = 0, len(donor_lists) + 1
+    for choice in product(*donor_lists):
+        loads = Counter(choice)
+        best_d = max(best_d, len(loads))
+        best_beta = min(best_beta, max(loads.values()))
+    return best_d, best_beta
 
 
 def lagrange_values(field: GF, xs, ys, targets) -> list[int]:

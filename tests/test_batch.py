@@ -32,27 +32,32 @@ from frepkit.construct import cage
 from frepkit.matching import hall_witness, maximum_matching
 
 
+def _masks(neighbors):
+    """Adjacency lists of right positions as masks: bit r for position r."""
+    return [sum(1 << r for r in adj) for adj in neighbors]
+
+
 class TestMatching:
     def test_perfect_matching(self):
-        match = maximum_matching([[1, 2], [1], [2, 3]])
+        match = maximum_matching(_masks([[1, 2], [1], [2, 3]]))
         assert None not in match
         assert len(set(match)) == 3
 
     def test_deficient_graph_witness(self):
-        neighbors = [[1], [1], [1, 2]]
-        match = maximum_matching(neighbors)
+        masks = _masks([[1], [1], [1, 2]])
+        match = maximum_matching(masks)
         assert match.count(None) == 1
-        witness, neighborhood = hall_witness(neighbors, match)
+        witness, neighborhood = hall_witness(masks, match)
         assert set(witness) == {0, 1}
         assert neighborhood == [1]
 
     def test_witness_from_non_deficient_matching_raises(self):
         with pytest.raises(FrepkitError, match="non-deficient"):
-            hall_witness([[0]], [None])
+            hall_witness(_masks([[0]]), [None])
 
     def test_deterministic(self):
-        neighbors = [[2, 1], [1, 3], [3, 2], [2]]
-        assert maximum_matching(neighbors) == maximum_matching(neighbors)
+        masks = _masks([[2, 1], [1, 3], [3, 2], [2]])
+        assert maximum_matching(masks) == maximum_matching(masks)
 
 
 class TestRetrievalPlan:
@@ -444,3 +449,56 @@ def _edge_endpoints(code):
     """Recover each symbol's two endpoints from a rho=2 code."""
     return [tuple(i for i, s in enumerate(code.node_sets, start=1) if j in s)
             for j in range(1, code.theta + 1)]
+
+
+# the codes of the batch-sparse and batch-dense benchmark workloads, with t
+BENCH_CODES = {
+    "petersen": (lambda: _nx_code(nx.petersen_graph()), 7),
+    "heawood": (lambda: _nx_code(nx.heawood_graph()), 8),
+    "pappus": (lambda: _nx_code(nx.pappus_graph()), 9),
+    "desargues": (lambda: _nx_code(nx.desargues_graph()), 9),
+    "td34": (lambda: from_design(transversal_design(3, 4)), 11),
+    "td35": (lambda: from_design(transversal_design(3, 5)), 12),
+    "pg3": (lambda: from_design(projective_plane(3)), 13),
+    "td45": (lambda: from_design(transversal_design(4, 5)), 19),
+}
+
+
+class TestPlansOnBenchmarkCodes:
+    @pytest.mark.parametrize("name", sorted(BENCH_CODES))
+    def test_plans_are_valid_and_agree_with_hall(self, name):
+        make, t = BENCH_CODES[name]
+        code = make()
+        witness = batch_t_detail(code).witness or ()  # pg3 has t = theta, so none
+        rng = random.Random(len(name))
+        smallest = noplans = 0
+        for trial in range(150):
+            if trial % 3 == 0:
+                request = rng.sample(range(1, code.theta + 1), min(t + trial % 2, code.theta))
+            elif trial % 3 == 1 and witness:
+                # a deficient request: the maximality witness and a few more symbols
+                others = [j for j in range(1, code.theta + 1) if j not in witness]
+                request = [*witness, *rng.sample(others, rng.randrange(3))]
+            else:
+                request = rng.sample(range(1, code.theta + 1), rng.randrange(1, 10))
+            request.sort()
+            plan = retrieval_plan(code, request)
+            if isinstance(plan, BatchPlan):
+                assert [j for j, _ in plan.assignment] == request
+                nodes = [i for _, i in plan.assignment]
+                assert len(set(nodes)) == len(nodes)
+                assert all(j in code.node_sets[i - 1] for j, i in plan.assignment)
+                lowest = [code.nodes_of_symbol[j - 1][0] for j in request]
+                if len(set(lowest)) == len(lowest):
+                    # the greedy pass gives each symbol its smallest holder
+                    smallest += 1
+                    assert nodes == lowest, request
+            else:
+                noplans += 1
+                touched = {i for j in plan.witness for i in code.nodes_of_symbol[j - 1]}
+                assert set(plan.witness) <= set(request)
+                assert plan.neighborhood == tuple(sorted(touched))
+                assert len(touched) == len(plan.witness) - 1
+            if len(request) <= 12:
+                assert isinstance(plan, BatchPlan) == brute_hall_ok(code, request), request
+        assert smallest >= 10 and (noplans >= 50) == bool(witness)

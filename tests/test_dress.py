@@ -3,11 +3,12 @@ import json
 import random
 import re
 import shutil
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import reference_read_node
+from conftest import brute_repair_d_beta, reference_read_node, reference_repair_transfers
 
 from frepkit import (
     GF,
@@ -330,6 +331,64 @@ class TestPlanRepair:
                         except IrreparableError as exc:
                             plans.append(str(exc))
                     assert plans[0] == plans[1], (code.n, failed, dead)
+
+    def test_reuse_is_spread_evenly(self, td34_system):
+        # five lost symbols, each held only by nodes 2 and 3: falling back to
+        # the smallest donor would load node 2 four times, where 3 is the least
+        system, _ = td34_system
+        system.code = FrCode(3, 5, 5, 3, [range(1, 6)] * 3)
+        plan = plan_repair(system, 1)
+        assert [donor for _, donor in plan.transfers] == [2, 3, 2, 3, 2]
+        assert (plan.d, plan.beta) == (2, 3)
+
+    def test_d_largest_and_beta_least_against_brute_force(self, td34_system):
+        system, _ = td34_system
+        rng = random.Random(2718)
+        irreparable = improved = 0
+        for _ in range(2500):
+            n, lost = rng.randrange(2, 8), rng.randrange(1, 6)
+            # node 1 fails and holds symbols 1..lost; each has 1..3 other holders
+            node_sets = [list(range(1, lost + 1))] + [[] for _ in range(n - 1)]
+            for j in range(1, lost + 1):
+                for i in rng.sample(range(2, n + 1), rng.randrange(1, min(3, n - 1) + 1)):
+                    node_sets[i - 1].append(j)
+            code = FrCode(n, lost, lost, 1, node_sets)
+            system.code = code
+            dead = rng.sample(range(2, n + 1), rng.choice((0, 0, 1, 2)) % (n - 1))
+            donor_lists = [[i for i in code.nodes_of_symbol[j - 1] if i != 1 and i not in dead]
+                           for j in range(1, lost + 1)]
+            if not all(donor_lists):
+                irreparable += 1
+                with pytest.raises(IrreparableError):
+                    plan_repair(system, 1, dead=dead)
+                continue
+            plan = plan_repair(system, 1, dead=dead)
+            assert [j for j, _ in plan.transfers] == list(range(1, lost + 1))
+            assert all(donor in donors for (_, donor), donors in zip(plan.transfers, donor_lists))
+            assert (plan.d, plan.beta) == brute_repair_d_beta(donor_lists), (node_sets, dead)
+            loads = Counter(donor for _, donor in reference_repair_transfers(code, 1, dead))
+            improved += max(loads.values()) > plan.beta
+        # the sweep reaches irreparable symbols and plans the old fallback overloaded
+        assert irreparable >= 100 and improved >= 20
+
+    def test_catalog_plans_equal_the_reference_kuhn_plans(self, td34_system):
+        # on these codes no two lost symbols share a donor (rho = 2, or
+        # lambda = 1), so the greedy pass takes the smallest donors as Kuhn did
+        system, _ = td34_system
+        codes = [from_graph(turan(6, 2)),
+                 *(from_graph(cage(name)) for name in ("petersen", "heawood", "mcgee", "tuttecoxeter")),
+                 *(from_design(transversal_design(*p)) for p in ((3, 4), (3, 5), (4, 5), (5, 7))),
+                 *(from_design(projective_plane(q)) for q in (2, 3, 5))]
+        for code in codes:
+            system.code = code
+            for failed in range(1, code.n + 1):
+                for dead in ((), *((i,) for i in range(1, code.n + 1) if i != failed)):
+                    reference = reference_repair_transfers(code, failed, dead)
+                    if reference is None:
+                        with pytest.raises(IrreparableError):
+                            plan_repair(system, failed, dead=dead)
+                    else:
+                        assert plan_repair(system, failed, dead=dead).transfers == reference
 
     def test_unknown_policy_rejected(self, td34_system):
         system, _ = td34_system

@@ -17,6 +17,8 @@ from conftest import (
     brute_min_union,
     discovered,
     profile_sizes,
+    reference_hall_witness,
+    reference_maximum_matching,
 )
 
 from frepkit import (
@@ -38,7 +40,7 @@ from frepkit import (
     turan,
 )
 from frepkit.batch import BatchPlan, retrieval_plan
-from frepkit.matching import maximum_matching
+from frepkit.matching import hall_witness, maximum_matching
 
 
 def _random_graph(rng, n, p):
@@ -375,9 +377,61 @@ def test_matching_size_matches_hopcroft_karp():
             adj = [100 + j for j in range(nr) if rng.random() < 0.4]
             neighbors.append(adj)
             B.add_edges_from((i, a) for a in adj)
-        mine = sum(1 for m in maximum_matching(neighbors) if m is not None)
+        masks = [sum(1 << (a - 100) for a in adj) for adj in neighbors]
+        mine = sum(1 for m in maximum_matching(masks) if m is not None)
         theirs = len(nx.bipartite.hopcroft_karp_matching(B, top_nodes=range(nl))) // 2
         assert mine == theirs, neighbors
+
+
+def _positions(mask):
+    return [r for r in range(mask.bit_length()) if mask >> r & 1]
+
+
+def test_matching_agrees_with_reference_kuhn_and_hopcroft_karp():
+    """The bitmask matcher against the adjacency-list Kuhn matcher it
+    replaced and networkx, on graphs with no left vertices, left vertices
+    without edges, and right positions past 64 (big-int masks)."""
+    rng = random.Random(4242)
+    deficient = wide = 0
+    for trial in range(1200):
+        nl = 0 if trial % 100 == 0 else rng.randrange(1, 10)
+        nr = rng.choice((rng.randrange(1, 10), rng.randrange(60, 130)))
+        density = rng.uniform(0.0, 0.5 if nr < 60 else 0.08)
+        masks = [0 if rng.random() < 0.1 else
+                 sum(1 << r for r in range(nr) if rng.random() < density)
+                 for _ in range(nl)]
+        neighbors = [_positions(m) for m in masks]
+        wide += any(m >> 64 for m in masks)
+        match = maximum_matching(masks)
+        assert len(match) == nl
+        matched = [r for r in match if r is not None]
+        assert len(set(matched)) == len(matched), masks
+        assert all(r is None or masks[i] >> r & 1 for i, r in enumerate(match)), masks
+        B = nx.Graph()
+        B.add_nodes_from(range(nl), bipartite=0)
+        B.add_nodes_from((("r", r) for r in range(nr)), bipartite=1)
+        B.add_edges_from((i, ("r", r)) for i, adj in enumerate(neighbors) for r in adj)
+        theirs = len(nx.bipartite.hopcroft_karp_matching(B, top_nodes=range(nl))) // 2
+        reference = reference_maximum_matching(neighbors)
+        assert len(matched) == sum(r is not None for r in reference) == theirs, masks
+        # extending a part of the reference matching reaches the same size and
+        # keeps every right vertex that part matched
+        part = [r if rng.random() < 0.5 else None for r in reference]
+        extended = maximum_matching(masks, part)
+        assert sum(r is not None for r in extended) == theirs, (masks, part)
+        assert {r for r in part if r is not None} <= set(extended), (masks, part)
+        if len(matched) == nl:
+            continue
+        deficient += 1
+        witness, neighborhood = hall_witness(masks, match)
+        union = 0
+        for i in witness:
+            union |= masks[i]
+        assert neighborhood == _positions(union), masks
+        assert len(neighborhood) == len(witness) - 1, masks
+        # the alternating tree's reach does not depend on the search order
+        assert (witness, neighborhood) == reference_hall_witness(neighbors, match), masks
+    assert deficient >= 300 and wide >= 300
 
 
 def _brute_batch_t(code):
