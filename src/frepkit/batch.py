@@ -80,7 +80,7 @@ def retrieval_plan(code: FrCode, symbols) -> BatchPlan | NoPlan:
     match = maximum_matching(masks)
     if None not in match:
         return BatchPlan(symbols=request,
-                         assignment=tuple((j, r + 1) for j, r in zip(request, match)))
+                         assignment=tuple(zip(request, [r + 1 for r in match])))
     witness_idx, neighborhood = hall_witness(masks, match)
     return NoPlan(symbols=request,
                   witness=tuple(request[i] for i in witness_idx),

@@ -255,9 +255,14 @@ def _parse_node(system: StoredSystem, i: int, data: bytes, actual: str) -> dict[
 
 def verify_integrity(root) -> None:
     """Raise CorruptionError on a manifest or a present node file that is
-    corrupt; missing node files are failed nodes and are skipped."""
+    corrupt, or on a node_<i>.dat.tmp that an interrupted write left behind;
+    missing node files are failed nodes and are skipped."""
     system = load_system(root)
+    names = set(os.listdir(system.root))
     for i in range(1, system.code.n + 1):
+        if f"node_{i}.dat.tmp" in names:
+            raise CorruptionError(
+                f"{system.node_path(i)}.tmp is left over from an interrupted write")
         _read_node(system, i)
 
 

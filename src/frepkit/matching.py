@@ -6,12 +6,14 @@ vertex, in order, its lowest free right vertex; augmenting paths then run
 only from the vertices it left unmatched, scanning right vertices lowest
 bit first, so results are deterministic.
 
-An augmenting search marks all of a left vertex's unseen neighbours at
-once and then tries each of them.  Each right vertex is marked once and is
-then tried by the vertex that marked it, so a failed search has still
-visited every matched neighbour of the alternating tree, as Kuhn's search
-does: no augmenting path starts at that vertex, now or after later
-augmentations.
+Both functions run one iterative search, _search.  Its stack is the path
+from the start: left vertices, each with the right vertices it has still to
+try.  A left vertex marks all of its unseen neighbours at once; each marked
+vertex is tried by the vertex that marked it, and a free one ends the
+search with the path flipped.  A failed search has tried all it marked, so
+its marks are the whole neighbourhood of the start's alternating tree, each
+matched within the tree: the tree is closed, no later augmentation changes
+it, and tree and marks are a Hall witness, one right vertex short.
 """
 
 from __future__ import annotations
@@ -21,6 +23,35 @@ from typing import Sequence
 from .errors import FrepkitError
 
 __all__ = ["maximum_matching", "hall_witness"]
+
+
+def _search(masks: Sequence[int], match: list, owner: dict, left: int) -> int | None:
+    """Augment match and owner (right -> left) along the first alternating
+    path from the unmatched left vertex to a free right vertex and return
+    None; with no such path change nothing and return the mask of the right
+    vertices reached."""
+    path, untried = [left], []  # untried: the masks still to try below the top
+    seen = fresh = masks[left]
+    while True:
+        if fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            right = low.bit_length() - 1
+            holder = owner.get(right)
+            if holder is None:  # each path vertex takes the right vertex it tried
+                for i in reversed(path):
+                    match[i], right = right, match[i]
+                    owner[match[i]] = i
+                return None
+            untried.append(fresh)
+            fresh = masks[holder] & ~seen
+            seen |= fresh
+            path.append(holder)
+        elif untried:
+            fresh = untried.pop()
+            path.pop()
+        else:
+            return seen
 
 
 def maximum_matching(masks: Sequence[int], match: Sequence | None = None) -> list:
@@ -43,58 +74,24 @@ def maximum_matching(masks: Sequence[int], match: Sequence | None = None) -> lis
     else:
         match = list(match)
         unmatched = [i for i, r in enumerate(match) if r is None]
-    if not unmatched:
-        return match
-    owner = {r: i for i, r in enumerate(match) if r is not None}
-    seen = 0
-
-    def augment(left: int) -> bool:
-        nonlocal seen
-        fresh = masks[left] & ~seen
-        seen |= fresh
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            right = low.bit_length() - 1
-            holder = owner.get(right)
-            if holder is None or augment(holder):
-                match[left] = right
-                owner[right] = left
-                return True
-        return False
-
-    for left in unmatched:
-        seen = 0
-        augment(left)
-    augment = None  # drop the closure's self-reference now, not at the next collection
+    if unmatched:
+        owner = {r: i for i, r in enumerate(match) if r is not None}
+        for left in unmatched:
+            _search(masks, match, owner, left)
     return match
 
 
 def hall_witness(masks: Sequence[int], match: Sequence) -> tuple[list[int], list[int]]:
     """Extract a Hall-violating left subset from a deficient maximum matching.
 
-    Starting at an unmatched left vertex, alternate unmatched/matched edges;
-    the reachable left vertices Z satisfy |neighborhood(Z)| = |Z| - 1.
-    Returns (left indices, ascending right positions of their joint
-    neighborhood).
+    The left vertices of the alternating tree of the first unmatched vertex
+    form Z, with |neighborhood(Z)| = |Z| - 1.  Returns (left indices,
+    ascending right positions of their joint neighborhood).
     """
     owner = {r: i for i, r in enumerate(match) if r is not None}
-    start = next(i for i, r in enumerate(match) if r is None)
-    zone = [start]
-    frontier = [start]
-    reached = 0
-    while frontier:
-        fresh = masks[frontier.pop()] & ~reached
-        reached |= fresh
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            holder = owner.get(low.bit_length() - 1)
-            if holder is not None:  # each right vertex is reached once
-                zone.append(holder)
-                frontier.append(holder)
-    witness = sorted(zone)
-    neighborhood = [r for r in range(reached.bit_length()) if reached >> r & 1]
-    if len(neighborhood) >= len(witness):
+    unmatched = [i for i, r in enumerate(match) if r is None]
+    reached = _search(masks, list(match), owner, unmatched[0]) if unmatched else None
+    if reached is None:
         raise FrepkitError("witness extraction from a non-deficient matching")
-    return witness, neighborhood
+    neighborhood = [r for r in range(reached.bit_length()) if reached >> r & 1]
+    return sorted([unmatched[0], *(owner[r] for r in neighborhood)]), neighborhood

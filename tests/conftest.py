@@ -266,6 +266,79 @@ def reference_hall_witness(neighbors: Sequence[Sequence[Hashable]],
     return witness, neighborhood
 
 
+def oracle_maximum_matching(masks: Sequence[int], match: Sequence | None = None) -> list:
+    """Exact-output oracle: the recursive bitmask matcher that
+    frepkit.matching ran before its search became iterative, kept verbatim.
+    It is not an independent check of correctness, which the Kuhn reference
+    and networkx give; it pins the very plans the iterative search must keep.
+    Its augment recurses once per path step, so a long path needs a raised
+    recursion limit."""
+    if match is None:
+        match, unmatched, taken = [], [], 0
+        for i, mask in enumerate(masks):
+            free = mask & ~taken
+            if free:
+                low = free & -free
+                taken |= low
+                match.append(low.bit_length() - 1)
+            else:
+                match.append(None)
+                unmatched.append(i)
+    else:
+        match = list(match)
+        unmatched = [i for i, r in enumerate(match) if r is None]
+    if not unmatched:
+        return match
+    owner = {r: i for i, r in enumerate(match) if r is not None}
+    seen = 0
+
+    def augment(left: int) -> bool:
+        nonlocal seen
+        fresh = masks[left] & ~seen
+        seen |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            right = low.bit_length() - 1
+            holder = owner.get(right)
+            if holder is None or augment(holder):
+                match[left] = right
+                owner[right] = left
+                return True
+        return False
+
+    for left in unmatched:
+        seen = 0
+        augment(left)
+    augment = None  # drop the closure's self-reference now, not at the next collection
+    return match
+
+
+def oracle_hall_witness(masks: Sequence[int], match: Sequence) -> tuple[list[int], list[int]]:
+    """Exact-output oracle: the bitmask Hall witness kept verbatim from the
+    same matcher, for deficient maximum matchings."""
+    owner = {r: i for i, r in enumerate(match) if r is not None}
+    start = next(i for i, r in enumerate(match) if r is None)
+    zone = [start]
+    frontier = [start]
+    reached = 0
+    while frontier:
+        fresh = masks[frontier.pop()] & ~reached
+        reached |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            holder = owner.get(low.bit_length() - 1)
+            if holder is not None:  # each right vertex is reached once
+                zone.append(holder)
+                frontier.append(holder)
+    witness = sorted(zone)
+    neighborhood = [r for r in range(reached.bit_length()) if reached >> r & 1]
+    if len(neighborhood) >= len(witness):
+        raise FrepkitError("witness extraction from a non-deficient matching")
+    return witness, neighborhood
+
+
 def reference_repair_transfers(code: FrCode, failed: int, dead=()) -> tuple | None:
     """Reference repair plan: the reference Kuhn matching over each lost
     symbol's surviving holders, an unmatched symbol falling back to its

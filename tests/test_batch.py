@@ -1,9 +1,17 @@
 import random
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import networkx as nx
 import pytest
-from conftest import brute_batch_t_detail, brute_hall_ok, rho2_batch_t, smallest_admitted_budget
+from conftest import (
+    brute_batch_t_detail,
+    brute_hall_ok,
+    oracle_maximum_matching,
+    rho2_batch_t,
+    smallest_admitted_budget,
+)
 
 from frepkit import (
     BatchPlan,
@@ -54,10 +62,59 @@ class TestMatching:
     def test_witness_from_non_deficient_matching_raises(self):
         with pytest.raises(FrepkitError, match="non-deficient"):
             hall_witness(_masks([[0]]), [None])
+        with pytest.raises(FrepkitError, match="non-deficient"):
+            hall_witness([1], [0])  # a full matching has no unmatched vertex to start from
 
     def test_deterministic(self):
         masks = _masks([[2, 1], [1, 3], [3, 2], [2]])
         assert maximum_matching(masks) == maximum_matching(masks)
+
+
+def path_code(n):
+    """Symbol j < n on nodes j and j + 1, symbol n on node 1 only.  The
+    greedy pass gives symbol j node j and leaves symbol n unmatched, so a
+    plan for all n symbols takes an augmenting path through every node."""
+    return FrCode(n, n, 2, 2, [[1, n], *([i - 1, i] for i in range(2, n)), [n - 1]])
+
+
+@contextmanager
+def recursion_limit_raised_by(frames):
+    """The recursive references take a frame per step of an augmenting path."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestLongAugmentingPaths:
+    def test_path_code_plan_equals_the_recursive_matcher(self):
+        n = 1201
+        code = path_code(n)
+        masks = list(code.holder_masks)
+        with pytest.raises(RecursionError):
+            oracle_maximum_matching(masks)  # past the default limit of 1000 frames
+        with recursion_limit_raised_by(2 * n):
+            match = oracle_maximum_matching(masks)
+        request = tuple(range(1, n + 1))
+        assert retrieval_plan(code, request) == BatchPlan(
+            symbols=request, assignment=tuple(zip(request, [r + 1 for r in match])))
+        assert match == [*range(1, n), 0]
+
+    def test_path_code_plan_size_equals_hopcroft_karp(self):
+        n = 5000
+        code = path_code(n)
+        plan = retrieval_plan(code, range(1, n + 1))
+        B = nx.Graph()
+        B.add_edges_from((("s", j), i) for i, s in enumerate(code.node_sets, 1) for j in s)
+        top = [("s", j) for j in range(1, n + 1)]
+        with recursion_limit_raised_by(4 * n):
+            theirs = len(nx.bipartite.hopcroft_karp_matching(B, top)) // 2
+        assert isinstance(plan, BatchPlan)
+        assert len(plan.assignment) == theirs == n
+        assert sorted(i for _, i in plan.assignment) == list(range(1, n + 1))
+        assert all(j in code.node_sets[i - 1] for j, i in plan.assignment)
 
 
 class TestRetrievalPlan:

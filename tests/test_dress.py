@@ -18,6 +18,7 @@ from frepkit import (
     FrepkitError,
     IrreparableError,
     ParameterError,
+    StoredSystem,
     dress,
     execute_repair,
     file_size,
@@ -395,6 +396,20 @@ class TestPlanRepair:
         with pytest.raises(ParameterError, match="policy"):
             plan_repair(system, 1, policy="random")
 
+    def test_chain_code_with_an_augmenting_path_through_every_donor(self, tmp_path):
+        # node 1 stores symbols 1..m; symbol j < m also sits on nodes j + 1 and
+        # j + 2, symbol m on node 2: the greedy pass gives symbol j node j + 1
+        # and leaves m, whose augmenting path runs through all m + 1 donors
+        m = 1201
+        holders = [(1, j + 1, j + 2) for j in range(1, m)] + [(1, 2)]
+        node_sets = [[j for j, h in enumerate(holders, 1) if i in h] for i in range(1, m + 2)]
+        code = FrCode(m + 1, m, m, 3, node_sets)
+        system = StoredSystem(code=code, mds=None, k=1, root=tmp_path, file_sha256="",
+                              checksums={})  # plan_repair reads only the code
+        plan = plan_repair(system, 1)
+        assert (plan.d, plan.beta) == (m, 1)
+        assert plan.transfers == (*((j, j + 2) for j in range(1, m)), (m, 2))
+
 
 class TestExecuteRepair:
     def test_every_node_restores_byte_identical(self, td34_system):
@@ -661,6 +676,13 @@ class TestIntegrity:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptionError, match="checksum"):
             verify_integrity(system.root)
+
+    def test_leftover_temporary_file_is_named(self, tmp_path):
+        root = tmp_path / "sys"
+        shutil.copytree(SYSTEM_V1, root)
+        (root / "node_3.dat.tmp").write_bytes((root / "node_3.dat").read_bytes()[:7])
+        with pytest.raises(CorruptionError, match=r"node_3\.dat\.tmp .*interrupted write"):
+            verify_integrity(root)
 
     def test_manifest_contents(self, td34_system):
         system, file_symbols = td34_system

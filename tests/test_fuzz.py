@@ -16,6 +16,8 @@ from conftest import (
     brute_max_edges,
     brute_min_union,
     discovered,
+    oracle_hall_witness,
+    oracle_maximum_matching,
     profile_sizes,
     reference_hall_witness,
     reference_maximum_matching,
@@ -390,7 +392,9 @@ def _positions(mask):
 def test_matching_agrees_with_reference_kuhn_and_hopcroft_karp():
     """The bitmask matcher against the adjacency-list Kuhn matcher it
     replaced and networkx, on graphs with no left vertices, left vertices
-    without edges, and right positions past 64 (big-int masks)."""
+    without edges, and right positions past 64 (big-int masks); its greedy
+    result, its extension of a given match and its witness equal the
+    recursive bitmask matcher's exactly."""
     rng = random.Random(4242)
     deficient = wide = 0
     for trial in range(1200):
@@ -403,6 +407,7 @@ def test_matching_agrees_with_reference_kuhn_and_hopcroft_karp():
         neighbors = [_positions(m) for m in masks]
         wide += any(m >> 64 for m in masks)
         match = maximum_matching(masks)
+        assert match == oracle_maximum_matching(masks), masks
         assert len(match) == nl
         matched = [r for r in match if r is not None]
         assert len(set(matched)) == len(matched), masks
@@ -418,6 +423,7 @@ def test_matching_agrees_with_reference_kuhn_and_hopcroft_karp():
         # keeps every right vertex that part matched
         part = [r if rng.random() < 0.5 else None for r in reference]
         extended = maximum_matching(masks, part)
+        assert extended == oracle_maximum_matching(masks, part), (masks, part)
         assert sum(r is not None for r in extended) == theirs, (masks, part)
         assert {r for r in part if r is not None} <= set(extended), (masks, part)
         if len(matched) == nl:
@@ -431,6 +437,7 @@ def test_matching_agrees_with_reference_kuhn_and_hopcroft_karp():
         assert len(neighborhood) == len(witness) - 1, masks
         # the alternating tree's reach does not depend on the search order
         assert (witness, neighborhood) == reference_hall_witness(neighbors, match), masks
+        assert (witness, neighborhood) == oracle_hall_witness(masks, match), masks
     assert deficient >= 300 and wide >= 300
 
 
