@@ -12,8 +12,8 @@ BudgetExceededError as soon as they have together opened more search nodes
 than it, counted in their fixed order.  A node is one call of the min-union
 recursion, the one search kernel, which answers file_size (and through it
 max_induced_edges and has_k_clique), capacity_profile and, on the dual
-code, the batch parameter.  The polynomial set-up (greedy incumbent,
-floors) is not charged, so a code that set-up settles runs at any budget.
+code, the batch parameter.  Set-up (the greedy incumbent and the counting,
+tail and colouring floors) is not charged: what it settles runs at any budget.
 
 Symmetry rule for M(k): at depth d, once it has picked the first d nodes
 of discovery's first path, the search skips a child i when automorphisms,
@@ -279,22 +279,25 @@ def _file_size_what(code: FrCode, k: int) -> str:
     return f"file-size search over {k}-subsets of {code.n} nodes"
 
 
-def _greedy_unions(masks: tuple[int, ...], k_max: int) -> list[int]:
+def _greedy_unions(masks: tuple[int, ...], floors: list[int]) -> list[int]:
     """Entry k - 1: the smallest union size, over all start nodes, of k nodes
     picked greedily from the start, each the first of the remaining nodes
     that adds the fewest symbols.  The picks for k are a prefix of those for
-    k + 1, so one run per start serves every k up to k_max."""
-    best = [math.inf] * k_max
+    k + 1, so one run per start serves every k up to len(floors).  No start
+    goes below floors, lower bounds on M(1), M(2), ...: it stops after one meets all."""
+    best = [math.inf] * len(floors)
     for start in range(len(masks)):
         rest = list(masks)
         union = rest.pop(start)
         sizes = [union.bit_count()]
-        for _ in range(k_max - 1):
+        for _ in range(len(floors) - 1):
             grown = [(union | m).bit_count() for m in rest]
             least = min(grown)
             union |= rest.pop(grown.index(least))
             sizes.append(least)
         best = list(map(min, best, sizes))
+        if best == floors:
+            break
     return best
 
 
@@ -308,7 +311,19 @@ class _Profile:
     def __init__(self, code: FrCode, k_max: int, budget: int, what: str):
         masks = code.symbol_masks
         self.code, self.budget, self.what = code, budget, what  # what names the request
-        self.greedy = _greedy_unions(masks, k_max)
+        self.a_min = min(map(int.bit_count, masks))
+        self.s_max = code.max_pairwise_intersection
+        self.r_max = max(1, *map(int.bit_count, code.holder_masks))
+        classes: list[int] = []  # first-fit colouring in node order: each class's union
+        for m in masks:  # a node joins the first class it shares no symbol with
+            for i, c in enumerate(classes):
+                if not c & m:
+                    classes[i] = c | m
+                    break
+            else:
+                classes.append(m)
+        self.colours = len(classes)
+        self.greedy = _greedy_unions(masks, [self.floor(k) for k in range(1, k_max + 1)])
         self.rows: list[int] = []  # M(1), M(2), ... so far, or lower bounds on them
         # suffix[s]: the union of masks[s:]
         self.suffix = list(accumulate(reversed(masks), or_, initial=0))[::-1]
@@ -320,6 +335,14 @@ class _Profile:
         # discovery first pays for its incidence graph (vertices and edges)
         self._spent = code.n + code.theta + sum(map(int.bit_count, masks))
         self.opened = 0  # search nodes of the finished searches
+
+    def floor(self, k: int) -> int:
+        """The set-up floors on M(k): counting, tail and colouring (see search)."""
+        a_min, s_max, c = self.a_min, self.s_max, self.colours
+        q, r = divmod(k, c)
+        turan = (k * k - (c - r) * q * q - r * (q + 1) ** 2) // 2  # T(k, c)
+        return max(_ceil_div(k * a_min, min(self.r_max, k)),
+                   sum(max(0, a_min - s_max * j) for j in range(k)), k * a_min - s_max * turan)
 
     def search(self, k: int, cap: int | None = None) -> int | None:
         """Appends M(k) to rows, adds the nodes opened to opened, and returns
@@ -344,6 +367,16 @@ class _Profile:
         lexicographically smaller set.  So the lex-least set of least union
         is never skipped, under any subgroup, the trivial one included.
 
+        The floor is the largest of M(k - 1), cap - 1 under a cap, and three
+        set-up floors.  Counting: a symbol lies in at most min(r_max, k) of
+        the k sets.  Tail: the j-th set added, j from 0, overlaps the union
+        so far in at most j * s_max symbols.  Colouring: |A_1 | ... | A_k| >=
+        sum |A_i| - sum_{i<j} |A_i & A_j| (Bonferroni); nodes of one first-fit
+        colour class share no symbol, nodes of two share at most s_max, and
+        by Turan's theorem at most T(k, c) of the pairs have two colours, so
+        M(k) >= k * a_min - s_max * T(k, c).  On TD(rho, alpha) the classes
+        are the rho groups, and this is td_file_size_lower_bound.
+
         A node with union U of u symbols, first free node s and r >= 2 nodes
         still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:
         each completion adds the union N of r nodes from s on, with N inside
@@ -352,20 +385,11 @@ class _Profile:
         below = self.rows
         if below and len(below) != k - 1:
             raise ParameterError(f"search({k}) needs rows M(1..{k - 1}), not {len(below)} rows")
-        code = self.code
-        masks = code.symbol_masks
-        n = code.n
-        a_min = min(map(int.bit_count, masks))
-        # every symbol appears in at most r_max of the chosen sets
-        r_max = max(map(int.bit_count, code.holder_masks))
-        s_max = code.max_pairwise_intersection
-        # admissible bounds: the j-th set added overlaps the running union in at
-        # most j*s_max symbols, and counting multiplicity caps the union from below
-        floor = _ceil_div(k * a_min, min(max(r_max, 1), k))
-        tail = [0] * (k + 1)
+        masks, n = self.code.symbol_masks, self.code.n
+        tail = [0] * (k + 1)  # tail[c]: the least that sets c..k - 1 add to the first c
         for c in range(k - 1, -1, -1):
-            tail[c] = tail[c + 1] + max(0, a_min - s_max * c)
-        floor = max(floor, tail[0], *below[-1:])  # M is monotone in k
+            tail[c] = tail[c + 1] + max(0, self.a_min - self.s_max * c)
+        floor = max([self.floor(k), *below[-1:]])  # M is monotone in k
         if cap is None:
             best = self.greedy[k - 1]
         else:

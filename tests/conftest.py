@@ -8,6 +8,7 @@ tests were computed with these.
 """
 
 import hashlib
+import math
 from collections import Counter
 from itertools import combinations, product
 from typing import Hashable, Sequence
@@ -66,6 +67,24 @@ def search_cost(code: FrCode, k: int) -> tuple[int, int, int]:
     profile._units = counted()
     profile.search(k)
     return profile.rows[0], profile.opened, units
+
+
+def oracle_greedy_unions(masks: tuple[int, ...], k_max: int) -> list[int]:
+    """Exact-output oracle: the greedy pass of analyze over every start, as
+    it ran before it learned to stop once it meets the set-up floors, kept
+    verbatim.  It pins the very incumbents that the early stop must keep."""
+    best = [math.inf] * k_max
+    for start in range(len(masks)):
+        rest = list(masks)
+        union = rest.pop(start)
+        sizes = [union.bit_count()]
+        for _ in range(k_max - 1):
+            grown = [(union | m).bit_count() for m in rest]
+            least = min(grown)
+            union |= rest.pop(grown.index(least))
+            sizes.append(least)
+        best = list(map(min, best, sizes))
+    return best
 
 
 def brute_max_edges(g: Graph, k: int) -> int:

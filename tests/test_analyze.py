@@ -461,17 +461,21 @@ class TestSymmetryPruning:
 
     @pytest.mark.parametrize("code,k,expected", [
         (from_graph(cage("tuttecoxeter")), 6, (13, 1542, 1305)),
-        (from_design(transversal_design(5, 7)), 6, (28, 2542, 1025)),
-        (from_design(transversal_design(5, 7)), 7, (30, 5346, 2907)),
+        (from_design(transversal_design(5, 7)), 6, (28, 0, 329)),
+        (from_design(transversal_design(5, 7)), 7, (30, 0, 329)),
+        (from_design(transversal_design(5, 7)), 9, (34, 146779, 24569)),
         (from_graph(cage("mcgee")), 9, (18, 53932, 908)),
         (from_design(transversal_design(7, 7)), 9, (33, 291853, 7413)),
-    ], ids=["tuttecoxeter-k6", "td57-k6", "td57-k7", "mcgee-k9", "td77-k9"])
+    ], ids=["tuttecoxeter-k6", "td57-k6", "td57-k7", "td57-k9", "mcgee-k9", "td77-k9"])
     def test_the_discovery_schedule_is_pinned(self, code, k, expected):
         # (M(k), search nodes opened, discovery units spent): both sides of
         # the trade move with any change to when discovery runs, what it
         # charges, or which orbits it proves.  Tutte-Coxeter, McGee and
-        # TD(7,7) run discovery to its end (1,305, 908 and 7,413 units);
-        # without the eager first path TD(7,7) k = 9 opens 2,797,171 nodes
+        # TD(7,7) run discovery to its end (1,305, 908 and 7,413 units), and
+        # TD(5,7) at k = 9 too (24,569); without the eager first path TD(7,7)
+        # k = 9 opens 2,797,171 nodes.  The colouring floor settles TD(5,7)
+        # at k = 6 and 7 in set-up (they opened 2,542 and 5,346 nodes without
+        # it), so discovery spends only its first payment, the incidence graph
         assert search_cost(code, k) == expected
 
     def test_the_first_branch_prunes_as_if_discovery_had_finished(self):
@@ -536,6 +540,53 @@ class TestSymmetryPruning:
     def test_td77_k8_runs_at_a_million_nodes(self):
         # the unpruned search opens 2,786,148 nodes; symmetry leaves 329,859
         assert file_size(from_design(transversal_design(7, 7)), 8, budget=10**6) == 31
+
+
+class TestSetUpFloor:
+    """The set-up floors of analyze._Profile: counting, tail and first-fit
+    colouring, the last by Bonferroni and Turan's theorem."""
+
+    @pytest.mark.parametrize("code", SMALL_CODES + [
+        from_graph(cage("heawood")), from_design(transversal_design(3, 5)),
+        from_design(projective_plane(3))], ids=lambda c: f"n{c.n}t{c.theta}a{c.alpha}r{c.rho}")
+    def test_the_floor_never_exceeds_brute_force(self, code):
+        profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "floor")
+        for k in range(1, code.n + 1):
+            assert profile.floor(k) <= brute_min_union(code, k), k
+
+    @pytest.mark.parametrize("code,rows", [
+        (from_graph(cage("tuttecoxeter")), [3, 5, 7, 9, 11, 13, 15, 16, 18, 20]),
+        (from_graph(cage("mcgee")), [3, 5, 7, 9, 11, 13, 14, 16, 18, 19, 21, 22]),
+        (from_design(projective_plane(5)), [6, 11, 15, 18, 20, 21, 23, 24, 25]),
+        (from_design(transversal_design(5, 7)), [7, 13, 18, 22, 25, 28, 30, 31, 34]),
+    ], ids=["tuttecoxeter", "mcgee", "pg5", "td57"])
+    def test_the_floor_stays_below_the_benchmark_rows(self, code, rows):
+        # rows that exhaustive search found without the colouring floor
+        profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "floor")
+        floors = [profile.floor(k) for k in range(1, len(rows) + 1)]
+        assert all(map(int.__le__, floors, rows)), floors
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 5, 7, 8, 9])
+    def test_on_a_transversal_design_the_floor_is_the_td_bound(self, h):
+        # first fit in node order finds the ell groups, and k * alpha -
+        # T(k, ell) is the TD bound; counting and tail never exceed it for
+        # k <= alpha, and above alpha the floor can only rise past it
+        for ell in range(2, h + 2):
+            code = from_design(transversal_design(ell, h))
+            profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "floor")
+            assert profile.colours == ell
+            for k in range(1, code.n + 1):
+                bound = td_file_size_lower_bound(code.alpha, ell, k)
+                if k <= code.alpha:
+                    assert profile.floor(k) == bound, (ell, k)
+                else:
+                    assert profile.floor(k) >= bound, (ell, k)
+
+    def test_the_floor_settles_td57_up_to_k8(self):
+        code = from_design(transversal_design(5, 7))
+        profile = analyze._Profile(code, 9, analyze.DEFAULT_BUDGET, "floor")
+        assert profile.greedy[:8] == [profile.floor(k) for k in range(1, 9)]
+        assert profile.greedy[8] > profile.floor(9) == 31
 
 
 class TestPaperRelations:
@@ -678,7 +729,7 @@ class TestCapacityProfile:
 
     @pytest.mark.parametrize("make,expected", [
         (lambda: from_graph(cage("tuttecoxeter")),
-         [(3, 0), (5, 0), (7, 44), (9, 647), (11, 1010), (13, 791), (15, 3039),
+         [(3, 0), (5, 0), (7, 0), (9, 647), (11, 1523), (13, 791), (15, 3039),
           (16, 2764), (18, 8625), (20, 24782)]),
         (lambda: from_graph(cage("mcgee")),
          [(3, 0), (5, 0), (7, 35), (9, 403), (11, 865), (13, 1017), (14, 492),
@@ -692,8 +743,9 @@ class TestCapacityProfile:
         That no k-search of the profile opens more nodes than the standalone
         file_size search is an observed regression check, not a theorem:
         discovery is paid per node opened, so a search that opens fewer nodes
-        early may prove its orbits later (TD(5,7) at k = 6 opens 2,940 nodes
-        in the profile and 2,542 alone)."""
+        early may prove its orbits later.  Tutte-Coxeter's k = 5 opens 1,523
+        nodes; it would open 1,010 if k = 3, which the colouring floor
+        settles, opened its 44 nodes and paid discovery with them."""
         sizes = profile_sizes(make(), len(expected))
         assert sizes == expected
         for k, (_, nodes) in enumerate(sizes, start=1):
@@ -703,17 +755,23 @@ class TestCapacityProfile:
 
     @pytest.mark.parametrize("make,expected", [
         (lambda: from_design(transversal_design(5, 7)),
-         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 2940), (30, 2328),
-          (31, 7136), (34, 101727)]),
+         [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 0), (30, 0), (31, 0),
+          (34, 101727)]),
         (lambda: from_design(projective_plane(5)),
          [(6, 0), (11, 0), (15, 0), (18, 0), (20, 0), (21, 0), (23, 4954),
           (24, 1569), (25, 4511)]),
     ], ids=["td57", "pg5"])
     def test_the_design_profile_schedule_is_pinned(self, make, expected):
-        # (M(k), search nodes opened) on the designs: discovery records the
-        # chain deepest first, so TD(5,7) prunes below path[:2] from k = 7 on
-        # and both codes below node 0 by its stabilizer's orbits from k = 8 on
-        assert profile_sizes(make(), len(expected)) == expected
+        # (M(k), search nodes opened) on the designs: the colouring floor
+        # settles TD(5,7) up to k = 8 in set-up (the profile opened 114,131
+        # nodes without it).  Discovery records the chain deepest first, so
+        # PG(2,5) prunes below node 0 by its stabilizer's orbits from k = 8 on
+        sizes = profile_sizes(make(), len(expected))
+        assert sizes == expected
+        for k, (_, nodes) in enumerate(sizes, start=1):
+            alone = make()
+            file_size(alone, k)
+            assert nodes <= alone._file_sizes[k][1], k
 
     def test_the_profile_neither_reads_nor_writes_the_memo(self):
         code = from_graph(cage("petersen"))
@@ -730,15 +788,15 @@ class TestCapacityProfile:
             return from_graph(cage("tuttecoxeter"))
 
         sizes = profile_sizes(make(), 8)
-        assert [nodes for _, nodes in sizes] == [0, 0, 44, 647, 1010, 791, 3039, 2764]
+        assert [nodes for _, nodes in sizes] == [0, 0, 0, 647, 1523, 791, 3039, 2764]
         total = sum(nodes for _, nodes in sizes)
-        assert total == 8295
+        assert total == 8764
         assert len(capacity_profile(make(), 8, budget=total).rows) == 8
         with pytest.raises(BudgetExceededError) as refused:
             capacity_profile(make(), 8, budget=total - 1)
         assert str(refused.value) == (
             "capacity-profile search over k-subsets of 30 nodes, k <= 8 needs more "
-            "than 8294 search nodes; raise the budget to run this exactly")
+            "than 8763 search nodes; raise the budget to run this exactly")
 
     def test_a_search_needs_exactly_the_rows_below_it(self):
         # the floor reads rows[-1] as M(k - 1) and the rows-below cut reads

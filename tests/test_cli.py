@@ -72,6 +72,13 @@ def td34_frc(capsys, tmp_path):
 
 
 @pytest.fixture
+def petersen_frc(capsys, tmp_path):
+    path = tmp_path / "petersen.frc"
+    run(capsys, "construct", "cage", "--name", "petersen", "--out", str(path))
+    return path
+
+
+@pytest.fixture
 def k33_frc(capsys, tmp_path):
     path = tmp_path / "k33.frc"
     run(capsys, "construct", "turan", "--n", "6", "--r", "2", "--out", str(path))
@@ -143,27 +150,28 @@ class TestAnalyze:
         assert status == 2 and out.startswith("FR code:")
         assert err == "cross-check failed: M(2) = 2 decreased below M(1) = 3\n"
 
-    def test_budget_flag_overrides(self, capsys, td34_frc):
-        status, _, err = run(capsys, "analyze", str(td34_frc), "--budget", "3")
+    def test_budget_flag_overrides(self, capsys, petersen_frc):
+        # Petersen's profile opens 18 search nodes, at k = 3; TD(3,4)'s opens none
+        status, _, err = run(capsys, "analyze", str(petersen_frc), "--budget", "3")
         assert status == 1
         assert "budget" in err
 
-    def test_the_environment_sets_no_budget(self, capsys, td34_frc, monkeypatch):
-        # --budget 3 refuses td34 (above); the variable its flag replaced is ignored
-        report = run(capsys, "analyze", str(td34_frc))
+    def test_the_environment_sets_no_budget(self, capsys, petersen_frc, monkeypatch):
+        # --budget 3 refuses petersen (above); the variable its flag replaced is ignored
+        report = run(capsys, "analyze", str(petersen_frc))
         assert report[0] == 0 and report[1].startswith("FR code:")
         monkeypatch.setenv("FREPKIT_BUDGET", "3")
-        assert run(capsys, "analyze", str(td34_frc)) == report
+        assert run(capsys, "analyze", str(petersen_frc)) == report
 
     def test_budget_is_shared_by_the_profile_rows(self, capsys, tmp_path):
-        # Tutte-Coxeter's k <= 8 searches open 8,295 nodes together
+        # Tutte-Coxeter's k <= 8 searches open 8,764 nodes together
         frc = tmp_path / "tc.frc"
         run(capsys, "construct", "cage", "--name", "tuttecoxeter", "--out", str(frc))
-        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "8295")
+        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "8764")
         assert status == 0 and len(out.splitlines()) == 11
-        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "8294")
+        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "8763")
         assert status == 1 and out == ""
-        assert "needs more than 8294 search nodes" in err
+        assert "needs more than 8763 search nodes" in err
 
     def test_repeated_symbol_on_a_node_line_exits_1(self, capsys, tmp_path):
         path = tmp_path / "repeat.frc"
@@ -627,12 +635,23 @@ class TestStoreBudget:
         assert "57 node files of 8 symbols" in out
         verify_integrity(tmp_path / "sys")
 
-    def test_budget_of_1_refuses_and_writes_nothing(self, capsys, tmp_path, td34_frc):
-        status, _, err = run(capsys, "store", "--code", str(td34_frc), "--k", "4",
+    def test_budget_of_1_refuses_and_writes_nothing(self, capsys, tmp_path, petersen_frc):
+        # Petersen's k = 3 search opens 20 nodes
+        status, _, err = run(capsys, "store", "--code", str(petersen_frc), "--k", "3",
                              "--root", str(tmp_path / "sys"), "--budget", "1")
         assert status == 1
         assert "budget" in err
         assert not (tmp_path / "sys").exists()
+
+    def test_a_code_that_set_up_settles_stores_at_budget_0(self, capsys, tmp_path):
+        # the colouring floor meets TD(5,7)'s greedy incumbent at k = 7: no search node
+        td57 = tmp_path / "td57.frc"
+        run(capsys, "construct", "td", "--rho", "5", "--alpha", "7", "--out", str(td57))
+        status, out, _ = run(capsys, "store", "--code", str(td57), "--k", "7",
+                             "--root", str(tmp_path / "sys"), "--budget", "0")
+        assert status == 0
+        assert "35 node files of 7 symbols" in out
+        verify_integrity(tmp_path / "sys")
 
 
 class TestRefusalsBeforeSearch:

@@ -112,12 +112,13 @@ class TestStore:
             store(bad, 1, [0, 0], tmp_path / "sys")
 
     def test_budget_refuses_before_anything_is_written(self, tmp_path):
-        code = from_design(transversal_design(3, 4))
+        # Petersen's k = 3 search opens 20 nodes; set-up settles TD(3,4) at any budget
+        code = from_graph(cage("petersen"))
         with pytest.raises(BudgetExceededError):
-            store(code, 4, random_file(11, 16, seed=42), tmp_path / "sys", budget=3)
+            store(code, 3, random_file(7, 16, seed=42), tmp_path / "sys", budget=3)
         assert not (tmp_path / "sys").exists()
-        system = store(code, 4, random_file(11, 16, seed=42), tmp_path / "sys", budget=10**6)
-        assert system.mds.dimension == 11
+        system = store(code, 3, random_file(7, 16, seed=42), tmp_path / "sys", budget=10**6)
+        assert system.mds.dimension == 7
 
     def test_store_is_byte_deterministic(self, tmp_path):
         code = from_design(transversal_design(3, 4))

@@ -16,6 +16,7 @@ from conftest import (
     brute_max_edges,
     brute_min_union,
     discovered,
+    oracle_greedy_unions,
     oracle_hall_witness,
     oracle_maximum_matching,
     profile_sizes,
@@ -165,6 +166,58 @@ def test_capacity_profile_equals_file_size_on_relabelled_catalog_codes():
             rows = [r.exact for r in capacity_profile(code, k_max).rows]
             fresh = FrCode(code.n, code.theta, code.alpha, code.rho, code.node_sets)
             assert rows == [file_size(fresh, k) for k in range(1, k_max + 1)]
+
+
+def _dual(code):
+    """The code with nodes and symbols swapped, as batch_t_detail builds it."""
+    return FrCode(code.theta, code.n, code.rho, code.alpha, code.nodes_of_symbol)
+
+
+def _random_partial_design(rng):
+    """2 to 10 nodes of a small transversal design, picked at random and in
+    random order: they share at most one symbol, the case the colouring
+    floor is made for."""
+    code = from_design(transversal_design(*rng.choice([(2, 3), (3, 3), (3, 4), (4, 4), (3, 5),
+                                                        (4, 5), (5, 5)])))
+    nodes = rng.sample(range(code.n), rng.randrange(2, min(code.n, 10) + 1))
+    return FrCode(len(nodes), code.theta, code.alpha, code.rho, [code.node_sets[i] for i in nodes])
+
+
+def test_set_up_floor_never_exceeds_brute_force_on_random_codes():
+    # 300 random codes and their duals, and 200 partial designs: the
+    # colouring floor rests on Bonferroni and Turan's theorem, and a floor
+    # above M(k) would end a search early with a wrong answer
+    rng = random.Random(1111)
+    codes = [_random_code_with_copies(rng) for _ in range(300)]
+    codes += [_dual(c) for c in codes] + [_random_partial_design(rng) for _ in range(200)]
+    met = 0
+    for code in codes:
+        profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "floor")
+        for k in range(1, code.n + 1):
+            exact = brute_min_union(code, k)
+            assert profile.floor(k) <= exact, (code.node_sets, k)
+            met += profile.floor(k) == exact
+    assert met >= 2500
+
+
+def test_greedy_pass_keeps_every_incumbent_when_it_stops_at_the_floors():
+    # the pass stops after the first start that meets every floor; no start
+    # could go below one, so the incumbents are those of all starts
+    rng = random.Random(1212)
+    codes = [_random_code_with_copies(rng) for _ in range(200)]
+    codes += [_dual(c) for c in codes[:100]]
+    codes += [from_graph(cage("petersen")), from_graph(cage("tuttecoxeter")),
+              from_design(transversal_design(3, 4)), from_design(transversal_design(5, 7)),
+              from_design(projective_plane(3)), from_design(projective_plane(5))]
+    stopped = 0
+    for code in codes:
+        profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "floor")
+        for k_max in range(1, min(code.n, 9) + 1):
+            floors = [profile.floor(k) for k in range(1, k_max + 1)]
+            greedy = analyze._greedy_unions(code.symbol_masks, floors)
+            assert greedy == oracle_greedy_unions(code.symbol_masks, k_max), code.node_sets
+            stopped += greedy == floors
+    assert stopped >= 500
 
 
 def _stabilizer_cases(seed):

@@ -37,14 +37,14 @@ REPORTS = {
 }
 
 
-def run_report(code: str, report: str, directory) -> tuple[int, str]:
+def run_report(code: str, report: str, directory, *options: str) -> tuple[int, str]:
     """(exit code, stdout) of one report on one code, written to directory."""
     make, k = CODES[code]
     path = Path(directory) / f"{code}.frc"
     save(make(), path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = main(REPORTS[report](str(path), k))
+        status = main([*REPORTS[report](str(path), k), *options])
     return status, out.getvalue()
 
 
@@ -55,6 +55,13 @@ def test_report_matches_golden(tmp_path, code, report):
     name = f"{code}.{report}"
     assert status == json.loads(EXIT_CODES.read_text(encoding="ascii"))[name]
     assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+
+
+def test_set_up_settles_the_td34_report_at_budget_0(tmp_path):
+    # the colouring floor meets every greedy incumbent of TD(3,4): no search node
+    status, stdout = run_report("td34", "analyze", tmp_path, "--budget", "0")
+    assert status == 0
+    assert stdout == (GOLDEN / "td34.analyze.out").read_text(encoding="ascii")
 
 
 def write_goldens() -> None:
