@@ -13,7 +13,8 @@ than it, counted in their fixed order.  A node is one call of the min-union
 recursion, the one search kernel, which answers file_size (and through it
 max_induced_edges and has_k_clique), capacity_profile and, on the dual
 code, the batch parameter.  Set-up (the greedy incumbent and the counting,
-tail and colouring floors) is not charged: what it settles runs at any budget.
+tail, colouring and girth floors) is not charged: what it settles runs at
+any budget.
 
 Symmetry rule for M(k): at depth d, once it has picked the first d nodes
 of discovery's first path, the search skips a child i when automorphisms,
@@ -98,6 +99,13 @@ def _ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
+def _turan(k: int, c: int) -> int:
+    """Turan's number T(k, c): the most edges of a c-partite graph on k
+    vertices, reached with the parts as equal as they can be."""
+    q, r = divmod(k, c)
+    return (k * k - (c - r) * q * q - r * (q + 1) ** 2) // 2
+
+
 def fr_capacity_bound(n: int, k: int, alpha: int, rho: int) -> int:
     """The recursive capacity bound phi(k).
 
@@ -115,7 +123,9 @@ def fr_capacity_bound(n: int, k: int, alpha: int, rho: int) -> int:
 
 
 def turan_file_size(n: int, r: int, k: int) -> int:
-    """Closed-form file size of the (n, r)-Turan code: k*alpha - floor((r-1)k^2 / 2r)."""
+    """Closed-form file size of the (n, r)-Turan code: k*alpha - T(k, r), T
+    Turan's number, since k vertices of the complete r-partite graph induce
+    at most T(k, r) edges and equal parts of n/r vertices reach it."""
     if not 2 <= _integer(r, "r") <= _integer(n, "n"):
         raise ParameterError(f"need 2 <= r <= n, got r={r}, n={n}")
     if n % r != 0:
@@ -123,7 +133,7 @@ def turan_file_size(n: int, r: int, k: int) -> int:
     if _integer(k, "k") < 1:
         raise ParameterError(f"k must be positive, got {k}")
     alpha = (r - 1) * n // r
-    return k * alpha - (r - 1) * k * k // (2 * r)
+    return k * alpha - _turan(k, r)
 
 
 def td_file_size_lower_bound(alpha: int, rho: int, k: int) -> int:
@@ -194,35 +204,46 @@ def lemma7_flag(n: int, alpha: int, k: int) -> bool:
 # Graph analyses
 
 def girth(g: Graph) -> int | float:
-    """Length of the shortest cycle, or math.inf for forests.
+    """Length of the shortest cycle, or math.inf for forests: the girth of
+    the node graph of g's edge code, which is g."""
+    return _girth(_edge_code(g))
 
-    Runs a breadth-first search from every vertex; the minimum over all
-    roots of the shortest cycle seen during a search is exact.
+
+def _girth(code: FrCode, cap: int | float = math.inf) -> int | float:
+    """The girth of the code's node graph, where two nodes are adjacent when
+    they share a symbol, or cap if that is smaller; math.inf for a forest.
+
+    A symbol on three nodes makes a triangle.  Otherwise a breadth-first
+    search from each root, one bitmask level at a time among the root and
+    the nodes after it, stops at the first level d holding two adjacent
+    nodes (a closed walk through the root, so a cycle, of length at most
+    2d + 1) or reaching a node twice (2d + 2).  From the least node of a
+    shortest cycle it finds that cycle's length, so the least over roots is
+    exact; a level with 2d + 1 >= the best so far is not searched.
     """
-    adj = [[] for _ in range(g.v + 1)]
-    for u, w in g.edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    best: int | float = math.inf
-    for root in range(1, g.v + 1):
-        dist = {root: 0}
-        parent = {root: 0}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if 2 * dist[u] >= best:
-                break
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cycle = dist[u] + dist[w] + 1
-                    if cycle < best:
-                        best = cycle
+    holders = code.holder_masks
+    if any(h.bit_count() > 2 for h in holders):
+        return min(3, cap)
+    adj = [0] * code.n
+    for h in holders:
+        for i in _bits(h):
+            adj[i] |= h ^ (1 << i)
+    best = cap
+    for root in range(code.n):
+        level, d = 1 << root, 0
+        unseen = -(level << 1)  # the nodes after the root
+        while level and 2 * d + 1 < best:
+            reached = twice = 0
+            for v in _bits(level):
+                if adj[v] & level:
+                    best = 2 * d + 1
+                    break
+                new = adj[v] & unseen
+                twice |= reached & new
+                reached |= new
+            if twice:
+                best = min(best, 2 * d + 2)
+            unseen, level, d = unseen ^ reached, reached, d + 1
     return best
 
 
@@ -323,6 +344,7 @@ class _Profile:
             else:
                 classes.append(m)
         self.colours = len(classes)
+        self.girth = _girth(code, k_max + 1)
         self.greedy = _greedy_unions(masks, [self.floor(k) for k in range(1, k_max + 1)])
         self.rows: list[int] = []  # M(1), M(2), ... so far, or lower bounds on them
         # suffix[s]: the union of masks[s:]
@@ -337,12 +359,12 @@ class _Profile:
         self.opened = 0  # search nodes of the finished searches
 
     def floor(self, k: int) -> int:
-        """The set-up floors on M(k): counting, tail and colouring (see search)."""
-        a_min, s_max, c = self.a_min, self.s_max, self.colours
-        q, r = divmod(k, c)
-        turan = (k * k - (c - r) * q * q - r * (q + 1) ** 2) // 2  # T(k, c)
+        """The set-up floors on M(k): counting, tail, colouring and girth (see search)."""
+        a_min, s_max, g = self.a_min, self.s_max, self.girth
+        induced = k - 1 if k < g else k if k <= g + _ceil_div(g, 2) - 2 else k * (k - 1) // 2
+        meet = min(_turan(k, self.colours), induced)  # pairs of the k nodes that share a symbol
         return max(_ceil_div(k * a_min, min(self.r_max, k)),
-                   sum(max(0, a_min - s_max * j) for j in range(k)), k * a_min - s_max * turan)
+                   sum(max(0, a_min - s_max * j) for j in range(k)), k * a_min - s_max * meet)
 
     def search(self, k: int, cap: int | None = None) -> int | None:
         """Appends M(k) to rows, adds the nodes opened to opened, and returns
@@ -375,7 +397,15 @@ class _Profile:
         colour class share no symbol, nodes of two share at most s_max, and
         by Turan's theorem at most T(k, c) of the pairs have two colours, so
         M(k) >= k * a_min - s_max * T(k, c).  On TD(rho, alpha) the classes
-        are the rho groups, and this is td_file_size_lower_bound.
+        are the rho groups, and this is td_file_size_lower_bound.  Girth: the
+        pairs that share a symbol are the edges the k nodes induce in the
+        node graph, whose girth is g or more (g is capped at k_max + 1).  For
+        k < g they induce a forest, at most k - 1 edges.  k + 1 edges on k
+        nodes make two cycles that share at most one node, 2g - 1 nodes or
+        more, or a theta: three paths joining two nodes, any two of which
+        form a cycle, so 3g/2 edges and ceil(3g/2) - 1 nodes or more.  So for
+        k <= g + ceil(g/2) - 2 at most k pairs meet, and M(k) >= k * a_min -
+        s_max * min(T(k, c), that count).
 
         A node with union U of u symbols, first free node s and r >= 2 nodes
         still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:

@@ -25,6 +25,7 @@ from frepkit import (
     Graph,
     TransversalDesign,
     analyze,
+    from_graph,
 )
 from frepkit.batch import BatchTResult
 
@@ -467,6 +468,12 @@ def to_networkx(g: Graph) -> nx.Graph:
     G.add_nodes_from(range(1, g.v + 1))
     G.add_edges_from(g.edges)
     return G
+
+
+def nx_code(graph: nx.Graph) -> FrCode:
+    """The rho = 2 code of a regular networkx graph on nodes 0..v-1."""
+    return from_graph(Graph(v=graph.number_of_nodes(),
+                            edges=sorted((u + 1, w + 1) for u, w in graph.edges)))
 
 
 class SearchReached(Exception):

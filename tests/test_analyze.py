@@ -11,6 +11,7 @@ from conftest import (
     brute_max_edges,
     brute_min_union,
     discovered,
+    nx_code,
     profile_sizes,
     proven_orbits,
     search_cost,
@@ -59,6 +60,10 @@ SMALL_GRAPHS = [turan(n, r) for n, r in turan_instances(8)] + [
     turan(3, 3), cage("petersen"),
 ]
 
+# the square of the 10-cycle: 4-regular with triangles, clique number 3, so
+# no girth floor helps its edge code and its searches from k = 4 on open nodes
+SQUARED_C10 = Graph(v=10, edges=[(i, (i + s - 1) % 10 + 1) for i in range(1, 11) for s in (1, 2)])
+
 
 class TestClosedForms:
     def test_mbr_examples(self):
@@ -84,15 +89,10 @@ class TestClosedForms:
             turan_file_size(7, 2, 2)
 
     def test_turan_formula_at_r_equals_n_is_mbr(self):
-        # direct evaluation: the identity holds on this grid except (8, 4),
-        # where the closed form dips one below MBR (the equality theorem
-        # only covers r < n, so nothing relies on that point)
+        # r = n is K_n: any k vertices induce T(k, n) = C(k, 2) edges
         for n in range(2, 9):
             for k in range(1, min(n, 6) + 1):
-                if (n, k) == (8, 4):
-                    assert turan_file_size(n, n, k) == mbr_capacity(k, n - 1) - 1
-                else:
-                    assert turan_file_size(n, n, k) == mbr_capacity(k, n - 1)
+                assert turan_file_size(n, n, k) == mbr_capacity(k, n - 1)
 
     def test_td_lower_bound_examples(self):
         assert td_file_size_lower_bound(4, 3, 4) == 11
@@ -168,14 +168,14 @@ class TestCliques:
         # no parameter: the search runs at DEFAULT_BUDGET, read per call
         def run(budget):
             monkeypatch.setattr(analyze, "DEFAULT_BUDGET", budget)
-            return has_k_clique(cage("petersen"), 3)
+            return has_k_clique(SQUARED_C10, 4)
 
         b = smallest_admitted_budget(run)
         assert b > 0 and run(b) is False
         with pytest.raises(BudgetExceededError) as refused:
             run(b - 1)
         assert str(refused.value) == (
-            f"file-size search over 3-subsets of 10 nodes needs more than {b - 1} "
+            f"file-size search over 4-subsets of 10 nodes needs more than {b - 1} "
             f"search nodes; raise the budget to run this exactly")
 
     @pytest.mark.parametrize("graph", SMALL_GRAPHS, ids=lambda g: f"n{g.v}e{g.e}")
@@ -198,8 +198,9 @@ class TestMaxInducedEdges:
             assert max_induced_edges(graph, k) == brute_max_edges(graph, k)
 
     def test_budget(self):
+        # the search opens 97 nodes; the girth floor settles Petersen at k = 5
         with pytest.raises(BudgetExceededError):
-            max_induced_edges(cage("petersen"), 5, budget=10)
+            max_induced_edges(SQUARED_C10, 5, budget=10)
 
     def test_refuses_exactly_below_the_nodes_it_opens(self):
         searched = 0
@@ -329,9 +330,11 @@ class TestFileSize:
             file_size(code, 7)
 
     def test_budget_refusal(self):
-        code = FrCode(30, 30, 2, 2, [(i, i % 30 + 1) for i in range(1, 31)])
+        # the search opens 74,692 nodes; the girth floor settles McGee up to
+        # k = 9, and a cycle's code at every k
+        code = from_graph(cage("mcgee"))
         with pytest.raises(BudgetExceededError):
-            file_size(code, 15, budget=1000)
+            file_size(code, 10, budget=1000)
 
     def test_equal_but_distinct_codes_agree(self):
         a = from_design(transversal_design(3, 4))
@@ -345,7 +348,8 @@ class TestFileSize:
         # exactly where a fresh code object's search does
         makers = [lambda: from_design(transversal_design(3, 4)),
                   lambda: from_graph(cage("petersen")),
-                  lambda: from_graph(turan(6, 2))]
+                  lambda: from_graph(turan(6, 2)),
+                  lambda: from_graph(SQUARED_C10)]
         searched = 0
         for make in makers:
             for k in range(1, make().n + 1):
@@ -460,33 +464,39 @@ class TestSymmetryPruning:
                                             [], {0: list(range(code.n))})) == units
 
     @pytest.mark.parametrize("code,k,expected", [
-        (from_graph(cage("tuttecoxeter")), 6, (13, 1542, 1305)),
+        (from_graph(cage("tuttecoxeter")), 6, (13, 0, 165)),
+        (from_graph(cage("heawood")), 8, (15, 1155, 478)),
         (from_design(transversal_design(5, 7)), 6, (28, 0, 329)),
         (from_design(transversal_design(5, 7)), 7, (30, 0, 329)),
         (from_design(transversal_design(5, 7)), 9, (34, 146779, 24569)),
-        (from_graph(cage("mcgee")), 9, (18, 53932, 908)),
+        (from_graph(cage("mcgee")), 9, (18, 0, 132)),
+        (from_graph(cage("mcgee")), 10, (19, 74692, 908)),
         (from_design(transversal_design(7, 7)), 9, (33, 291853, 7413)),
-    ], ids=["tuttecoxeter-k6", "td57-k6", "td57-k7", "td57-k9", "mcgee-k9", "td77-k9"])
+    ], ids=["tuttecoxeter-k6", "heawood-k8", "td57-k6", "td57-k7", "td57-k9", "mcgee-k9",
+            "mcgee-k10", "td77-k9"])
     def test_the_discovery_schedule_is_pinned(self, code, k, expected):
         # (M(k), search nodes opened, discovery units spent): both sides of
         # the trade move with any change to when discovery runs, what it
-        # charges, or which orbits it proves.  Tutte-Coxeter, McGee and
-        # TD(7,7) run discovery to its end (1,305, 908 and 7,413 units), and
-        # TD(5,7) at k = 9 too (24,569); without the eager first path TD(7,7)
-        # k = 9 opens 2,797,171 nodes.  The colouring floor settles TD(5,7)
-        # at k = 6 and 7 in set-up (they opened 2,542 and 5,346 nodes without
-        # it), so discovery spends only its first payment, the incidence graph
+        # charges, or which orbits it proves.  McGee and TD(7,7) run
+        # discovery to its end (908 and 7,413 units), and TD(5,7) at k = 9
+        # too (24,569); Heawood at k = 8 stops short of its 536.  Without the
+        # eager first path TD(7,7) k = 9 opens 2,797,171 nodes.  The
+        # colouring floor settles TD(5,7) at k = 6 and 7 in set-up (they
+        # opened 2,542 and 5,346 nodes without it), so discovery spends only
+        # its first payment, the incidence graph; the girth floor likewise
+        # settles Tutte-Coxeter at k = 6 and McGee at k = 9 (they opened
+        # 1,542 and 53,932 nodes without it)
         assert search_cost(code, k) == expected
 
     def test_the_first_branch_prunes_as_if_discovery_had_finished(self):
         # the eager first path and the per-node pace land every snapshot
-        # that Tutte-Coxeter's k = 6 search needs before it needs it
-        code = from_graph(cage("tuttecoxeter"))
-        profile = analyze._Profile(code, 6, analyze.DEFAULT_BUDGET, "file-size search")
+        # that Heawood's k = 9 search needs before it needs it
+        code = from_graph(cage("heawood"))
+        profile = analyze._Profile(code, 9, analyze.DEFAULT_BUDGET, "file-size search")
         for _ in profile._units:
             pass
-        profile.search(6)
-        assert (profile.rows[0], profile.opened) == search_cost(code, 6)[:2] == (13, 1542)
+        profile.search(9)
+        assert (profile.rows[0], profile.opened) == search_cost(code, 9)[:2] == (17, 742)
 
     def test_a_capped_k1_search_after_discovery_ran_to_its_end(self):
         # a child list filtered by the chain stops at node n - 1, also where a
@@ -505,7 +515,8 @@ class TestSymmetryPruning:
         assert (1, 2) in cage("petersen").edges
         assert not analyze._is_automorphism(code.holder_masks, [1, 0] + list(range(2, 10)))
         # discovery runs as soon as the search has opened a node; with every
-        # candidate rejected, the search opens what it opens without discovery
+        # candidate rejected, the search opens what it opens without
+        # discovery.  k = 7: the girth floor settles Petersen up to k = 6
         monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
         checked = []
 
@@ -515,26 +526,26 @@ class TestSymmetryPruning:
 
         monkeypatch.setattr(analyze, "_is_automorphism", reject)
         rejecting = from_graph(cage("petersen"))
-        assert file_size(rejecting, 5) == brute_min_union(rejecting, 5) == 10
+        assert file_size(rejecting, 7) == brute_min_union(rejecting, 7) == 13
         assert checked
         monkeypatch.setattr(analyze, "_discover_orbits", lambda *args: iter(()))
         silent = from_graph(cage("petersen"))
-        assert file_size(silent, 5) == 10
-        assert rejecting._file_sizes[5][1] == silent._file_sizes[5][1]
+        assert file_size(silent, 7) == 13
+        assert rejecting._file_sizes[7][1] == silent._file_sizes[7][1]
 
     def test_refusal_depends_only_on_code_k_and_budget(self):
-        # discovery pays off here: the search skips 24 of its 25 first nodes
+        # discovery pays off here: without it the search opens 399,724 nodes
         def make():
-            return from_graph(cage("tuttecoxeter"))
+            return from_design(projective_plane(5))
 
-        b = smallest_admitted_budget(lambda budget: file_size(make(), 6, budget))
+        b = smallest_admitted_budget(lambda budget: file_size(make(), 8, budget))
         warm = make()
-        assert file_size(warm, 6, budget=b) == 13
-        assert warm._file_sizes[6] == (13, b) and b < 5000
+        assert file_size(warm, 8, budget=b) == 24
+        assert warm._file_sizes[8] == (24, b) and b < 5000
         with pytest.raises(BudgetExceededError) as fresh:
-            file_size(make(), 6, budget=b - 1)
+            file_size(make(), 8, budget=b - 1)
         with pytest.raises(BudgetExceededError) as memo_hit:
-            file_size(warm, 6, budget=b - 1)
+            file_size(warm, 8, budget=b - 1)
         assert str(memo_hit.value) == str(fresh.value)
 
     def test_td77_k8_runs_at_a_million_nodes(self):
@@ -543,14 +554,15 @@ class TestSymmetryPruning:
 
 
 class TestSetUpFloor:
-    """The set-up floors of analyze._Profile: counting, tail and first-fit
-    colouring, the last by Bonferroni and Turan's theorem."""
+    """The set-up floors of analyze._Profile: counting, tail, first-fit
+    colouring and girth, the last two by Bonferroni with Turan's theorem and
+    with the edges k nodes of the node graph induce."""
 
     @pytest.mark.parametrize("code", SMALL_CODES + [
         from_graph(cage("heawood")), from_design(transversal_design(3, 5)),
         from_design(projective_plane(3))], ids=lambda c: f"n{c.n}t{c.theta}a{c.alpha}r{c.rho}")
     def test_the_floor_never_exceeds_brute_force(self, code):
-        profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "floor")
+        profile = analyze._Profile(code, code.n, analyze.DEFAULT_BUDGET, "floor")
         for k in range(1, code.n + 1):
             assert profile.floor(k) <= brute_min_union(code, k), k
 
@@ -561,8 +573,8 @@ class TestSetUpFloor:
         (from_design(transversal_design(5, 7)), [7, 13, 18, 22, 25, 28, 30, 31, 34]),
     ], ids=["tuttecoxeter", "mcgee", "pg5", "td57"])
     def test_the_floor_stays_below_the_benchmark_rows(self, code, rows):
-        # rows that exhaustive search found without the colouring floor
-        profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "floor")
+        # rows that exhaustive search found without the colouring and girth floors
+        profile = analyze._Profile(code, len(rows), analyze.DEFAULT_BUDGET, "floor")
         floors = [profile.floor(k) for k in range(1, len(rows) + 1)]
         assert all(map(int.__le__, floors, rows)), floors
 
@@ -587,6 +599,19 @@ class TestSetUpFloor:
         profile = analyze._Profile(code, 9, analyze.DEFAULT_BUDGET, "floor")
         assert profile.greedy[:8] == [profile.floor(k) for k in range(1, 9)]
         assert profile.greedy[8] > profile.floor(9) == 31
+
+    @pytest.mark.parametrize("make,g", [
+        *((lambda name=info.name: from_graph(cage(name)), info.girth) for info in cage_catalog()),
+        (lambda: nx_code(nx.pappus_graph()), 6), (lambda: nx_code(nx.desargues_graph()), 6),
+    ], ids=[*(info.name for info in cage_catalog()), "pappus", "desargues"])
+    def test_the_girth_floor_settles_the_girth_formula_range(self, make, g):
+        # the greedy pass finds a path, or a cycle and a path, and the girth
+        # floor meets it: every row up to g + ceil(g/2) - 2 opens no node
+        code = make()
+        assert analyze._girth(code) == g
+        k_max = g + (g + 1) // 2 - 2
+        assert profile_sizes(code, k_max) == [
+            (girth_file_size(code.alpha, g, k), 0) for k in range(1, k_max + 1)]
 
 
 class TestPaperRelations:
@@ -628,6 +653,20 @@ class TestPaperRelations:
                 expected = turan_file_size(n, r, k)
                 assert file_size(code, k) == expected
                 assert fr_capacity_bound(n, k, code.alpha, 2) == expected
+
+    def test_turan_formula_matches_enumeration_up_to_n24(self):
+        # k * alpha - T(k, r) on every (n, r)-Turan code, K_n (r = n)
+        # included; (16, 8, 4) is the first case where floor((r - 1) k^2 / 2r)
+        # exceeds T(k, r)
+        cases = 0
+        for n in range(2, 25):
+            for r in range(2, n + 1):
+                if n % r == 0:
+                    code = from_graph(turan(n, r))
+                    for k in range(1, min(n, 7) + 1):
+                        assert turan_file_size(n, r, k) == file_size(code, k), (n, r, k)
+                        cases += 1
+        assert turan_file_size(16, 8, 4) == 50 and cases > 300
 
     def test_theorem4_on_fano_plane(self):
         code = from_design(projective_plane(2))
@@ -728,24 +767,26 @@ class TestCapacityProfile:
         assert [r.exact for r in capacity_profile(code, len(expected)).rows] == expected
 
     @pytest.mark.parametrize("make,expected", [
-        (lambda: from_graph(cage("tuttecoxeter")),
-         [(3, 0), (5, 0), (7, 0), (9, 647), (11, 1523), (13, 791), (15, 3039),
-          (16, 2764), (18, 8625), (20, 24782)]),
+        (lambda: from_graph(cage("tuttecoxeter")), [
+            (3, 0), (5, 0), (7, 0), (9, 0), (11, 0), (13, 0), (15, 0), (16, 0), (18, 0), (20, 0)]),
+        (lambda: from_graph(cage("heawood")),
+         [(3, 0), (5, 0), (7, 0), (9, 0), (11, 0), (12, 0), (14, 0), (15, 86),
+          (17, 303), (18, 121), (19, 55), (20, 20), (21, 12), (21, 0)]),
         (lambda: from_graph(cage("mcgee")),
-         [(3, 0), (5, 0), (7, 35), (9, 403), (11, 865), (13, 1017), (14, 492),
-          (16, 1746), (18, 5156), (19, 2285), (21, 7220), (22, 3645)]),
-    ], ids=["tuttecoxeter", "mcgee"])
+         [(3, 0), (5, 0), (7, 0), (9, 0), (11, 0), (13, 0), (14, 0),
+          (16, 0), (18, 0), (19, 2285), (21, 7220), (22, 3645)]),
+    ], ids=["tuttecoxeter", "heawood", "mcgee"])
     def test_the_profile_schedule_is_pinned(self, make, expected):
         """(M(k), search nodes opened) for each k of one profile pass; the
         counts move with any change to the bounds from the rows below, the
-        shared greedy pass or the shared discovery.
+        shared greedy pass or the shared discovery.  The girth floor settles
+        each cage up to g + ceil(g/2) - 2: Tutte-Coxeter to k = 10 (42,171
+        nodes without it), Heawood to k = 7 and McGee to k = 9.
 
         That no k-search of the profile opens more nodes than the standalone
         file_size search is an observed regression check, not a theorem:
         discovery is paid per node opened, so a search that opens fewer nodes
-        early may prove its orbits later.  Tutte-Coxeter's k = 5 opens 1,523
-        nodes; it would open 1,010 if k = 3, which the colouring floor
-        settles, opened its 44 nodes and paid discovery with them."""
+        early may prove its orbits later."""
         sizes = profile_sizes(make(), len(expected))
         assert sizes == expected
         for k, (_, nodes) in enumerate(sizes, start=1):
@@ -785,18 +826,18 @@ class TestCapacityProfile:
         # the k-searches share the budget: the profile refuses below their
         # total count and runs from it on
         def make():
-            return from_graph(cage("tuttecoxeter"))
+            return from_graph(cage("mcgee"))
 
-        sizes = profile_sizes(make(), 8)
-        assert [nodes for _, nodes in sizes] == [0, 0, 0, 647, 1523, 791, 3039, 2764]
+        sizes = profile_sizes(make(), 12)
+        assert [nodes for _, nodes in sizes] == [0] * 9 + [2285, 7220, 3645]
         total = sum(nodes for _, nodes in sizes)
-        assert total == 8764
-        assert len(capacity_profile(make(), 8, budget=total).rows) == 8
+        assert total == 13150
+        assert len(capacity_profile(make(), 12, budget=total).rows) == 12
         with pytest.raises(BudgetExceededError) as refused:
-            capacity_profile(make(), 8, budget=total - 1)
+            capacity_profile(make(), 12, budget=total - 1)
         assert str(refused.value) == (
-            "capacity-profile search over k-subsets of 30 nodes, k <= 8 needs more "
-            "than 8763 search nodes; raise the budget to run this exactly")
+            "capacity-profile search over k-subsets of 24 nodes, k <= 12 needs more "
+            "than 13149 search nodes; raise the budget to run this exactly")
 
     def test_a_search_needs_exactly_the_rows_below_it(self):
         # the floor reads rows[-1] as M(k - 1) and the rows-below cut reads

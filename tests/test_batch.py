@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     brute_batch_t_detail,
     brute_hall_ok,
+    nx_code,
     oracle_maximum_matching,
     rho2_batch_t,
     smallest_admitted_budget,
@@ -405,18 +406,13 @@ class TestBatchTAgainstOracle:
             (1, 2, 3, 4, 6, 7, 8, 11), (1, 2, 3, 4, 5, 6, 8))
 
 
-def _nx_code(graph):
-    return from_graph(Graph(v=graph.number_of_nodes(),
-                            edges=sorted((u + 1, w + 1) for u, w in graph.edges)))
-
-
 # rho = 2 codes and their exact t
 GRAPH_CODES = {
     "k33": (lambda: from_graph(turan(6, 2)), 5),
-    "petersen": (lambda: _nx_code(nx.petersen_graph()), 7),
-    "heawood": (lambda: _nx_code(nx.heawood_graph()), 8),
-    "pappus": (lambda: _nx_code(nx.pappus_graph()), 9),
-    "desargues": (lambda: _nx_code(nx.desargues_graph()), 9),
+    "petersen": (lambda: nx_code(nx.petersen_graph()), 7),
+    "heawood": (lambda: nx_code(nx.heawood_graph()), 8),
+    "pappus": (lambda: nx_code(nx.pappus_graph()), 9),
+    "desargues": (lambda: nx_code(nx.desargues_graph()), 9),
 }
 
 
@@ -510,10 +506,10 @@ def _edge_endpoints(code):
 
 # the codes of the batch-sparse and batch-dense benchmark workloads, with t
 BENCH_CODES = {
-    "petersen": (lambda: _nx_code(nx.petersen_graph()), 7),
-    "heawood": (lambda: _nx_code(nx.heawood_graph()), 8),
-    "pappus": (lambda: _nx_code(nx.pappus_graph()), 9),
-    "desargues": (lambda: _nx_code(nx.desargues_graph()), 9),
+    "petersen": (lambda: nx_code(nx.petersen_graph()), 7),
+    "heawood": (lambda: nx_code(nx.heawood_graph()), 8),
+    "pappus": (lambda: nx_code(nx.pappus_graph()), 9),
+    "desargues": (lambda: nx_code(nx.desargues_graph()), 9),
     "td34": (lambda: from_design(transversal_design(3, 4)), 11),
     "td35": (lambda: from_design(transversal_design(3, 5)), 12),
     "pg3": (lambda: from_design(projective_plane(3)), 13),

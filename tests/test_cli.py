@@ -151,27 +151,29 @@ class TestAnalyze:
         assert err == "cross-check failed: M(2) = 2 decreased below M(1) = 3\n"
 
     def test_budget_flag_overrides(self, capsys, petersen_frc):
-        # Petersen's profile opens 18 search nodes, at k = 3; TD(3,4)'s opens none
-        status, _, err = run(capsys, "analyze", str(petersen_frc), "--budget", "3")
+        # Petersen's k <= 7 profile opens 36 search nodes, at k = 7; set-up
+        # settles its rows up to k = 6, and TD(3,4)'s whole profile
+        status, _, err = run(capsys, "analyze", str(petersen_frc), "--k-max", "7",
+                             "--budget", "3")
         assert status == 1
         assert "budget" in err
 
     def test_the_environment_sets_no_budget(self, capsys, petersen_frc, monkeypatch):
-        # --budget 3 refuses petersen (above); the variable its flag replaced is ignored
-        report = run(capsys, "analyze", str(petersen_frc))
+        # --budget 3 refuses this (above); the variable its flag replaced is ignored
+        report = run(capsys, "analyze", str(petersen_frc), "--k-max", "7")
         assert report[0] == 0 and report[1].startswith("FR code:")
         monkeypatch.setenv("FREPKIT_BUDGET", "3")
-        assert run(capsys, "analyze", str(petersen_frc)) == report
+        assert run(capsys, "analyze", str(petersen_frc), "--k-max", "7") == report
 
     def test_budget_is_shared_by_the_profile_rows(self, capsys, tmp_path):
-        # Tutte-Coxeter's k <= 8 searches open 8,764 nodes together
-        frc = tmp_path / "tc.frc"
-        run(capsys, "construct", "cage", "--name", "tuttecoxeter", "--out", str(frc))
-        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "8764")
-        assert status == 0 and len(out.splitlines()) == 11
-        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "8", "--budget", "8763")
+        # McGee's k <= 12 searches open 13,150 nodes together, at k = 10, 11, 12
+        frc = tmp_path / "mcgee.frc"
+        run(capsys, "construct", "cage", "--name", "mcgee", "--out", str(frc))
+        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "12", "--budget", "13150")
+        assert status == 0 and len(out.splitlines()) == 15
+        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "12", "--budget", "13149")
         assert status == 1 and out == ""
-        assert "needs more than 8763 search nodes" in err
+        assert "needs more than 13149 search nodes" in err
 
     def test_repeated_symbol_on_a_node_line_exits_1(self, capsys, tmp_path):
         path = tmp_path / "repeat.frc"
@@ -635,9 +637,12 @@ class TestStoreBudget:
         assert "57 node files of 8 symbols" in out
         verify_integrity(tmp_path / "sys")
 
-    def test_budget_of_1_refuses_and_writes_nothing(self, capsys, tmp_path, petersen_frc):
-        # Petersen's k = 3 search opens 20 nodes
-        status, _, err = run(capsys, "store", "--code", str(petersen_frc), "--k", "3",
+    def test_budget_of_1_refuses_and_writes_nothing(self, capsys, tmp_path):
+        # TD(6,7)'s k = 7 search opens 8,439 nodes; set-up settles Petersen's
+        # whole range k <= alpha = 3
+        td67 = tmp_path / "td67.frc"
+        run(capsys, "construct", "td", "--rho", "6", "--alpha", "7", "--out", str(td67))
+        status, _, err = run(capsys, "store", "--code", str(td67), "--k", "7",
                              "--root", str(tmp_path / "sys"), "--budget", "1")
         assert status == 1
         assert "budget" in err

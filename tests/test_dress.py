@@ -112,13 +112,14 @@ class TestStore:
             store(bad, 1, [0, 0], tmp_path / "sys")
 
     def test_budget_refuses_before_anything_is_written(self, tmp_path):
-        # Petersen's k = 3 search opens 20 nodes; set-up settles TD(3,4) at any budget
-        code = from_graph(cage("petersen"))
+        # TD(6,7)'s k = 7 search opens 8,439 nodes; set-up settles TD(3,4)
+        # and Petersen at any budget, for every k <= alpha
+        code = from_design(transversal_design(6, 7))
         with pytest.raises(BudgetExceededError):
-            store(code, 3, random_file(7, 16, seed=42), tmp_path / "sys", budget=3)
+            store(code, 7, random_file(30, 16, seed=42), tmp_path / "sys", budget=3)
         assert not (tmp_path / "sys").exists()
-        system = store(code, 3, random_file(7, 16, seed=42), tmp_path / "sys", budget=10**6)
-        assert system.mds.dimension == 7
+        system = store(code, 7, random_file(30, 16, seed=42), tmp_path / "sys", budget=10**6)
+        assert system.mds.dimension == 30
 
     def test_store_is_byte_deterministic(self, tmp_path):
         code = from_design(transversal_design(3, 4))

@@ -6,6 +6,7 @@ and the matcher are exercised away from the tidy families the rest of the
 suite uses.  Seeds are fixed; every run checks the same cases.
 """
 
+import math
 import random
 from itertools import combinations
 
@@ -43,6 +44,7 @@ from frepkit import (
     turan,
 )
 from frepkit.batch import BatchPlan, retrieval_plan
+from frepkit.incidence import _edge_code
 from frepkit.matching import hall_witness, maximum_matching
 
 
@@ -59,6 +61,41 @@ def test_girth_matches_networkx_on_random_graphs():
         if not g.edges:
             continue
         assert girth(g) == nx.girth(G)
+
+
+def _random_forest(rng, n):
+    """Each vertex after the first joins a random earlier one, or no one."""
+    G = nx.empty_graph(n)
+    G.add_edges_from((v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8)
+    return G, Graph(v=n, edges=[(u + 1, v + 1) for u, v in G.edges()])
+
+
+def _node_graph(code):
+    """The graph on the code's nodes joining two that share a symbol."""
+    G = nx.empty_graph(code.n)
+    G.add_edges_from((i, j) for i, j in combinations(range(code.n), 2)
+                     if set(code.node_sets[i]) & set(code.node_sets[j]))
+    return G
+
+
+def test_capped_girth_matches_networkx_on_random_graphs_and_codes():
+    # 150 random graphs and 150 random forests through the edge code, whose
+    # node graph is the graph, then 150 random codes, some with symbols on
+    # three or more nodes: the girth capped at each cap is networkx's
+    rng = random.Random(4040)
+    cases = []
+    for trial in range(300):
+        n = rng.randrange(1, 15)
+        G, g = _random_forest(rng, n) if trial % 2 else _random_graph(rng, n, rng.uniform(0.05, 0.5))
+        cases.append((G, _edge_code(g)))
+        assert girth(g) == nx.girth(G), g.edges
+    cases += [(_node_graph(c), c) for c in (_random_code_with_copies(rng) for _ in range(150))]
+    forests = 0
+    for G, code in cases:
+        forests += nx.is_forest(G)
+        for cap in (2, 3, 4, 5, 6, 8, math.inf):
+            assert analyze._girth(code, cap) == min(nx.girth(G), cap), (code.node_sets, cap)
+    assert forests >= 150
 
 
 def test_file_size_matches_brute_on_random_codes():
@@ -183,21 +220,59 @@ def _random_partial_design(rng):
     return FrCode(len(nodes), code.theta, code.alpha, code.rho, [code.node_sets[i] for i in nodes])
 
 
+def _triangle_free_graph(rng, kind):
+    """A random graph with no triangle and no isolated vertex, of at most 12
+    edges: bipartite (kind 0), a random graph with each edge subdivided
+    (kind 1), or a cycle with chords (kind 2)."""
+    while True:
+        if kind == 0:
+            a, b = rng.randrange(1, 6), rng.randrange(1, 6)
+            G = nx.Graph((u, a + w) for u in range(a) for w in range(b) if rng.random() < 0.45)
+        elif kind == 1:
+            H = nx.gnp_random_graph(rng.randrange(3, 7), rng.uniform(0.3, 0.8),
+                                    seed=rng.randrange(10**9))
+            G = nx.Graph(e for u, w in H.edges() for e in ((u, ("mid", u, w)), (("mid", u, w), w)))
+        else:
+            n = rng.randrange(4, 12)
+            G = nx.cycle_graph(n)
+            G.add_edges_from((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 4)))
+            G.remove_edges_from(nx.selfloop_edges(G))
+        if 0 < G.number_of_edges() <= 12 and not any(nx.triangles(G).values()):
+            return G
+
+
+def _graph_code(G):
+    """Vertex i stores its edges, no more: the code's node graph is G."""
+    index = {v: i for i, v in enumerate(G)}
+    sets = [[] for _ in G]
+    for j, (u, w) in enumerate(G.edges(), start=1):
+        sets[index[u]].append(j)
+        sets[index[w]].append(j)
+    return FrCode(len(sets), G.number_of_edges(), max(map(len, sets)), 2, sets)
+
+
 def test_set_up_floor_never_exceeds_brute_force_on_random_codes():
-    # 300 random codes and their duals, and 200 partial designs: the
-    # colouring floor rests on Bonferroni and Turan's theorem, and a floor
-    # above M(k) would end a search early with a wrong answer
+    # 300 random codes and their duals, 200 partial designs, and 300
+    # triangle-free graph codes and their duals: the colouring and girth
+    # floors rest on Bonferroni with Turan's theorem and with the edges k
+    # nodes of a girth-g node graph induce, and a floor above M(k) would end
+    # a search early with a wrong answer
     rng = random.Random(1111)
     codes = [_random_code_with_copies(rng) for _ in range(300)]
     codes += [_dual(c) for c in codes] + [_random_partial_design(rng) for _ in range(200)]
-    met = 0
+    graph_codes = [_graph_code(_triangle_free_graph(rng, trial % 3)) for trial in range(300)]
+    codes += graph_codes + [_dual(c) for c in graph_codes]
+    met = by_girth = 0
     for code in codes:
-        profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "floor")
-        for k in range(1, code.n + 1):
+        profile = analyze._Profile(code, code.n, analyze.DEFAULT_BUDGET, "floor")
+        floors = [profile.floor(k) for k in range(1, code.n + 1)]
+        profile.girth = 3  # then the girth floor is no higher than the colouring floor
+        for k, floor in enumerate(floors, start=1):
             exact = brute_min_union(code, k)
-            assert profile.floor(k) <= exact, (code.node_sets, k)
-            met += profile.floor(k) == exact
-    assert met >= 2500
+            assert floor <= exact, (code.node_sets, k)
+            met += floor == exact
+            by_girth += floor == exact > profile.floor(k)
+    assert met >= 2500 and by_girth >= 400
 
 
 def test_greedy_pass_keeps_every_incumbent_when_it_stops_at_the_floors():
