@@ -19,16 +19,21 @@ any budget.
 Symmetry rule for M(k): at depth d, once it has picked the first d nodes
 of discovery's first path, the search skips a child i when automorphisms,
 each checked against the incidence and each fixing those d nodes, map a
-smaller node to i; at d = 0 that is any automorphism.  Discovery verifies
-and records these orbits itself, deepest path level first, and skips a
-leaf search when a node of the same proven orbit has already failed one at
-that level.  It runs only when the greedy incumbent misses the floor: first
-unpaced until its first path is known, before the search opens a node, then
-paid by the search as it goes.  Before each child of a path node it may do
-one unit of work per _NODES_PER_DISCOVERY_UNIT nodes opened, before each
-depth-0 branch one per three times that, and the child is tested against
-the orbits recorded by then.  It is not charged to the budget and depends
-only on (code, k), so a refusal does too.
+smaller node to i; at d = 0 that is any automorphism.  Below each child i
+it opens there, it skips every node v > i that they map to a node below i.
+Either way the lex-least set of least union is kept, as its image would be
+a smaller set of the same union.  Discovery verifies and records these
+orbits itself, deepest path level first, and skips a leaf search when a
+node of the same proven orbit has already failed one at that level; inside
+a leaf search, it skips a child that automorphisms fixing the nodes
+individualized so far map onto a failed child, as that child's subtree is
+a copy of the failed one.  It runs only when the greedy incumbent misses
+the floor: first unpaced until its first path is known, before the search
+opens a node, then paid by the search as it goes.  Before each child of a
+path node it may do one unit of work per _NODES_PER_DISCOVERY_UNIT nodes
+opened, before each depth-0 branch one per three times that, and the child
+is tested against the orbits recorded by then.  It is not charged to the
+budget and depends only on (code, k), so a refusal does too.
 
 Profile rule: capacity_profile finds M(1..k_max) in one pass, k ascending,
 and bounds each row's search by the exact rows below it.  Its searches
@@ -380,14 +385,21 @@ class _Profile:
 
         The node at depth d below an empty root picks a set's d-th smallest
         node.  Once it has picked path[:d], it opens only the children that
-        chain[d] does not join to a smaller node; chain[d] may be recorded
-        while the children are tried, and then filters those after it.
-        Lemma: the automorphisms behind chain[d] fix path[:d] (see
-        _discover_orbits).  If a product g of them maps i' < i to the child
-        i, g^-1 maps each set that picks path[:d] and then i to a set of
-        equal union holding path[:d] and i', d + 1 nodes below i: a
-        lexicographically smaller set.  So the lex-least set of least union
-        is never skipped, under any subgroup, the trivial one included.
+        chain[d] does not join to a smaller node, and the whole subtree of
+        each child i it opens skips every node v > i that chain[d] joins to a
+        node below i (below_path gives v a mask of as many symbols as the
+        first incumbent, so no union holding it passes the limit; suffix
+        keeps the true masks, a looser bound).  chain[d] may be recorded
+        while the children are tried, and then acts on those after it; one
+        not yet recorded skips nothing.  Lemma: the automorphisms behind
+        chain[d] fix path[:d] (see _discover_orbits).  Let T* be the
+        lex-least set of least union, with prefix path[:d] and next pick i,
+        and say a product g of them maps a node u of T*, u = i or u > i, to
+        r < i.  g fixes path[:d], so r is not in it, nor in T*, whose nodes
+        below i are path[:d].  Then g(T*) has the same union, holds every
+        node of T* below i, and r: it is lexicographically smaller, which
+        contradicts the choice of T*.  So T* is never skipped, under any
+        subgroup, the trivial one included.
 
         The floor is the largest of M(k - 1), cap - 1 under a cap, and three
         set-up floors.  Counting: a symbol lies in at most min(r_max, k) of
@@ -432,11 +444,15 @@ class _Profile:
             # still to pick below a child at depth d + 1, when r >= 2 inside a
             # profile; 0 skips the test
             doll = [*below[:0:-1], 0, 0] if below else [0] * k
+            # a skipped node's mask: as many symbols as the first incumbent, so
+            # no union with it passes the limit, under a cap too
+            banned = (1 << best) - 1
 
             def descend(children: Iterable[int], depth: int, union: int, usize: int,
-                        on: int) -> bool:
+                        on: int, masks: list[int]) -> bool:
                 """Returns True once the floor is reached and search can stop.
-                on is path[depth] once the node has picked path[:depth], else -1."""
+                on is path[depth] once the node has picked path[:depth], else -1;
+                masks holds the banned mask at each node this subtree skips."""
                 nonlocal best, nodes, found
                 nodes += 1
                 if nodes > budget:
@@ -453,14 +469,28 @@ class _Profile:
                     ns = nu.bit_count()
                     if ns >= limit or rest and ns + rest - (nu & suffix[i + 1]).bit_count() >= best:
                         continue
-                    if i == on:  # i extends the path prefix: chain[depth + 1] filters its children
-                        kids = (c for c in range(i + 1, stop) if live(c, depth + 1))
-                        if descend(kids, depth + 1, nu, ns, path[depth + 1]):
+                    if on < 0:
+                        if descend(range(i + 1, stop), depth + 1, nu, ns, -1, masks):
                             return True
-                    elif descend(range(i + 1, stop), depth + 1, nu, ns, -1):
+                    elif below_path(i, depth, nu, ns, masks):
                         return True
                     limit = best - tail[depth + 1]
                 return False
+
+            def below_path(i: int, depth: int, union: int, usize: int, masks: list[int]) -> bool:
+                """Opens the child i of the node that has picked path[:depth]: its
+                subtree skips each node v > i that chain[depth] joins to a node
+                below i, and if i extends the path, chain[depth + 1] filters
+                its children."""
+                roots = chain.get(depth)
+                if roots is not None:
+                    masks = [banned if v > i and _root(roots, v) < i else m
+                             for v, m in enumerate(masks)]
+                stop = n - k + depth + 2
+                if i == path[depth]:
+                    kids = (c for c in range(i + 1, stop) if live(c, depth + 1))
+                    return descend(kids, depth + 1, union, usize, path[depth + 1], masks)
+                return descend(range(i + 1, stop), depth + 1, union, usize, -1, masks)
 
             def live(c: int, depth: int) -> bool:
                 """Paces discovery, 3x slower at depth 0, then tells whether the
@@ -475,7 +505,8 @@ class _Profile:
                 self._spent += next(self._units, math.inf)
             nodes = -1  # the root is not a search node
             try:
-                descend((j for j in range(n - k + 1) if live(j, 0)), 0, 0, 0, path[0])
+                descend((j for j in range(n - k + 1) if live(j, 0)), 0, 0, 0, path[0],
+                        list(masks))
             finally:
                 descend = None  # it refers to itself: free the code without the cyclic collector
         self.opened += nodes
@@ -513,6 +544,14 @@ def _root(orbit: list[int], v: int) -> int:
     return v
 
 
+def _join(orbit: list[int], perm: list[int]) -> None:
+    """Joins each node's class in the union-find orbit with its image's under
+    perm; the root of a class stays its smallest node."""
+    for v, w in enumerate(perm):
+        a, b = _root(orbit, v), _root(orbit, w)
+        orbit[max(a, b)] = min(a, b)
+
+
 def _is_automorphism(holders: Sequence[int], perm: list[int]) -> bool:
     """True when the node permutation perm maps the multiset of holder sets,
     one per symbol, onto itself: then some symbol permutation completes it
@@ -547,6 +586,20 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
     skipped search would have failed, so the same automorphisms are verified
     in the same order, and the orbits and chain do not change; only the work
     units shrink.  Roots move as classes merge, so they are compared afresh.
+
+    Inside a leaf search, once the search below a child y has failed, a
+    later child y' is skipped when the verified automorphisms that fix every
+    node individualized so far (x_0..x_{L-1}, z and the children above y')
+    join y' to a failed child in a union-find of their own.  Lemma: a
+    product g of them fixes those nodes and maps y' to a failed y, and
+    refinement commutes with automorphisms, so g maps the subtree under y'
+    onto the subtree under y, leaf for leaf and with the same traces.  If a
+    leaf under y' gave an automorphism p, its image under y would give g p,
+    an automorphism too, which the failed search would have verified.  So
+    the skipped search would fail as well: a success is never skipped, the
+    same automorphisms are verified in the same order, and the path, chain
+    and orbits do not change.  A leaf search verifies nothing until it
+    returns True, so the automorphisms stay the same through a node's loop.
     """
     n, orbit = len(masks), chain[0]
     neighbours = (masks, holders)  # of a node, of a symbol
@@ -605,9 +658,10 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
         sizes = [c.bit_count() for c in part[0]]
         return sizes.index(max(sizes)) if max(sizes) > 1 else None
 
-    def leaf_search(part, level, z):
+    def leaf_search(part, level, z, fixing):
         """Puts node z in place of the first path's node at level; returns
-        whether a leaf below gave a verified automorphism."""
+        whether a leaf below gave a verified automorphism.  fixing holds the
+        verified automorphisms that fix the nodes individualized before z."""
         part, work, trace = individualize(part, z, traces[level])
         yield work
         if trace != traces[level]:
@@ -617,13 +671,21 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
             perm = [part[0][p].bit_length() - 1 for p in first_leaf]
             if not _is_automorphism(holders, perm):
                 return False
-            for v, w in enumerate(perm):
-                a, b = _root(orbit, v), _root(orbit, w)
-                orbit[max(a, b)] = min(a, b)
+            verified.append(perm)
+            _join(orbit, perm)
             return True
+        fixing = [g for g in fixing if g[z] == z]
+        failed: list[int] = []  # the roots of the children whose search failed
         for y in _bits(part[0][c]):
-            if (yield from leaf_search(part, level + 1, y)):
+            if failed and _root(roots, y) in failed:
+                continue
+            if (yield from leaf_search(part, level + 1, y, fixing)):
                 return True
+            if not failed:  # their orbits, once: nothing is verified before a True
+                roots = list(range(n))
+                for g in fixing:
+                    _join(roots, g)
+            failed.append(_root(roots, y))
         return False
 
     part = [[(1 << n) - 1], [(1 << len(holders)) - 1]]
@@ -637,13 +699,15 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
             yield work
         path[:0] = [_bits(p[0][target(p)])[0] for p in parts]  # whole: the search reads ahead
         first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
+        verified: list[list[int]] = []  # the automorphisms, in the order verified
         for level in reversed(range(len(parts))):
             x, *others = _bits(parts[level][0][target(parts[level])])
             chain[level + 1] = [_root(orbit, v) for v in range(n)]  # all fixing path[:level + 1]
             settled = [x]  # x and the nodes whose leaf search failed
             for z in others:
                 if all(_root(orbit, z) != _root(orbit, s) for s in settled):
-                    if not (yield from leaf_search(parts[level], level, z)):
+                    # by the lemma, every automorphism verified so far fixes path[:level]
+                    if not (yield from leaf_search(parts[level], level, z, verified)):
                         settled.append(z)
     finally:
         leaf_search = None  # it refers to itself: break the cycle, also on close()

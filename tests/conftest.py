@@ -27,7 +27,8 @@ from frepkit import (
     analyze,
     from_graph,
 )
-from frepkit.batch import BatchTResult
+from frepkit.analyze import _bits, _is_automorphism, _root
+from frepkit.batch import BatchTResult, NoPlan, retrieval_plan
 
 
 def brute_min_union(code: FrCode, k: int) -> int:
@@ -120,6 +121,19 @@ def brute_batch_t_detail(code: FrCode) -> BatchTResult:
                 return BatchTResult(t=size, witness=witness,
                                     witness_nodes=tuple(i + 1 for i in nodes))
     return BatchTResult(t=code.theta, witness=None, witness_nodes=None)
+
+
+def assert_valid_batch_witness(code: FrCode, detail: BatchTResult) -> None:
+    """detail's witness proves its t: t + 1 symbols held by t nodes, which no
+    retrieval plan serves; with no witness, t is theta."""
+    if detail.witness is None:
+        assert detail.t == code.theta and detail.witness_nodes is None
+        return
+    assert len(detail.witness) == detail.t + 1
+    assert len(detail.witness_nodes) == detail.t
+    holders = {i for j in detail.witness for i in code.nodes_of_symbol[j - 1]}
+    assert holders <= set(detail.witness_nodes)
+    assert isinstance(retrieval_plan(code, detail.witness), NoPlan)
 
 
 def rho2_batch_t(code: FrCode) -> int:
@@ -219,6 +233,138 @@ def proven_orbits(code: FrCode) -> list[list[int]]:
     for v in range(code.n):
         orbits.setdefault(analyze._root(parent, v), []).append(v)
     return sorted(orbits.values())
+
+
+def oracle_discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[int],
+                           chain: dict[int, list[int]]):
+    """Exact-output oracle: analyze._discover_orbits as it was before its
+    leaf searches learned to skip children that a verified automorphism maps
+    onto a failed child, kept verbatim below.  It pins the path, the chain
+    snapshots and the orbits that the skips must keep, and the work units
+    they must not exceed.
+
+    Individualization and refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014) on the node/symbol incidence graph, yielding the
+    work units of each step.  It verifies and records its own orbits: a leaf
+    permutation that passes _is_automorphism joins its nodes' classes in the
+    union-find orbit, chain[0].  A partition is a pair of ordered lists of
+    node and symbol cell bitmasks.  At each level L, the first path
+    individualizes x_L = path[L], the first node of the largest node cell,
+    until every node is a singleton.  Deepest level first, each other node
+    of a level's cell outside x_L's orbit takes its place, and the tree below
+    is searched for a leaf with the first path's traces.  Such a leaf keeps
+    x_0..x_{L-1}, so every automorphism verified before level L begins fixes
+    x_0..x_L, and chain[L + 1] then gets each node's root in orbit.
+
+    At level L, z is skipped when its root is the root of x_L or of a z0
+    whose leaf search failed.  Lemma: every automorphism verified so far, at
+    L or deeper, fixes the path nodes x_0..x_{L-1}.  Say z = g(z0) for such
+    a g, and some h fixing x_0..x_{L-1} maps x_L to z; then g^-1 h maps x_L
+    to z0.  leaf_search is complete: it returns False only once it has
+    exhausted its subtree, so no such h exists for z0, nor for z.  Every
+    skipped search would have failed, so the same automorphisms are verified
+    in the same order, and the orbits and chain do not change; only the work
+    units shrink.  Roots move as classes merge, so they are compared afresh.
+    """
+    n, orbit = len(masks), chain[0]
+    neighbours = (masks, holders)  # of a node, of a symbol
+
+    def refine(part, stack, ref=None):
+        """Splits cells by neighbour counts in each splitter until the nodes are
+        discrete or the stack is empty, or early once the trace leaves ref."""
+        work, trace = 0, []
+        while stack and len(part[0]) < n:
+            side, splitter = stack.pop()
+            slices: list[int] = []  # slices[b]: the vertices whose count has bit b set
+            for v in _bits(splitter):
+                carry = neighbours[side][v]
+                for b, sl in enumerate(slices):
+                    slices[b], carry = sl ^ carry, sl & carry
+                    if not carry:
+                        break
+                if carry:
+                    slices.append(carry)
+            touched = 0
+            for sl in slices:
+                touched |= sl
+            work += 1 + len(slices)
+            cells = []
+            for c in part[1 - side]:
+                if not c & touched or not c & (c - 1):
+                    cells.append(c)
+                    continue
+                frags = [(c, 0)]  # (cell, count), in ascending count order
+                for sl in reversed(slices):
+                    frags = [q for f, v in frags
+                             for q in ((f & ~sl, 2 * v), (f & sl, 2 * v + 1)) if q[0]]
+                if len(frags) > 1:
+                    sizes = [f.bit_count() for f, _ in frags]
+                    trace.append((side, len(cells), sizes, [v for _, v in frags]))
+                    if ref is not None and (len(trace) > len(ref)
+                                            or trace[-1] != ref[len(trace) - 1]):
+                        return work, trace
+                    work += len(frags)
+                    big = sizes.index(max(sizes))  # Hopcroft: all fragments but the largest
+                    stack.extend((1 - side, f) for i, (f, _) in enumerate(frags) if i != big)
+                cells.extend(f for f, _ in frags)
+            part[1 - side] = cells
+        return work, trace
+
+    def individualize(part, v, ref=None):
+        """A copy of part with node v split off in front of its cell, refined."""
+        nodes, bit = part[0][:], 1 << v
+        i = next(i for i, c in enumerate(nodes) if c & bit)
+        nodes[i:i + 1] = [bit, nodes[i] ^ bit]
+        part = [nodes, part[1]]
+        return part, *refine(part, [(0, bit)], ref)
+
+    def target(part):
+        """The index of the largest node cell, the first of equal ones; None at a leaf."""
+        sizes = [c.bit_count() for c in part[0]]
+        return sizes.index(max(sizes)) if max(sizes) > 1 else None
+
+    def leaf_search(part, level, z):
+        """Puts node z in place of the first path's node at level; returns
+        whether a leaf below gave a verified automorphism."""
+        part, work, trace = individualize(part, z, traces[level])
+        yield work
+        if trace != traces[level]:
+            return False
+        c = target(part)
+        if c is None:
+            perm = [part[0][p].bit_length() - 1 for p in first_leaf]
+            if not _is_automorphism(holders, perm):
+                return False
+            for v, w in enumerate(perm):
+                a, b = _root(orbit, v), _root(orbit, w)
+                orbit[max(a, b)] = min(a, b)
+            return True
+        for y in _bits(part[0][c]):
+            if (yield from leaf_search(part, level + 1, y)):
+                return True
+        return False
+
+    part = [[(1 << n) - 1], [(1 << len(holders)) - 1]]
+    try:
+        yield refine(part, [(0, part[0][0]), (1, part[1][0])])[0]
+        parts, traces = [], []
+        while (c := target(part)) is not None:
+            parts.append(part)
+            part, work, trace = individualize(part, _bits(part[0][c])[0])
+            traces.append(trace)
+            yield work
+        path[:0] = [_bits(p[0][target(p)])[0] for p in parts]  # whole: the search reads ahead
+        first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
+        for level in reversed(range(len(parts))):
+            x, *others = _bits(parts[level][0][target(parts[level])])
+            chain[level + 1] = [_root(orbit, v) for v in range(n)]  # all fixing path[:level + 1]
+            settled = [x]  # x and the nodes whose leaf search failed
+            for z in others:
+                if all(_root(orbit, z) != _root(orbit, s) for s in settled):
+                    if not (yield from leaf_search(parts[level], level, z)):
+                        settled.append(z)
+    finally:
+        leaf_search = None  # it refers to itself: break the cycle, also on close()
 
 
 def brute_hall_ok(code: FrCode, symbols) -> bool:

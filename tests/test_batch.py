@@ -6,6 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 from conftest import (
+    assert_valid_batch_witness,
     brute_batch_t_detail,
     brute_hall_ok,
     nx_code,
@@ -364,14 +365,7 @@ def _random_irregular_code(rng):
 def _assert_matches_oracle(code):
     detail = batch_t_detail(code)
     assert detail.t == brute_batch_t_detail(code).t, code.node_sets
-    if detail.witness is None:
-        assert detail.t == code.theta and detail.witness_nodes is None
-        return
-    assert len(detail.witness) == detail.t + 1
-    assert len(detail.witness_nodes) == detail.t
-    holders = {i for j in detail.witness for i in code.nodes_of_symbol[j - 1]}
-    assert holders <= set(detail.witness_nodes)
-    assert isinstance(retrieval_plan(code, detail.witness), NoPlan)
+    assert_valid_batch_witness(code, detail)
 
 
 class TestBatchTAgainstOracle:

@@ -166,14 +166,14 @@ class TestAnalyze:
         assert run(capsys, "analyze", str(petersen_frc), "--k-max", "7") == report
 
     def test_budget_is_shared_by_the_profile_rows(self, capsys, tmp_path):
-        # McGee's k <= 12 searches open 13,150 nodes together, at k = 10, 11, 12
+        # McGee's k <= 12 searches open 10,388 nodes together, at k = 10, 11, 12
         frc = tmp_path / "mcgee.frc"
         run(capsys, "construct", "cage", "--name", "mcgee", "--out", str(frc))
-        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "12", "--budget", "13150")
+        status, out, _ = run(capsys, "analyze", str(frc), "--k-max", "12", "--budget", "10388")
         assert status == 0 and len(out.splitlines()) == 15
-        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "12", "--budget", "13149")
+        status, out, err = run(capsys, "analyze", str(frc), "--k-max", "12", "--budget", "10387")
         assert status == 1 and out == ""
-        assert "needs more than 13149 search nodes" in err
+        assert "needs more than 10387 search nodes" in err
 
     def test_repeated_symbol_on_a_node_line_exits_1(self, capsys, tmp_path):
         path = tmp_path / "repeat.frc"

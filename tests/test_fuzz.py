@@ -13,14 +13,17 @@ from itertools import combinations
 import networkx as nx
 import pytest
 from conftest import (
+    assert_valid_batch_witness,
     brute_batch_t_detail,
     brute_max_edges,
     brute_min_union,
     discovered,
+    oracle_discover_orbits,
     oracle_greedy_unions,
     oracle_hall_witness,
     oracle_maximum_matching,
     profile_sizes,
+    proven_orbits,
     reference_hall_witness,
     reference_maximum_matching,
 )
@@ -203,6 +206,107 @@ def test_capacity_profile_equals_file_size_on_relabelled_catalog_codes():
             rows = [r.exact for r in capacity_profile(code, k_max).rows]
             fresh = FrCode(code.n, code.theta, code.alpha, code.rho, code.node_sets)
             assert rows == [file_size(fresh, k) for k in range(1, k_max + 1)]
+
+
+def _assert_exact(code, expected, t):
+    """Every capacity-profile row and file_size at each k are expected, the
+    brute-force M(1..n), and batch_t_detail gives t with a valid witness.
+    Returns how many profile rows searched."""
+    sizes = profile_sizes(code, code.n)
+    assert [m for m, _ in sizes] == expected, code.node_sets
+    assert [file_size(code, k) for k in range(1, code.n + 1)] == expected, code.node_sets
+    detail = batch_t_detail(code)
+    assert detail.t == t, code.node_sets
+    assert_valid_batch_witness(code, detail)
+    return sum(1 for _, nodes in sizes if nodes)
+
+
+def test_every_answer_is_exact_on_node_relabelled_catalog_codes():
+    # the search skips nodes by their labels and their proven orbits, so
+    # each relabelling meets the skips in another order; M(k) and t are
+    # invariants, computed once by brute force on the catalog code
+    rng = random.Random(1717)
+    searched = []
+    for base in [from_graph(turan(6, 2)), from_graph(cage("petersen")),
+                 from_graph(cage("heawood")), from_design(transversal_design(3, 4)),
+                 from_design(projective_plane(2)), from_design(projective_plane(3))]:
+        expected = [brute_min_union(base, k) for k in range(1, base.n + 1)]
+        t = brute_batch_t_detail(base).t
+        searched.append(sum(_assert_exact(_relabelled(base, rng, symbols=False), expected, t)
+                            for _ in range(8)))
+    assert sum(searched) >= 120, searched  # K_{3,3} settles every k at set-up
+
+
+def _circulant_code(rng):
+    """The graph code of a random circulant graph on 3 to 6 vertices: one
+    orbit of nodes."""
+    m = rng.randrange(3, 7)
+    jumps = rng.sample(range(1, m // 2 + 1), rng.randrange(1, m // 2 + 1))
+    return _graph_code(nx.circulant_graph(m, jumps))
+
+
+def _two_part_code(rng):
+    """The disjoint union of two different codes of at most 10 nodes in all,
+    nodes shuffled: a circulant graph code beside another or beside a
+    random code with copied node sets.  Discovery proves several depth-0
+    orbits, and their nodes interleave."""
+    first = _circulant_code(rng)
+    while True:
+        second = _circulant_code(rng) if rng.random() < 0.5 else _random_code_with_copies(rng)
+        if first.n + second.n <= 10 and second.node_sets != first.node_sets:
+            break
+    sets = [*first.node_sets, *([first.theta + j for j in s] for s in second.node_sets)]
+    code = FrCode(len(sets), first.theta + second.theta, max(map(len, sets)), 2, sets)
+    return _relabelled(code, rng)
+
+
+def test_every_answer_is_exact_on_codes_with_several_orbits():
+    rng = random.Random(1818)
+    orbits = searched = 0
+    for trial in range(300):
+        code = _two_part_code(rng)
+        orbits += len(proven_orbits(code)) > 1
+        expected = [brute_min_union(code, k) for k in range(1, code.n + 1)]
+        searched += _assert_exact(code, expected, brute_batch_t_detail(code).t)
+    assert orbits >= 280 and searched >= 1000, (orbits, searched)
+
+
+def _discovery(discover, code):
+    """(path, chain, work units) of a discovery run to its end: chain[0] the
+    union-find of the automorphisms verified, in the order verified, and
+    chain[d] the snapshots of its roots."""
+    path, chain = [], {0: list(range(code.n))}
+    units = sum(discover(code.symbol_masks, code.holder_masks, path, chain))
+    return path, chain, units
+
+
+def test_discovery_proves_what_the_oracle_proves_with_no_more_work():
+    # a leaf search skips a child that a verified automorphism fixing the
+    # individualized nodes maps onto a failed child; a skipped search would
+    # have failed, so the same automorphisms are verified in the same order
+    rng = random.Random(1919)
+    codes = [from_graph(turan(6, 2)), from_graph(cage("petersen")), from_graph(cage("heawood")),
+             from_graph(cage("mcgee")), from_graph(cage("tuttecoxeter")),
+             _graph_code(nx.pappus_graph()), _graph_code(nx.desargues_graph()),
+             *(from_design(transversal_design(*h)) for h in [(3, 4), (3, 5), (4, 5), (5, 7), (7, 7)]),
+             *(from_design(projective_plane(q)) for q in (2, 3, 5))]
+    codes += [_relabelled(base, rng) for base in codes[:9]]
+    codes += [_random_code_with_copies(rng) for _ in range(50)]
+    codes += [_two_part_code(rng) for _ in range(50)]
+    codes += [_dual(code) for code in codes[-40:]]
+    for _ in range(60):  # transversal designs, whole or less a node: leaf searches fail here
+        base = from_design(transversal_design(*rng.choice([(4, 5), (5, 5), (4, 7)])))
+        nodes = rng.sample(range(base.n), base.n - rng.randrange(2))
+        codes.append(_relabelled(FrCode(len(nodes), base.theta, base.alpha, base.rho,
+                                        [base.node_sets[i] for i in nodes]), rng))
+    fewer = 0
+    for code in codes:
+        path, chain, units = _discovery(analyze._discover_orbits, code)
+        oracle_path, oracle_chain, oracle_units = _discovery(oracle_discover_orbits, code)
+        assert (path, chain) == (oracle_path, oracle_chain), code.node_sets
+        assert units <= oracle_units, code.node_sets
+        fewer += units < oracle_units
+    assert fewer >= 25, fewer
 
 
 def _dual(code):
