@@ -477,15 +477,32 @@ class _Profile:
                     limit = best - tail[depth + 1]
                 return False
 
+            # bans[d]: the masks below the node that has picked path[:d], the
+            # roots they follow, whether those are final, the (root, node)
+            # pairs of the other nodes by root, and how many are banned so far
+            bans: dict[int, list] = {}
+
             def below_path(i: int, depth: int, union: int, usize: int, masks: list[int]) -> bool:
                 """Opens the child i of the node that has picked path[:depth]: its
                 subtree skips each node v > i that chain[depth] joins to a node
                 below i, and if i extends the path, chain[depth + 1] filters
-                its children."""
+                its children.  That node is opened once, so each depth keeps
+                one list and bans in it as i rises: a banned v <= i is never
+                read below i.  The list is built again only when chain[depth]
+                is new, or was read from chain[0] while discovery could still
+                merge it."""
                 roots = chain.get(depth)
                 if roots is not None:
-                    masks = [banned if v > i and _root(roots, v) < i else m
-                             for v, m in enumerate(masks)]
+                    ban = bans.get(depth)
+                    if ban is None or ban[1] is not roots or not ban[2]:
+                        low = sorted((r, v) for v in range(n) if (r := _root(roots, v)) != v)
+                        final = depth > 0 or self._spent == math.inf
+                        ban = bans[depth] = [list(masks), roots, final, low, 0]
+                    masks, _, _, low, done = ban
+                    while done < len(low) and low[done][0] < i:
+                        masks[low[done][1]] = banned
+                        done += 1
+                    ban[4] = done
                 stop = n - k + depth + 2
                 if i == path[depth]:
                     kids = (c for c in range(i + 1, stop) if live(c, depth + 1))
@@ -600,6 +617,8 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
     same automorphisms are verified in the same order, and the path, chain
     and orbits do not change.  A leaf search verifies nothing until it
     returns True, so the automorphisms stay the same through a node's loop.
+    A leaf's permutation is verified and joined before its unit is yielded,
+    so the search reads an orbit as soon as it has paid for the leaf.
     """
     n, orbit = len(masks), chain[0]
     neighbours = (masks, holders)  # of a node, of a symbol
@@ -663,17 +682,15 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
         whether a leaf below gave a verified automorphism.  fixing holds the
         verified automorphisms that fix the nodes individualized before z."""
         part, work, trace = individualize(part, z, traces[level])
-        yield work
-        if trace != traces[level]:
-            return False
-        c = target(part)
-        if c is None:
-            perm = [part[0][p].bit_length() - 1 for p in first_leaf]
-            if not _is_automorphism(holders, perm):
-                return False
+        c = target(part) if trace == traces[level] else -1  # -1: a trace differs
+        perm = [part[0][p].bit_length() - 1 for p in first_leaf] if c is None else None
+        found = perm is not None and _is_automorphism(holders, perm)
+        if found:
             verified.append(perm)
             _join(orbit, perm)
-            return True
+        yield work  # after the join: a unit paid for has its orbits recorded
+        if c is None or c < 0:
+            return found
         fixing = [g for g in fixing if g[z] == z]
         failed: list[int] = []  # the roots of the children whose search failed
         for y in _bits(part[0][c]):

@@ -208,33 +208,6 @@ def _read_node(system: StoredSystem, i: int) -> dict[int, int] | None:
     one node-file reader.  A file that matches its checksum and store's layout
     is what store wrote, so one split parses it; _parse_node names the fault
     of any other."""
-    data = _node_bytes(system, i)
-    if data is None:
-        return None
-    digest = hashlib.sha256(data).hexdigest()
-    if digest == system.checksums[f"node_{i}.dat"] and _NODE_LAYOUT.fullmatch(data):
-        values = list(map(int, data.split()))
-        if values[0] == i:
-            return dict(zip(values[2::2], values[3::2]))
-    return _parse_node(system, i, data, digest)
-
-
-def _check_node(system: StoredSystem, i: int) -> None:
-    """Raises what _read_node raises on node i's file, without building its
-    map: a file that matches its checksum, starts with its node id and has
-    store's layout is what store wrote; _parse_node names the fault of any
-    other."""
-    data = _node_bytes(system, i)
-    if data is None:
-        return
-    digest = hashlib.sha256(data).hexdigest()
-    if not (digest == system.checksums[f"node_{i}.dat"] and data.startswith(b"%d " % i)
-            and _NODE_LAYOUT.fullmatch(data)):
-        _parse_node(system, i, data, digest)
-
-
-def _node_bytes(system: StoredSystem, i: int) -> bytes | None:
-    """Node i's file, read by one os.read loop, or None when it is missing."""
     data = b""
     try:
         fd = os.open(os.path.join(system.root, f"node_{i}.dat"), os.O_RDONLY)
@@ -248,7 +221,12 @@ def _node_bytes(system: StoredSystem, i: int) -> bytes | None:
     except OSError as exc:  # os.read names no file; name it as open() would
         exc.filename = str(system.node_path(i))
         raise
-    return data
+    digest = hashlib.sha256(data).hexdigest()
+    if digest == system.checksums[f"node_{i}.dat"] and _NODE_LAYOUT.fullmatch(data):
+        values = list(map(int, data.split()))
+        if values[0] == i:
+            return dict(zip(values[2::2], values[3::2]))
+    return _parse_node(system, i, data, digest)
 
 
 def _parse_node(system: StoredSystem, i: int, data: bytes, actual: str) -> dict[int, int]:
@@ -285,7 +263,7 @@ def verify_integrity(root) -> None:
         if f"node_{i}.dat.tmp" in names:
             raise CorruptionError(
                 f"{system.node_path(i)}.tmp is left over from an interrupted write")
-        _check_node(system, i)
+        _read_node(system, i)
 
 
 def reconstruct(system: StoredSystem, nodes) -> list[int]:
