@@ -28,19 +28,17 @@ node of the same proven orbit has already failed one at that level; inside
 a leaf search, it skips a child that automorphisms fixing the nodes
 individualized so far map onto a failed child, as that child's subtree is
 a copy of the failed one.  It runs only when the greedy incumbent misses
-the floor: first unpaced until its first path is known, before the search
-opens a node, then paid by the search as it goes.  Before each child of a
-path node it may do one unit of work per _NODES_PER_DISCOVERY_UNIT nodes
-opened, before each depth-0 branch one per three times that, and the child
-is tested against the orbits recorded by then.  It is not charged to the
-budget and depends only on (code, k), so a refusal does too.
+the floor, once per request and to its end, before the search opens a
+node.  It is not charged to the budget and depends only on the code, so
+the nodes a search opens, and a refusal, depend only on (code, k, budget).
 
 Profile rule: capacity_profile finds M(1..k_max) in one pass, k ascending,
 and bounds each row's search by the exact rows below it.  Its searches
-share one greedy pass and one discovery, paid by the nodes the profile has
-opened so far.  A refusal depends only on (code, k_max, budget).  The
-profile neither reads nor writes the per-code memo; only file_size, a
-search of its own with no rows below it, uses that.
+share one greedy pass and one discovery, and a row opens no more nodes
+than the same search alone (see _Profile.search).  A refusal depends only
+on (code, k_max, budget).  The profile neither reads nor writes the
+per-code memo; only file_size, a search of its own with no rows below it,
+uses that.
 """
 
 from __future__ import annotations
@@ -331,8 +329,7 @@ class _Profile:
     """One exact request and its min-union searches, run for k = 1, 2, ...
     in turn or for one k alone.  They share one budget, the greedy
     incumbents (up to k_max; a capped search reads none), the rows found so
-    far, the suffix unions, and the proven orbits with the discovery that
-    extends them."""
+    far, the suffix unions, and one discovery of the proven orbits."""
 
     def __init__(self, code: FrCode, k_max: int, budget: int, what: str):
         masks = code.symbol_masks
@@ -354,13 +351,11 @@ class _Profile:
         self.rows: list[int] = []  # M(1), M(2), ... so far, or lower bounds on them
         # suffix[s]: the union of masks[s:]
         self.suffix = list(accumulate(reversed(masks), or_, initial=0))[::-1]
-        # path: discovery's first path once known, then -1; chain[d]: each node's root
-        # in orbits proven under a subgroup of the pointwise stabilizer of path[:d],
-        # once recorded; chain[0] is the union-find orbit, roots the smallest nodes
-        self.path, self.chain = [-1], {0: list(range(code.n))}
-        self._units = _discover_orbits(masks, code.holder_masks, self.path, self.chain)
-        # discovery first pays for its incidence graph (vertices and edges)
-        self._spent = code.n + code.theta + sum(map(int.bit_count, masks))
+        # discovery's first path, then -1, and its chain (see _discover_orbits) and
+        # work units: empty and 0 until a search has to open a node
+        self.path: list[int] = []
+        self.chain: list[list[int]] = []
+        self.units = 0
         self.opened = 0  # search nodes of the finished searches
 
     def floor(self, k: int) -> int:
@@ -384,22 +379,21 @@ class _Profile:
         upper bound.
 
         The node at depth d below an empty root picks a set's d-th smallest
-        node.  Once it has picked path[:d], it opens only the children that
-        chain[d] does not join to a smaller node, and the whole subtree of
-        each child i it opens skips every node v > i that chain[d] joins to a
-        node below i (below_path gives v a mask of as many symbols as the
-        first incumbent, so no union holding it passes the limit; suffix
-        keeps the true masks, a looser bound).  chain[d] may be recorded
-        while the children are tried, and then acts on those after it; one
-        not yet recorded skips nothing.  Lemma: the automorphisms behind
-        chain[d] fix path[:d] (see _discover_orbits).  Let T* be the
-        lex-least set of least union, with prefix path[:d] and next pick i,
-        and say a product g of them maps a node u of T*, u = i or u > i, to
-        r < i.  g fixes path[:d], so r is not in it, nor in T*, whose nodes
-        below i are path[:d].  Then g(T*) has the same union, holds every
-        node of T* below i, and r: it is lexicographically smaller, which
-        contradicts the choice of T*.  So T* is never skipped, under any
-        subgroup, the trivial one included.
+        node.  When the incumbent misses the floor, discovery runs to its end
+        first, once per request.  Once a node has picked path[:d], it opens
+        only the children that chain[d] does not join to a smaller node, and
+        the whole subtree of each child i it opens skips every node v > i
+        that chain[d] joins to a node below i (below_path gives v a mask of
+        as many symbols as the first incumbent, so no union holding it
+        passes the limit; suffix keeps the true masks, a looser bound).
+        Lemma: the automorphisms behind chain[d] fix path[:d] (see
+        _discover_orbits).  Let T* be the lex-least set of least union, with
+        prefix path[:d] and next pick i, and say a product g of them maps a
+        node u of T*, u = i or u > i, to r < i.  g fixes path[:d], so r is
+        not in it, nor in T*, whose nodes below i are path[:d].  Then g(T*)
+        has the same union, holds every node of T* below i, and r: it is
+        lexicographically smaller, which contradicts the choice of T*.  So
+        T* is never skipped, under any subgroup, the trivial one included.
 
         The floor is the largest of M(k - 1), cap - 1 under a cap, and three
         set-up floors.  Counting: a symbol lies in at most min(r_max, k) of
@@ -423,6 +417,22 @@ class _Profile:
         still to pick is not opened when u + M(r) - |U & suffix[s]| >= best:
         each completion adds the union N of r nodes from s on, with N inside
         suffix[s] and |N| >= M(r), so |U | N| >= u + M(r) - |U & suffix[s]|.
+
+        Lemma: a profile's search for k opens no node that file_size's
+        search for k does not.  The floor for k is the same in both (a girth
+        capped above k gives the same girth floor), and the profile's is
+        raised by M(k - 1).  The greedy pass runs the same starts in turn,
+        and one stops early only once it meets every floor, so the two
+        incumbents differ only where one meets that floor, and then the
+        profile opens no node.  Otherwise both walk one tree in one order,
+        with the same incumbent, banned mask and chain, and only the profile
+        cuts by M(r).  Then at each point of the walk the profile's best is
+        no larger: where it cuts a subtree the other opens, by the limit or
+        by M(r), no completion there goes below its best at the cut, so none
+        lowers the other's best below its own.  A child it opens passes the
+        limit under its best, so under the other's too; and once the other's
+        best reaches its floor, the profile's has reached its own, higher
+        floor, and it has stopped already.
         """
         below = self.rows
         if below and len(below) != k - 1:
@@ -438,8 +448,11 @@ class _Profile:
             best, floor = cap, max(floor, cap - 1)
         nodes, found = 0, None
         if best > floor:
-            opened, suffix, path, chain = self.opened, self.suffix, self.path, self.chain
-            budget, what, total = self.budget - opened, self.what, self.budget
+            if not self.chain:  # once per request, before its first search node
+                path, self.chain, self.units = _discover_orbits(masks, self.code.holder_masks)
+                self.path = [*path, -1]
+            suffix, path, chain = self.suffix, self.path, self.chain
+            budget, what, total = self.budget - self.opened, self.what, self.budget
             # doll[d]: M(r), or a lower bound on it, for the r = k - d - 1 nodes
             # still to pick below a child at depth d + 1, when r >= 2 inside a
             # profile; 0 skips the test
@@ -478,8 +491,8 @@ class _Profile:
                 return False
 
             # bans[d]: the masks below the node that has picked path[:d], the
-            # roots they follow, whether those are final, the (root, node)
-            # pairs of the other nodes by root, and how many are banned so far
+            # (root, node) pairs of chain[d]'s other nodes by root, and how
+            # many of them are banned so far
             bans: dict[int, list] = {}
 
             def below_path(i: int, depth: int, union: int, usize: int, masks: list[int]) -> bool:
@@ -488,41 +501,25 @@ class _Profile:
                 below i, and if i extends the path, chain[depth + 1] filters
                 its children.  That node is opened once, so each depth keeps
                 one list and bans in it as i rises: a banned v <= i is never
-                read below i.  The list is built again only when chain[depth]
-                is new, or was read from chain[0] while discovery could still
-                merge it."""
-                roots = chain.get(depth)
-                if roots is not None:
-                    ban = bans.get(depth)
-                    if ban is None or ban[1] is not roots or not ban[2]:
-                        low = sorted((r, v) for v in range(n) if (r := _root(roots, v)) != v)
-                        final = depth > 0 or self._spent == math.inf
-                        ban = bans[depth] = [list(masks), roots, final, low, 0]
-                    masks, _, _, low, done = ban
-                    while done < len(low) and low[done][0] < i:
-                        masks[low[done][1]] = banned
-                        done += 1
-                    ban[4] = done
+                read below i."""
+                if depth not in bans:
+                    low = sorted((r, v) for v, r in enumerate(chain[depth]) if r != v)
+                    bans[depth] = [list(masks), low, 0]
+                ban = bans[depth]
+                masks, low, done = ban
+                while done < len(low) and low[done][0] < i:
+                    masks[low[done][1]] = banned
+                    done += 1
+                ban[2] = done
                 stop = n - k + depth + 2
-                if i == path[depth]:
-                    kids = (c for c in range(i + 1, stop) if live(c, depth + 1))
+                if i == path[depth]:  # a generator: a leaf never reads it, and stop may be n + 1
+                    kids = (c for c in range(i + 1, stop) if chain[depth + 1][c] == c)
                     return descend(kids, depth + 1, union, usize, path[depth + 1], masks)
                 return descend(range(i + 1, stop), depth + 1, union, usize, -1, masks)
 
-            def live(c: int, depth: int) -> bool:
-                """Paces discovery, 3x slower at depth 0, then tells whether the
-                child c is a root of chain[depth], if that is recorded by now."""
-                rate = _NODES_PER_DISCOVERY_UNIT * (3 if depth == 0 else 1)
-                while self._spent * rate < opened + nodes:
-                    self._spent += next(self._units, math.inf)
-                roots = chain.get(depth)
-                return roots is None or roots[c] == c
-
-            while path[0] < 0 and self._spent < math.inf:  # the first path, unpaced
-                self._spent += next(self._units, math.inf)
             nodes = -1  # the root is not a search node
             try:
-                descend((j for j in range(n - k + 1) if live(j, 0)), 0, 0, 0, path[0],
+                descend([j for j in range(n - k + 1) if chain[0][j] == j], 0, 0, 0, path[0],
                         list(masks))
             finally:
                 descend = None  # it refers to itself: free the code without the cyclic collector
@@ -534,16 +531,6 @@ class _Profile:
 
 # ---------------------------------------------------------------------------
 # Verified symmetry for the file-size search
-
-# Search nodes that pay for one unit of discovery work before a child of a
-# path node, once discovery has found its first path unpaced before the first
-# node; a depth-0 branch pays three times as many, since only level-0 orbits
-# help there (on TD(5,7) one failed level-0 leaf search costs 16,896 of the
-# 24,240 units).  A unit (a splitter, count slice or cell fragment of a
-# refinement) takes about two nodes' time.  0 runs discovery to its end once
-# the search has opened a node.
-_NODES_PER_DISCOVERY_UNIT = 1
-
 
 def _bits(m: int) -> list[int]:
     """The positions of the set bits of m, ascending."""
@@ -579,20 +566,24 @@ def _is_automorphism(holders: Sequence[int], perm: list[int]) -> bool:
     return sorted(images) == sorted(holders)
 
 
-def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[int],
-                     chain: dict[int, list[int]]):
+def _discover_orbits(masks: tuple[int, ...],
+                     holders: Sequence[int]) -> tuple[list[int], list[list[int]], int]:
     """Individualization and refinement (McKay & Piperno, "Practical graph
-    isomorphism, II", 2014) on the node/symbol incidence graph, yielding the
-    work units of each step.  It verifies and records its own orbits: a leaf
-    permutation that passes _is_automorphism joins its nodes' classes in the
-    union-find orbit, chain[0].  A partition is a pair of ordered lists of
-    node and symbol cell bitmasks.  At each level L, the first path
+    isomorphism, II", 2014) on the node/symbol incidence graph, run to its
+    end.  Returns (path, chain, units): the first path, each node's orbit
+    root (its smallest node) under the automorphisms proven at each depth,
+    and the work units of every step (a splitter, count slice or cell
+    fragment of a refinement).  It verifies and records its own orbits: a
+    leaf permutation that passes _is_automorphism joins its nodes' classes
+    in a union-find orbit.  A partition is a pair of ordered lists of node
+    and symbol cell bitmasks.  At each level L, the first path
     individualizes x_L = path[L], the first node of the largest node cell,
     until every node is a singleton.  Deepest level first, each other node
     of a level's cell outside x_L's orbit takes its place, and the tree below
     is searched for a leaf with the first path's traces.  Such a leaf keeps
     x_0..x_{L-1}, so every automorphism verified before level L begins fixes
-    x_0..x_L, and chain[L + 1] then gets each node's root in orbit.
+    x_0..x_L, and chain[L + 1] then gets each node's root in orbit; chain[0]
+    gets them once every level is done.
 
     At level L, z is skipped when its root is the root of x_L or of a z0
     whose leaf search failed.  Lemma: every automorphism verified so far, at
@@ -617,16 +608,16 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
     same automorphisms are verified in the same order, and the path, chain
     and orbits do not change.  A leaf search verifies nothing until it
     returns True, so the automorphisms stay the same through a node's loop.
-    A leaf's permutation is verified and joined before its unit is yielded,
-    so the search reads an orbit as soon as it has paid for the leaf.
     """
-    n, orbit = len(masks), chain[0]
+    n, orbit, units = len(masks), list(range(len(masks))), 0
     neighbours = (masks, holders)  # of a node, of a symbol
 
     def refine(part, stack, ref=None):
         """Splits cells by neighbour counts in each splitter until the nodes are
-        discrete or the stack is empty, or early once the trace leaves ref."""
-        work, trace = 0, []
+        discrete or the stack is empty, or early once the trace leaves ref;
+        returns the trace."""
+        nonlocal units
+        trace = []
         while stack and len(part[0]) < n:
             side, splitter = stack.pop()
             slices: list[int] = []  # slices[b]: the vertices whose count has bit b set
@@ -641,7 +632,7 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
             touched = 0
             for sl in slices:
                 touched |= sl
-            work += 1 + len(slices)
+            units += 1 + len(slices)
             cells = []
             for c in part[1 - side]:
                 if not c & touched or not c & (c - 1):
@@ -656,21 +647,22 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
                     trace.append((side, len(cells), sizes, [v for _, v in frags]))
                     if ref is not None and (len(trace) > len(ref)
                                             or trace[-1] != ref[len(trace) - 1]):
-                        return work, trace
-                    work += len(frags)
+                        return trace
+                    units += len(frags)
                     big = sizes.index(max(sizes))  # Hopcroft: all fragments but the largest
                     stack.extend((1 - side, f) for i, (f, _) in enumerate(frags) if i != big)
                 cells.extend(f for f, _ in frags)
             part[1 - side] = cells
-        return work, trace
+        return trace
 
     def individualize(part, v, ref=None):
-        """A copy of part with node v split off in front of its cell, refined."""
+        """A copy of part with node v split off in front of its cell, refined,
+        and the trace of that refinement."""
         nodes, bit = part[0][:], 1 << v
         i = next(i for i, c in enumerate(nodes) if c & bit)
         nodes[i:i + 1] = [bit, nodes[i] ^ bit]
         part = [nodes, part[1]]
-        return part, *refine(part, [(0, bit)], ref)
+        return part, refine(part, [(0, bit)], ref)
 
     def target(part):
         """The index of the largest node cell, the first of equal ones; None at a leaf."""
@@ -681,22 +673,23 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
         """Puts node z in place of the first path's node at level; returns
         whether a leaf below gave a verified automorphism.  fixing holds the
         verified automorphisms that fix the nodes individualized before z."""
-        part, work, trace = individualize(part, z, traces[level])
-        c = target(part) if trace == traces[level] else -1  # -1: a trace differs
-        perm = [part[0][p].bit_length() - 1 for p in first_leaf] if c is None else None
-        found = perm is not None and _is_automorphism(holders, perm)
-        if found:
+        part, trace = individualize(part, z, traces[level])
+        if trace != traces[level]:
+            return False
+        c = target(part)
+        if c is None:
+            perm = [part[0][p].bit_length() - 1 for p in first_leaf]
+            if not _is_automorphism(holders, perm):
+                return False
             verified.append(perm)
             _join(orbit, perm)
-        yield work  # after the join: a unit paid for has its orbits recorded
-        if c is None or c < 0:
-            return found
+            return True
         fixing = [g for g in fixing if g[z] == z]
         failed: list[int] = []  # the roots of the children whose search failed
         for y in _bits(part[0][c]):
             if failed and _root(roots, y) in failed:
                 continue
-            if (yield from leaf_search(part, level + 1, y, fixing)):
+            if leaf_search(part, level + 1, y, fixing):
                 return True
             if not failed:  # their orbits, once: nothing is verified before a True
                 roots = list(range(n))
@@ -706,28 +699,28 @@ def _discover_orbits(masks: tuple[int, ...], holders: Sequence[int], path: list[
         return False
 
     part = [[(1 << n) - 1], [(1 << len(holders)) - 1]]
-    try:
-        yield refine(part, [(0, part[0][0]), (1, part[1][0])])[0]
-        parts, traces = [], []
-        while (c := target(part)) is not None:
-            parts.append(part)
-            part, work, trace = individualize(part, _bits(part[0][c])[0])
-            traces.append(trace)
-            yield work
-        path[:0] = [_bits(p[0][target(p)])[0] for p in parts]  # whole: the search reads ahead
-        first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
-        verified: list[list[int]] = []  # the automorphisms, in the order verified
-        for level in reversed(range(len(parts))):
-            x, *others = _bits(parts[level][0][target(parts[level])])
-            chain[level + 1] = [_root(orbit, v) for v in range(n)]  # all fixing path[:level + 1]
-            settled = [x]  # x and the nodes whose leaf search failed
-            for z in others:
-                if all(_root(orbit, z) != _root(orbit, s) for s in settled):
-                    # by the lemma, every automorphism verified so far fixes path[:level]
-                    if not (yield from leaf_search(parts[level], level, z, verified)):
-                        settled.append(z)
-    finally:
-        leaf_search = None  # it refers to itself: break the cycle, also on close()
+    refine(part, [(0, part[0][0]), (1, part[1][0])])
+    parts, traces = [], []
+    while (c := target(part)) is not None:
+        parts.append(part)
+        part, trace = individualize(part, _bits(part[0][c])[0])
+        traces.append(trace)
+    path = [_bits(p[0][target(p)])[0] for p in parts]
+    first_leaf = sorted(range(n), key=part[0].__getitem__)  # each node's position
+    verified: list[list[int]] = []  # the automorphisms, in the order verified
+    chain = []  # chain[L + 1], deepest level first; reversed at the end
+    for level in reversed(range(len(parts))):
+        x, *others = _bits(parts[level][0][target(parts[level])])
+        chain.append([_root(orbit, v) for v in range(n)])  # all fixing path[:level + 1]
+        settled = [x]  # x and the nodes whose leaf search failed
+        for z in others:
+            if all(_root(orbit, z) != _root(orbit, s) for s in settled):
+                # by the lemma, every automorphism verified so far fixes path[:level]
+                if not leaf_search(parts[level], level, z, verified):
+                    settled.append(z)
+    leaf_search = None  # it refers to itself: free it without the cyclic collector
+    chain.append([_root(orbit, v) for v in range(n)])
+    return path, chain[::-1], units
 
 
 # ---------------------------------------------------------------------------

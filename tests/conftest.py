@@ -52,23 +52,12 @@ def profile_sizes(code: FrCode, k_max: int) -> list[tuple[int, int]]:
 
 
 def search_cost(code: FrCode, k: int) -> tuple[int, int, int]:
-    """(M(k), search nodes opened, discovery units spent) of the search that
-    file_size runs at the default budget.  The units are those discovery has
-    done by the end of the search, the incidence graph's first payment
-    included; run to its end, discovery has done them all."""
+    """(M(k), search nodes opened, discovery work units) of the search that
+    file_size runs at the default budget.  The units are those of discovery
+    run to its end, or 0 when set-up settled the request without it."""
     profile = analyze._Profile(code, k, analyze.DEFAULT_BUDGET, "file-size search")
-    units = profile._spent
-    work = profile._units
-
-    def counted():
-        nonlocal units
-        for unit in work:
-            units += unit
-            yield unit
-
-    profile._units = counted()
     profile.search(k)
-    return profile.rows[0], profile.opened, units
+    return profile.rows[0], profile.opened, profile.units
 
 
 def oracle_greedy_unions(masks: tuple[int, ...], k_max: int) -> list[int]:
@@ -213,14 +202,11 @@ def automorphism_maps(code: FrCode, a: int, v: int) -> bool:
     return nx.vf2pp_is_isomorphic(marked(a), marked(v), node_label="label")
 
 
-def discovered(code: FrCode) -> tuple[list[int], list[int], dict[int, list[int]]]:
-    """(orbit, path, chain) of analyze._discover_orbits run to its end: the
-    union-find orbit of the automorphisms it verified, its first path, and
-    chain[d], the orbit roots it recorded under those fixing path[:d]."""
-    path: list[int] = []
-    chain = {0: list(range(code.n))}
-    for _ in analyze._discover_orbits(code.symbol_masks, code.holder_masks, path, chain):
-        pass
+def discovered(code: FrCode) -> tuple[list[int], list[int], list[list[int]]]:
+    """(orbit, path, chain) of analyze._discover_orbits: the orbit roots of
+    the automorphisms it verified, its first path, and chain[d], the orbit
+    roots it recorded under those fixing path[:d]."""
+    path, chain, _ = analyze._discover_orbits(code.symbol_masks, code.holder_masks)
     return chain[0], path, chain
 
 

@@ -26,6 +26,7 @@ from frepkit import (
     ParameterError,
     analyze,
     batch_t,
+    batch_t_detail,
     capacity_profile,
     file_size,
     fr_capacity_bound,
@@ -444,7 +445,7 @@ class TestSymmetryPruning:
 
         monkeypatch.setattr(analyze, "_is_automorphism", spy)
         _, path, chain = discovered(code)
-        assert path[0] == 0 and sorted(chain) == list(range(len(path) + 1))
+        assert path[0] == 0 and len(chain) == len(path) + 1
         for level in range(len(path)):
             fixes = [all(perm[x] == x for x in path[:level + 1]) for perm in verified]
             early = fixes.index(False) if False in fixes else len(fixes)
@@ -461,81 +462,76 @@ class TestSymmetryPruning:
         # node whose orbit already failed at its level takes TD(5,7) 252,281
         # units and TD(7,7) 8,422, and searching each child of a leaf search
         # that a proven automorphism maps onto a failed one 24,240 and 6,972
-        assert sum(analyze._discover_orbits(code.symbol_masks, code.holder_masks,
-                                            [], {0: list(range(code.n))})) == units
+        assert analyze._discover_orbits(code.symbol_masks, code.holder_masks)[2] == units
 
     @pytest.mark.parametrize("code,k,expected", [
-        (from_graph(cage("tuttecoxeter")), 6, (13, 0, 165)),
-        (from_graph(cage("heawood")), 8, (15, 966, 478)),
-        (from_graph(cage("heawood")), 9, (17, 532, 536)),
-        (from_graph(cage("heawood")), 10, (18, 823, 478)),
-        (from_design(transversal_design(5, 7)), 6, (28, 0, 329)),
-        (from_design(transversal_design(5, 7)), 7, (30, 0, 329)),
-        (from_design(transversal_design(5, 7)), 9, (34, 72168, 3442)),
-        (from_graph(cage("mcgee")), 9, (18, 0, 132)),
-        (from_graph(cage("mcgee")), 10, (19, 31941, 908)),
-        (from_design(transversal_design(7, 7)), 9, (33, 291853, 3618)),
-    ], ids=["tuttecoxeter-k6", "heawood-k8", "heawood-k9", "heawood-k10", "td57-k6", "td57-k7",
-            "td57-k9", "mcgee-k9", "mcgee-k10", "td77-k9"])
+        (from_graph(cage("tuttecoxeter")), 6, (13, 0, 0)),
+        (from_graph(cage("heawood")), 8, (15, 314, 459)),
+        (from_graph(cage("heawood")), 9, (17, 532, 459)),
+        (from_graph(cage("heawood")), 10, (18, 459, 459)),
+        (from_design(transversal_design(4, 5)), 8, (20, 1240, 830)),
+        (from_design(transversal_design(5, 7)), 6, (28, 0, 0)),
+        (from_design(transversal_design(5, 7)), 7, (30, 0, 0)),
+        (from_design(transversal_design(5, 7)), 9, (34, 72168, 3113)),
+        (from_graph(cage("mcgee")), 9, (18, 0, 0)),
+        (from_graph(cage("mcgee")), 10, (19, 31941, 776)),
+        (from_design(transversal_design(7, 7)), 9, (33, 291853, 3177)),
+    ], ids=["tuttecoxeter-k6", "heawood-k8", "heawood-k9", "heawood-k10", "td45-k8", "td57-k6",
+            "td57-k7", "td57-k9", "mcgee-k9", "mcgee-k10", "td77-k9"])
     def test_the_discovery_schedule_is_pinned(self, code, k, expected):
-        # (M(k), search nodes opened, discovery units spent): both sides of
-        # the trade move with any change to when discovery runs, what it
-        # charges, or which orbits it proves.  McGee and TD(7,7) run
-        # discovery to its end (908 and 3,618 units), and TD(5,7) at k = 9
-        # too (3,442); Heawood at k = 8 and 10 stops short of its 536.  A
-        # known regression: Heawood k = 10 opened 629 nodes before the search
-        # skipped earlier orbits below each child of a path node, and opens
-        # 459 once discovery has run to its end, but the smaller first branch
-        # pays for 478 units, and the level-0 orbit needs 536, so the later
-        # depth-0 branches are searched too (see CHANGES.md).  Without the
-        # eager first path TD(7,7) k = 9 opens 2,797,171 nodes.  Skipping the
-        # earlier orbits below each child of a path node takes TD(5,7) k = 9
-        # from 146,779 nodes to 72,168 and McGee k = 10 from 74,692 to
-        # 31,941; TD(7,7) opens the same nodes.  The
-        # colouring floor settles TD(5,7) at k = 6 and 7 in set-up (they
-        # opened 2,542 and 5,346 nodes without it), so discovery spends only
-        # its first payment, the incidence graph; the girth floor likewise
-        # settles Tutte-Coxeter at k = 6 and McGee at k = 9 (they opened
-        # 1,542 and 53,932 nodes without it)
+        # (M(k), search nodes opened, discovery work units): the nodes move
+        # with any change to the orbits discovery proves or to how the search
+        # reads them, the units with any change to discovery.  Discovery runs
+        # to its end before the first node, or not at all when set-up settles
+        # the request: the colouring floor settles TD(5,7) at k = 6 and 7
+        # (they opened 2,542 and 5,346 nodes without it), the girth floor
+        # Tutte-Coxeter at k = 6 and McGee at k = 9 (1,542 and 53,932).
+        # Skipping the earlier orbits below each child of a path node takes
+        # TD(5,7) k = 9 from 146,779 nodes to 72,168 and McGee k = 10 from
+        # 74,692 to 31,941; TD(7,7) k = 9 opened 2,797,171 before the path
+        # came first
         assert search_cost(code, k) == expected
 
-    def test_the_first_branch_prunes_as_if_discovery_had_finished(self):
-        # the eager first path and the per-node pace land every snapshot
-        # that the search needs before it needs it.  Heawood's first depth-0
-        # branch opens 532 nodes and discovery ends at 536 units: a leaf's
-        # orbit is joined before its unit is yielded, or the last join waits
-        # for a unit the pace no longer pays, and the paced search opens
-        # 1,115.  TD(4,5)'s discovery ends in 975 units (1,295 without
-        # skipping copies of failed children in its leaf searches, when the
-        # paced search opened 1,796 nodes)
-        for code, k, expected in [(from_graph(cage("heawood")), 9, (17, 532)),
-                                  (from_design(transversal_design(4, 5)), 8, (20, 1240))]:
-            profile = analyze._Profile(code, k, analyze.DEFAULT_BUDGET, "file-size search")
-            for _ in profile._units:
-                pass
-            profile.search(k)
-            assert (profile.rows[0], profile.opened) == search_cost(code, k)[:2] == expected
+    def test_discovery_runs_at_most_once_per_request(self, monkeypatch):
+        # and never when set-up settles it, as on the two benchmark requests
+        # and on the Tutte-Coxeter and TD(7,7) profiles; batch_t_detail runs
+        # it on the dual code, whose nodes are Heawood's 21 symbols
+        discover_orbits, calls = analyze._discover_orbits, []
+
+        def spy(masks, holders):
+            calls.append(len(masks))
+            return discover_orbits(masks, holders)
+
+        monkeypatch.setattr(analyze, "_discover_orbits", spy)
+        for request, expected in [
+            (lambda: file_size(from_graph(cage("tuttecoxeter")), 6), []),
+            (lambda: file_size(from_design(transversal_design(5, 7)), 6), []),
+            (lambda: capacity_profile(from_graph(cage("tuttecoxeter")), 10), []),
+            (lambda: capacity_profile(from_design(transversal_design(7, 7))), []),
+            (lambda: capacity_profile(from_design(transversal_design(5, 7)), 9), [35]),
+            (lambda: batch_t_detail(from_graph(cage("heawood"))), [21]),
+        ]:
+            calls.clear()
+            request()
+            assert calls == expected
 
     def test_a_capped_k1_search_after_discovery_ran_to_its_end(self):
-        # a child list filtered by the chain stops at node n - 1, also where a
-        # child at depth 1 is already a leaf
+        # a capped search below the floor runs discovery too; a child list
+        # filtered by the chain stops at node n - 1, also where a child at
+        # depth 1 is already a leaf
         code = from_graph(cage("petersen"))
         profile = analyze._Profile(code, 1, analyze.DEFAULT_BUDGET, "capped search")
-        for _ in profile._units:
-            pass
         a_min = min(map(len, code.node_sets))
         assert profile.search(1, cap=a_min + 2) == code.symbol_masks[0]
-        assert profile.chain.keys() == {0, 1, 2, 3} and profile.path[0] == 0
+        assert len(profile.chain) == 4 and profile.path[0] == 0
 
     def test_a_non_automorphism_is_rejected(self, monkeypatch):
         code = from_graph(cage("petersen"))
         # vertices 1 and 2 are adjacent: swapping them is not an automorphism
         assert (1, 2) in cage("petersen").edges
         assert not analyze._is_automorphism(code.holder_masks, [1, 0] + list(range(2, 10)))
-        # discovery runs as soon as the search has opened a node; with every
-        # candidate rejected, the search opens what it opens without
-        # discovery.  k = 7: the girth floor settles Petersen up to k = 6
-        monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
+        # with every candidate rejected, the search opens what it opens
+        # without discovery.  k = 7: the girth floor settles Petersen up to k = 6
         checked = []
 
         def reject(holders, perm):
@@ -546,7 +542,8 @@ class TestSymmetryPruning:
         rejecting = from_graph(cage("petersen"))
         assert file_size(rejecting, 7) == brute_min_union(rejecting, 7) == 13
         assert checked
-        monkeypatch.setattr(analyze, "_discover_orbits", lambda *args: iter(()))
+        monkeypatch.setattr(analyze, "_discover_orbits", lambda masks, holders: (
+            [], [list(range(len(masks)))], 0))
         silent = from_graph(cage("petersen"))
         assert file_size(silent, 7) == 13
         assert rejecting._file_sizes[7][1] == silent._file_sizes[7][1]
@@ -788,8 +785,8 @@ class TestCapacityProfile:
         (lambda: from_graph(cage("tuttecoxeter")), [
             (3, 0), (5, 0), (7, 0), (9, 0), (11, 0), (13, 0), (15, 0), (16, 0), (18, 0), (20, 0)]),
         (lambda: from_graph(cage("heawood")),
-         [(3, 0), (5, 0), (7, 0), (9, 0), (11, 0), (12, 0), (14, 0), (15, 86),
-          (17, 303), (18, 104), (19, 55), (20, 20), (21, 12), (21, 0)]),
+         [(3, 0), (5, 0), (7, 0), (9, 0), (11, 0), (12, 0), (14, 0), (15, 72),
+          (17, 174), (18, 104), (19, 55), (20, 20), (21, 12), (21, 0)]),
         (lambda: from_graph(cage("mcgee")),
          [(3, 0), (5, 0), (7, 0), (9, 0), (11, 0), (13, 0), (14, 0),
           (16, 0), (18, 0), (19, 1966), (21, 5114), (22, 3308)]),
@@ -801,10 +798,8 @@ class TestCapacityProfile:
         each cage up to g + ceil(g/2) - 2: Tutte-Coxeter to k = 10 (42,171
         nodes without it), Heawood to k = 7 and McGee to k = 9.
 
-        That no k-search of the profile opens more nodes than the standalone
-        file_size search is an observed regression check, not a theorem:
-        discovery is paid per node opened, so a search that opens fewer nodes
-        early may prove its orbits later."""
+        No k-search of the profile opens more nodes than the standalone
+        file_size search: the lemma in _Profile.search."""
         sizes = profile_sizes(make(), len(expected))
         assert sizes == expected
         for k, (_, nodes) in enumerate(sizes, start=1):
@@ -817,15 +812,15 @@ class TestCapacityProfile:
          [(7, 0), (13, 0), (18, 0), (22, 0), (25, 0), (28, 0), (30, 0), (31, 0),
           (34, 54663)]),
         (lambda: from_design(projective_plane(5)),
-         [(6, 0), (11, 0), (15, 0), (18, 0), (20, 0), (21, 0), (23, 4931),
+         [(6, 0), (11, 0), (15, 0), (18, 0), (20, 0), (21, 0), (23, 310),
           (24, 1467), (25, 4259)]),
     ], ids=["td57", "pg5"])
     def test_the_design_profile_schedule_is_pinned(self, make, expected):
         # (M(k), search nodes opened) on the designs: the colouring floor
         # settles TD(5,7) up to k = 8 in set-up (the profile opened 114,131
         # nodes without it; k = 9 opened 101,727 before the search skipped
-        # earlier orbits below each child of a path node).  Discovery records the chain deepest first, so
-        # PG(2,5) prunes below node 0 by its stabilizer's orbits from k = 8 on
+        # earlier orbits below each child of a path node).  Discovery runs to
+        # its end before PG(2,5)'s k = 7 opens a node
         sizes = profile_sizes(make(), len(expected))
         assert sizes == expected
         for k, (_, nodes) in enumerate(sizes, start=1):

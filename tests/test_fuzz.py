@@ -11,7 +11,6 @@ import random
 from itertools import combinations
 
 import networkx as nx
-import pytest
 from conftest import (
     assert_valid_batch_witness,
     brute_batch_t_detail,
@@ -113,10 +112,9 @@ def test_file_size_matches_brute_on_random_codes():
             assert file_size(code, k) == brute_min_union(code, k), (node_sets, k)
 
 
-def test_unlimited_symmetry_discovery_keeps_file_size_on_random_codes(monkeypatch):
-    # discovery runs to the end once the search opens a node; copied node
+def test_unlimited_symmetry_discovery_keeps_file_size_on_random_codes():
+    # discovery runs to its end before the search opens a node; copied node
     # sets give some codes automorphisms to prune with
-    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
     rng = random.Random(606)
     for trial in range(80):
         code = _random_code_with_copies(rng)
@@ -149,12 +147,9 @@ def _relabelled(code, rng, nodes=True, symbols=True):
     return FrCode(code.n, code.theta, code.alpha, code.rho, sets)
 
 
-@pytest.mark.parametrize("nodes_per_unit", [analyze._NODES_PER_DISCOVERY_UNIT, 0],
-                         ids=["paid", "unlimited"])
-def test_file_size_is_unchanged_on_relabelled_catalog_codes(monkeypatch, nodes_per_unit):
+def test_file_size_is_unchanged_on_relabelled_catalog_codes():
     # node relabelling moves the orbit representatives the search keeps;
     # the large codes' values are the unpruned enumeration's
-    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", nodes_per_unit)
     rng = random.Random(707)
     small = [from_graph(turan(6, 2)), from_graph(cage("petersen")),
              from_graph(cage("heawood")), from_design(transversal_design(3, 4)),
@@ -162,21 +157,17 @@ def test_file_size_is_unchanged_on_relabelled_catalog_codes(monkeypatch, nodes_p
     cases = [(code, [brute_min_union(code, k) for k in range(1, code.n + 1)])
              for code in small]
     cases += [(from_graph(cage("tuttecoxeter")), [3, 5, 7, 9, 11, 13, 15]),
-              (from_graph(cage("mcgee")), [3, 5, 7, 9, 11, 13, 14])]
-    if nodes_per_unit:  # unlimited discovery on TD(5,7) takes about 0.1 s per k
-        cases.append((from_design(transversal_design(5, 7)), [7, 13, 18, 22, 25, 28]))
+              (from_graph(cage("mcgee")), [3, 5, 7, 9, 11, 13, 14]),
+              (from_design(transversal_design(5, 7)), [7, 13, 18, 22, 25, 28])]
     for base, expected in cases:
         for _ in range(2):
             code = _relabelled(base, rng)
             assert [file_size(code, k) for k in range(1, len(expected) + 1)] == expected
 
 
-@pytest.mark.parametrize("nodes_per_unit", [analyze._NODES_PER_DISCOVERY_UNIT, 0],
-                         ids=["paid", "unlimited"])
-def test_capacity_profile_matches_brute_on_random_codes(monkeypatch, nodes_per_unit):
+def test_capacity_profile_matches_brute_on_random_codes():
     # each row's search is bounded by the rows below it and shares one greedy
     # pass and one discovery; copied node sets give discovery orbits to find
-    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", nodes_per_unit)
     rng = random.Random(808)
     searched = 0
     for trial in range(200):
@@ -192,6 +183,31 @@ def test_capacity_profile_matches_brute_on_random_codes(monkeypatch, nodes_per_u
             node_sets
         searched += sum(1 for _, nodes in sizes if nodes)
     assert searched >= 200
+
+
+def test_a_profile_row_opens_no_more_nodes_than_the_search_alone():
+    # the lemma in analyze._Profile.search: the same incumbent, bans and
+    # orbits, a floor at least as high, and cuts by the rows below only
+    # where no completion beats the incumbent
+    rng = random.Random(2020)
+    cases = [(code, code.n) for code in (_random_code_with_copies(rng) for _ in range(300))]
+    for base, k_max in [(from_graph(cage("petersen")), 10), (from_graph(cage("heawood")), 14),
+                        (_graph_code(nx.pappus_graph()), 18),
+                        (_graph_code(nx.desargues_graph()), 20),
+                        (from_design(transversal_design(3, 4)), 12),
+                        (from_design(transversal_design(4, 5)), 20),
+                        (from_design(projective_plane(3)), 13), (from_graph(cage("mcgee")), 11)]:
+        cases += [(_relabelled(base, rng), k_max) for _ in range(2)]
+    searched = fewer = 0
+    for code, k_max in cases:
+        sizes = profile_sizes(code, k_max)
+        for k, (_, nodes) in enumerate(sizes, start=1):
+            alone = FrCode(code.n, code.theta, code.alpha, code.rho, code.node_sets)
+            file_size(alone, k)
+            assert nodes <= alone._file_sizes[k][1], (code.node_sets, k)
+            searched += alone._file_sizes[k][1] > 0
+            fewer += nodes < alone._file_sizes[k][1]
+    assert searched >= 600 and fewer >= 400, (searched, fewer)
 
 
 def test_capacity_profile_equals_file_size_on_relabelled_catalog_codes():
@@ -272,12 +288,14 @@ def test_every_answer_is_exact_on_codes_with_several_orbits():
 
 
 def _discovery(discover, code):
-    """(path, chain, work units) of a discovery run to its end: chain[0] the
-    union-find of the automorphisms verified, in the order verified, and
-    chain[d] the snapshots of its roots."""
+    """(path, chain, work units) of a discovery run to its end by the
+    oracle's protocol: chain[0] the union-find of the automorphisms
+    verified, in the order verified, read as roots, and chain[d] the
+    snapshots of its roots."""
     path, chain = [], {0: list(range(code.n))}
     units = sum(discover(code.symbol_masks, code.holder_masks, path, chain))
-    return path, chain, units
+    return path, [[analyze._root(chain[0], v) for v in range(code.n)],
+                  *(chain[d] for d in range(1, len(chain)))], units
 
 
 def test_discovery_proves_what_the_oracle_proves_with_no_more_work():
@@ -301,7 +319,7 @@ def test_discovery_proves_what_the_oracle_proves_with_no_more_work():
                                         [base.node_sets[i] for i in nodes]), rng))
     fewer = 0
     for code in codes:
-        path, chain, units = _discovery(analyze._discover_orbits, code)
+        path, chain, units = analyze._discover_orbits(code.symbol_masks, code.holder_masks)
         oracle_path, oracle_chain, oracle_units = _discovery(oracle_discover_orbits, code)
         assert (path, chain) == (oracle_path, oracle_chain), code.node_sets
         assert units <= oracle_units, code.node_sets
@@ -422,20 +440,19 @@ def _path_prefix(code):
 
 
 def test_stabilizer_chain_keeps_file_size(monkeypatch):
-    # discovery runs to its end once a search opens a node, so the chain is
-    # there for every later branch and every later profile row
-    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
+    # discovery runs to its end before a search opens a node, so the chain is
+    # there for every branch and every profile row
     discover_orbits = analyze._discover_orbits
 
     def profile_nodes(code, with_chain):
         with monkeypatch.context() as patch:
-            if not with_chain:  # the path goes to a list the search never sees: chain[0] alone
-                patch.setattr(analyze, "_discover_orbits", lambda masks, holders, path, chain:
-                              discover_orbits(masks, holders, [], chain))
+            if not with_chain:  # an empty path: chain[0] alone
+                patch.setattr(analyze, "_discover_orbits", lambda masks, holders:
+                              ([], *discover_orbits(masks, holders)[1:]))
             return profile_sizes(code, code.n)
 
     prefixes, opened = [], {True: 0, False: 0}
-    for code in _stabilizer_cases(1313):
+    for code in [*_stabilizer_cases(1313), *_stabilizer_cases(1515)]:
         expected = [brute_min_union(code, k) for k in range(1, code.n + 1)]
         prefixes.append(_path_prefix(code))
         assert [file_size(code, k) for k in range(1, code.n + 1)] == expected, code.node_sets
@@ -448,90 +465,17 @@ def test_stabilizer_chain_keeps_file_size(monkeypatch):
     assert opened[True] < opened[False]  # the chain prunes
 
 
-def test_stabilizer_chain_keeps_batch_t(monkeypatch):
+def test_stabilizer_chain_keeps_batch_t():
     # the batch search runs the kernel on the dual code, whose nodes are the
     # symbols; on some of the random codes the dual's path starts past node 0
-    monkeypatch.setattr(analyze, "_NODES_PER_DISCOVERY_UNIT", 0)
     prefixes = []
-    for code in _stabilizer_cases(1414):
+    for code in [*_stabilizer_cases(1414), *_stabilizer_cases(1515)]:
         if all(code.nodes_of_symbol):  # the search runs on this dual code
             dual = FrCode(code.theta, code.n, code.rho, code.alpha, code.nodes_of_symbol)
             prefixes.append(_path_prefix(dual))
         assert batch_t_detail(code).t == brute_batch_t_detail(code).t, code.node_sets
     assert max(map(len, prefixes)) >= 3
     assert any(prefix and prefix[0] for prefix in prefixes)
-
-
-class _LoggedChain(dict):
-    """A chain that logs each lookup of chain[d], d >= 1, and each child
-    tested against a snapshot, with whether the snapshot filtered it."""
-
-    def __init__(self, n, log):
-        super().__init__({0: list(range(n))})
-        self.log = log
-
-    def __setitem__(self, d, roots):
-        super().__setitem__(d, _LoggedRoots(roots, d, self.log))
-
-    def get(self, d, default=None):
-        roots = super().get(d, default)
-        if d:
-            self.log.append(("get", d, roots is not None))
-        return roots
-
-
-class _LoggedRoots(list):
-    """A recorded chain[d]; reading a child's root logs whether it filters the child."""
-
-    def __init__(self, roots, d, log):
-        super().__init__(roots)
-        self.d, self.log = d, log
-
-    def __getitem__(self, c):
-        root = super().__getitem__(c)
-        self.log.append(("test", self.d, root != c))
-        return root
-
-
-def _filtered_by_a_late_snapshot(log):
-    """Whether, within one search, a lookup of chain[d] found nothing and a
-    later one filtered a child.  A search has at most one node that has
-    picked path[:d], so both lookups are that node's."""
-    absent = set()
-    for event, *args in log:
-        if event == "search":
-            absent = set()
-        elif event == "get" and not args[1]:
-            absent.add(args[0])
-        elif event == "test" and args[1] and args[0] in absent:
-            return True
-    return False
-
-
-def test_stabilizer_chain_landing_mid_list_keeps_file_size_and_batch_t(monkeypatch):
-    # at the shipped rate discovery records chain[d] while the node that has
-    # picked path[:d] tries its children, so the filter starts partway
-    # through the list
-    log = []
-    init, search = analyze._Profile.__init__, analyze._Profile.search
-
-    def logged_init(self, code, *args):
-        init(self, code, *args)
-        self.chain = _LoggedChain(code.n, log)
-        self._units = analyze._discover_orbits(code.symbol_masks, code.holder_masks,
-                                               self.path, self.chain)
-
-    def logged_search(self, *args, **kwargs):
-        log.append(("search",))
-        return search(self, *args, **kwargs)
-
-    monkeypatch.setattr(analyze._Profile, "__init__", logged_init)
-    monkeypatch.setattr(analyze._Profile, "search", logged_search)
-    for code in _stabilizer_cases(1515):
-        assert [file_size(code, k) for k in range(1, code.n + 1)] == \
-            [brute_min_union(code, k) for k in range(1, code.n + 1)], code.node_sets
-        assert batch_t_detail(code).t == brute_batch_t_detail(code).t, code.node_sets
-    assert _filtered_by_a_late_snapshot(log)
 
 
 def test_any_admitted_budget_gives_the_exact_answer_on_random_codes():

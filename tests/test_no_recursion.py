@@ -14,8 +14,9 @@ ALLOWED = {
     # _Profile.search picks one node per descend frame, and below_path opens
     # one child of a path node between two of them: at most 2k frames deep
     ("analyze.py", frozenset({"descend", "below_path"})),
-    # _discover_orbits individualizes one node per frame: at most the number
-    # of refinement levels of the first path deep
+    # _discover_orbits's leaf_search, a plain recursive function, individualizes
+    # one node per frame: at most the number of refinement levels of the first
+    # path deep
     ("analyze.py", frozenset({"leaf_search"})),
 }
 
